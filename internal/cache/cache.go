@@ -396,11 +396,11 @@ func (c *Cache) fill(pa arch.PhysAddr, tag, si uint32, base int, set []uint32, m
 // paths), where it keeps the per-line work inside one frame instead of
 // re-entering Access per line.
 //
-// Long wrapping runs go through accessRunFused, which proves whole sets
-// are already in their post-run state and skips them without a single
-// store (see its comment); the in-order row loop handles short runs and
-// remains the reference — and the fallback — whenever the fused engine's
-// set-by-set order could be observed (accessRunReorderSafe).
+// Runs that wrap the set index space go through accessRunFused, which
+// proves whole sets are already in their post-run state and skips them
+// without a single store, issuing the remaining lines in stream order
+// (see its comment); short runs take the plain in-order row loop. Both
+// are exact with or without event subscribers at either level.
 func (c *Cache) AccessRun(pa arch.PhysAddr, n int) int {
 	if n <= 0 {
 		return 0
@@ -409,7 +409,7 @@ func (c *Cache) AccessRun(pa arch.PhysAddr, n int) int {
 	// the run — it only pays off when the run wraps the set index space.
 	// Short runs — the overwhelmingly common straight-line block of a few
 	// lines — run the plain row loop.
-	if n > int(c.setMask)+1 && c.accessRunReorderSafe(n) {
+	if n > int(c.setMask)+1 {
 		return c.accessRunFused(pa, n)
 	}
 	return c.accessRunScalar(pa, n)
@@ -444,32 +444,9 @@ func (c *Cache) accessRunScalar(pa arch.PhysAddr, n int) int {
 	return stall
 }
 
-// accessRunReorderSafe reports whether a run of n consecutive lines may
-// be processed set-by-set instead of in stream order. Within one set the
-// fused loop preserves stream order, so the only reordering is across
-// sets, and that is unobservable exactly when (a) no subscriber wants
-// fill or evict events at this or the next level (event order is the one
-// externally visible sequence), and (b) the n lines land in n distinct
-// sets of the next level, so no cross-set pair ever meets in a
-// lower-level set (consecutive lines guarantee this while n does not
-// exceed the next level's set count and line sizes match). Misses past
-// the next level are a flat memory latency with no state at all.
-func (c *Cache) accessRunReorderSafe(n int) bool {
-	if c.bus.Wants(obs.EvCacheFill) || c.bus.Wants(obs.EvCacheEvict) {
-		return false
-	}
-	nx := c.next
-	if nx == nil {
-		return true
-	}
-	if nx.setShift != c.setShift || nx.next != nil || n > int(nx.setMask)+1 {
-		return false
-	}
-	return !nx.bus.Wants(obs.EvCacheFill) && !nx.bus.Wants(obs.EvCacheEvict)
-}
-
-// accessRunFused executes a wrapping run set-by-set with a zero-store
-// fast path for sets that are already in their post-run state.
+// accessRunFused executes a wrapping run in stream order with a
+// zero-store fast path for sets that are already in their post-run
+// state.
 //
 // The engine exploits a fixed-point property of the run's effect on one
 // set. A set receiving lines A then B (k = 2) that both hit through the
@@ -495,18 +472,31 @@ func (c *Cache) accessRunReorderSafe(n int) bool {
 // set si is still at the run's fixed point, because every mutation of
 // per-set state — probe hits, second-slot hits, fills, whether from
 // scalar accesses or other runs — sets the bit. A repeat of the
-// memoized run therefore touches only the sets dirtied since the last
-// one, skipping clean sets 64 at a time at the bitmap word level, and
-// re-verifies each dirty set after repairing it, clearing bits that
-// check out. Changing the run shape (a different tag0 or n) discards
-// the memo and forces a full verification pass, since a fixed point of
-// one run says nothing about another.
+// memoized run therefore issues only the lines of the sets dirtied since
+// the last one, skipping clean sets 64 at a time at the bitmap word
+// level, and re-verifies each dirty set right after its last line,
+// clearing bits that check out. When no bit is set at all the run costs
+// one scan of the bitmap. Changing the run shape (a different tag0 or n)
+// discards the memo and forces a full verification pass, since a fixed
+// point of one run says nothing about another.
+//
+// The dirty lines are issued in stream order. Line j of the run lands
+// in set (tag0+j)&mask, so the run is a sequence of passes, each one
+// rotated sweep over the sets starting at the run's first set; the
+// engine walks pass by pass and, within a pass, the dirty sets of the
+// sweep in rotated order. Skipping the clean sets commutes with
+// everything else: a clean set mutates nothing across the run, never
+// reaches the next level and publishes no event, and nothing else
+// touches its state while the run executes. The remaining lines — with
+// their next-level accesses and their fill/evict events — therefore
+// occur in exactly the order of the in-order loop, whatever subscribes
+// to either level and however the run maps onto the next level's sets.
 //
 // A set receiving one line (k = 1) is at its fixed point when the line
 // holds the first register slot — a first-slot hit mutates nothing. A
 // set receiving three or more lines is never at a fixed point: its
 // first line cannot sit in the two-slot register at the end of a run,
-// so its bit stays set and it runs scalar every time.
+// so its bit stays set and its lines run on every repeat.
 func (c *Cache) accessRunFused(pa arch.PhysAddr, n int) int {
 	tag0 := uint32(pa) >> c.setShift
 	un := uint32(n)
@@ -524,80 +514,108 @@ func (c *Cache) accessRunFused(pa arch.PhysAddr, n int) int {
 			c.dirty[0] = 1<<nSets - 1
 		}
 	}
-	lineSize := arch.PhysAddr(1) << c.setShift
-	// Lines per set: sets at run offset j < rem see full+1 lines. The
-	// AccessRun gate guarantees n > nSets, so every set sees at least one.
-	full := un / nSets
-	rem := un % nSets
-	hitLat := c.hitLat
 	stall := 0
-	var dirtyLines uint64
-	setStride := arch.PhysAddr(nSets) * lineSize
-	for w := range c.dirty {
-		word := c.dirty[w]
-		if word == 0 {
-			continue
-		}
-		for word != 0 {
-			b := uint32(bits.TrailingZeros64(word))
-			word &^= 1 << b
-			si := uint32(w)<<6 + b
-			j := (si - tag0) & c.setMask
-			k := full
-			if j < rem {
-				k++
-			}
-			dirtyLines += uint64(k)
-			tagA := tag0 + j
-			m := &c.mru[si]
-			lpa := pa + arch.PhysAddr(j)*lineSize
-			for tag := tagA; tag-tag0 < un; tag += nSets {
-				var lat int
-				if m.tag == tag {
-					c.stats.Accesses++
-					c.stats.Hits++
-					lat = hitLat
-				} else if m.tag2 == tag {
-					c.stats.Accesses++
-					lat = c.hit2(tag, si, m)
-				} else {
-					c.stats.Accesses++
-					lat = c.probe(lpa, tag, si, m)
-				}
-				if lat > 1 {
-					stall += lat - 1
-				}
-				lpa += setStride
-			}
-			// Re-verify: is the set now at this run's fixed point? The
-			// per-line path above re-marked it dirty; clear the bit when
-			// the end state checks out so the next identical run skips it.
-			clean := false
-			if k == 2 {
-				if m.tag == tagA+nSets && m.tag2 == tagA && c.skip[si] == 0 {
-					wA := uint(m.way2) & 7
-					wB := uint(m.way) & 7
-					la := c.age[si]
-					t := (la | 0xFF<<(8*wA)) &^ (colOnes << wA)
-					t = (t | 0xFF<<(8*wB)) &^ (colOnes << wB)
-					clean = t == la
-				}
-			} else if k == 1 {
-				clean = m.tag == tagA
-			}
-			if clean {
-				c.dirty[w] &^= 1 << b
+	var dirtyLines uint32
+	var anyDirty uint64
+	for _, w := range c.dirty {
+		anyDirty |= w
+	}
+	if anyDirty != 0 {
+		// Pass p issues lines [p*nSets, min(n, (p+1)*nSets)): the sets from
+		// the run's first set s0 up to the top of the index space, then —
+		// for a pass that wraps — the sets from 0 up. j is the line the
+		// pass issues to set s0.
+		s0 := tag0 & c.setMask
+		lastTag := tag0 + un - nSets // lines from here on end their set
+		for j, k := uint32(0), uint32(1); j < un; j, k = j+nSets, k+1 {
+			span := min(un-j, nSets)
+			lpa := pa + arch.PhysAddr(j)<<c.setShift
+			hi := min(s0+span, nSets)
+			st, lines := c.sweepDirty(lpa, tag0+j, s0, hi, k, lastTag)
+			stall, dirtyLines = stall+st, dirtyLines+lines
+			if wrap := hi - s0; wrap < span {
+				lpa += arch.PhysAddr(wrap) << c.setShift
+				st, lines = c.sweepDirty(lpa, tag0+j+wrap, 0, span-wrap, k, lastTag)
+				stall, dirtyLines = stall+st, dirtyLines+lines
 			}
 		}
 	}
 	// Clean sets contribute only counters: every line hits.
-	cleanLines := uint64(n) - dirtyLines
+	cleanLines := uint64(un - dirtyLines)
 	c.stats.Accesses += cleanLines
 	c.stats.Hits += cleanLines
-	if hitLat > 1 {
-		stall += int(cleanLines) * (hitLat - 1)
+	if c.hitLat > 1 {
+		stall += int(cleanLines) * (c.hitLat - 1)
 	}
 	return stall
+}
+
+// sweepDirty issues, in ascending set order, one line to each dirty set
+// of [lo, hi): the line with tag tag+(si-lo) at pa+(si-lo)*LineSize, the
+// k-th line of its set. It returns the stall cycles and the number of
+// lines issued. Clean sets are skipped a bitmap word at a time.
+//
+// A line among the nSets from lastTag on (compared wrap-safely, like
+// every tag offset here) is its set's last line of the run, so the
+// set's state is final: the set is re-verified against the run's fixed
+// point on the spot — for k = 1 the line must hold the first register
+// slot, for k = 2 see atFixedPoint2, and k >= 3 never qualifies — and
+// its bit cleared when it checks out (the line just issued re-marked it
+// dirty) so the next identical run skips it.
+func (c *Cache) sweepDirty(pa arch.PhysAddr, tag, lo, hi, k, lastTag uint32) (stall int, lines uint32) {
+	hitLat := c.hitLat
+	for w := lo >> 6; w<<6 < hi; w++ {
+		word := c.dirty[w]
+		if w<<6 < lo {
+			word &= ^uint64(0) << (lo & 63)
+		}
+		if (w+1)<<6 > hi {
+			word &= 1<<(hi&63) - 1
+		}
+		for word != 0 {
+			b := uint32(bits.TrailingZeros64(word))
+			word &= word - 1
+			si := w<<6 + b
+			d := si - lo
+			t := tag + d
+			m := &c.mru[si]
+			var lat int
+			if m.tag == t {
+				c.stats.Accesses++
+				c.stats.Hits++
+				lat = hitLat
+			} else if m.tag2 == t {
+				c.stats.Accesses++
+				lat = c.hit2(t, si, m)
+			} else {
+				c.stats.Accesses++
+				lat = c.probe(pa+arch.PhysAddr(d)<<c.setShift, t, si, m)
+			}
+			if lat > 1 {
+				stall += lat - 1
+			}
+			lines++
+			if t-lastTag <= c.setMask && (k == 1 && m.tag == t || k == 2 && c.atFixedPoint2(si, t, m)) {
+				c.dirty[w] &^= 1 << b
+			}
+		}
+	}
+	return stall, lines
+}
+
+// atFixedPoint2 reports whether set si, which has just received the
+// second and last line t of a run that gives it two lines, is at that
+// run's fixed point (see accessRunFused): register {t, t-nSets}, streak
+// zero, and an age word idempotent under the two lines' touches. Small
+// enough to inline into sweepDirty.
+func (c *Cache) atFixedPoint2(si, t uint32, m *mruReg) bool {
+	if m.tag != t || m.tag2 != t-(c.setMask+1) || c.skip[si] != 0 {
+		return false
+	}
+	wA, wB := uint(m.way2)&7, uint(m.way)&7
+	la := c.age[si]
+	a := (la | 0xFF<<(8*wA)) &^ (colOnes << wA)
+	return (a|0xFF<<(8*wB))&^(colOnes<<wB) == la
 }
 
 // Contains reports whether the line holding pa is resident at this level,

@@ -2,9 +2,11 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/obs"
 )
 
 // refCache is the obvious implementation the packed-recency Cache must
@@ -181,17 +183,58 @@ func TestHierarchyMatchesReference(t *testing.T) {
 // TestAccessRunMatchesAccess drives one hierarchy with AccessRun and a
 // twin with the equivalent individual Access calls, over randomized runs
 // long enough to wrap the L1 set-index space (exercising the fused
-// set-local engine and its cross-set reordering), and demands identical
-// stall totals and identical complete state — tags, age matrices, MRU
-// registers, adaptive skip streaks, and counters at both levels. This is
-// the pin for the claim that the fused path is bit-exact against the
-// scalar path, including the transparent acceleration state.
+// stream-order engine and its fixed-point memo, including repeats of the
+// previous run), and demands identical stall totals and identical
+// complete state — tags, age matrices, MRU registers, adaptive skip
+// streaks, and counters at both levels. This is the pin for the claim
+// that the fused path is bit-exact against the scalar path, including
+// the transparent acceleration state. The observed variants also record
+// the fill/evict events of both levels and demand identical streams; the
+// tiny-L2 geometries issue runs longer than the L2 has sets, so lines of
+// one run meet in L2 sets and their order there matters.
 func TestAccessRunMatchesAccess(t *testing.T) {
-	l2cfg := Config{Name: "L2", Size: 64 << 10, LineSize: 32, Assoc: 8, HitLatency: 10}
-	l1cfg := Config{Name: "L1I", Size: 4 << 10, LineSize: 32, Assoc: 4, HitLatency: 1}
+	l2 := Config{Name: "L2", Size: 64 << 10, LineSize: 32, Assoc: 8, HitLatency: 10}
+	l1 := Config{Name: "L1I", Size: 4 << 10, LineSize: 32, Assoc: 4, HitLatency: 1}
+	tinyL2 := Config{Name: "L2", Size: 2 << 10, LineSize: 32, Assoc: 8, HitLatency: 10}
+	tinyL1 := Config{Name: "L1I", Size: 1 << 10, LineSize: 32, Assoc: 4, HitLatency: 1}
+	cases := []struct {
+		name     string
+		l1, l2   Config
+		observed bool
+	}{
+		{"base", l1, l2, false},
+		{"observed", l1, l2, true},
+		{"tinyL2", l1, tinyL2, false},
+		{"tinyL2/observed", tinyL1, tinyL2, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			testAccessRunMatchesAccess(t, tc.l1, tc.l2, tc.observed)
+		})
+	}
+}
+
+// hierarchyEvents attaches a fresh bus to both levels of the two-level
+// hierarchy c and returns the fill/evict stream it records.
+func hierarchyEvents(c *Cache) *[]obs.Event {
+	var evs []obs.Event
+	bus := obs.NewBus()
+	bus.Subscribe(obs.ObserverFunc(func(ev obs.Event) { evs = append(evs, ev) }),
+		obs.EvCacheFill, obs.EvCacheEvict)
+	c.AttachBus(bus)
+	c.next.AttachBus(bus)
+	return &evs
+}
+
+func testAccessRunMatchesAccess(t *testing.T, l1cfg, l2cfg Config, observed bool) {
 	got := New(l1cfg, New(l2cfg, nil, 50), 0)
 	want := New(l1cfg, New(l2cfg, nil, 50), 0)
+	var gotEvs, wantEvs *[]obs.Event
+	if observed {
+		gotEvs, wantEvs = hierarchyEvents(got), hierarchyEvents(want)
+	}
 	nSets := int(got.setMask) + 1
+	compared := 0 // events already checked equal
 	rng := rand.New(rand.NewSource(23))
 	check := func(i int) {
 		t.Helper()
@@ -215,27 +258,41 @@ func TestAccessRunMatchesAccess(t *testing.T) {
 				}
 			}
 		}
+		if observed {
+			g, w := *gotEvs, *wantEvs
+			if len(g) != len(w) || !reflect.DeepEqual(g[compared:], w[compared:]) {
+				t.Fatalf("op %d: event streams diverge: %d events, scalar %d", i, len(g), len(w))
+			}
+			compared = len(g)
+		}
 	}
+	var lastPA arch.PhysAddr
+	lastN := 0
 	for i := 0; i < 4000; i++ {
 		pa := arch.PhysAddr(rng.Intn(48<<10)) &^ 31
-		switch rng.Intn(3) {
-		case 0: // single accesses, including re-references
+		n := 1 + rng.Intn(3*nSets)
+		switch op := rng.Intn(6); {
+		case op < 2: // single accesses, including re-references
 			gl, wl := got.Access(pa), want.Access(pa)
 			if gl != wl {
 				t.Fatalf("op %d: Access(%#x) latency %d, scalar %d", i, pa, gl, wl)
 			}
-		default: // runs: short, set-spanning, and multi-wrap lengths
-			n := 1 + rng.Intn(3*nSets)
-			stall := got.AccessRun(pa, n)
-			ref := 0
-			for k := 0; k < n; k++ {
-				if lat := want.Access(pa + arch.PhysAddr(k*32)); lat > 1 {
-					ref += lat - 1
-				}
+			check(i)
+			continue
+		case op < 4 && lastN > 0: // repeat the last run: the memo's case
+			pa, n = lastPA, lastN
+		}
+		// runs: short, set-spanning, and multi-wrap lengths
+		lastPA, lastN = pa, n
+		stall := got.AccessRun(pa, n)
+		ref := 0
+		for k := 0; k < n; k++ {
+			if lat := want.Access(pa + arch.PhysAddr(k*32)); lat > 1 {
+				ref += lat - 1
 			}
-			if stall != ref {
-				t.Fatalf("op %d: AccessRun(%#x, %d) stall %d, scalar %d", i, pa, n, stall, ref)
-			}
+		}
+		if stall != ref {
+			t.Fatalf("op %d: AccessRun(%#x, %d) stall %d, scalar %d", i, pa, n, stall, ref)
 		}
 		check(i)
 	}
@@ -243,6 +300,9 @@ func TestAccessRunMatchesAccess(t *testing.T) {
 		t.Fatal("AccessRun with a zero or negative count must be a no-op")
 	}
 	check(-1)
+	if observed && len(*gotEvs) == 0 {
+		t.Fatal("observed variant recorded no events")
+	}
 }
 
 // BenchmarkReferenceAccess mirrors BenchmarkCacheAccess over the stamped

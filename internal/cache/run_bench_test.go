@@ -2,6 +2,8 @@ package cache
 
 import (
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // BenchmarkAccessRun measures the run engine on the shapes the simulator
@@ -64,4 +66,30 @@ func BenchmarkAccessRunEngines(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
 	})
+}
+
+// BenchmarkAccessRunObserved is the KernelText512 shape with an event
+// ring subscribed to fill and evict events at both levels: observed runs
+// take the same fused engine as unobserved ones, so the steady state
+// should cost the same.
+func BenchmarkAccessRunObserved(b *testing.B) {
+	l2 := New(Config{Name: "L2", Size: 1 << 20, LineSize: 32, Assoc: 8, HitLatency: 10}, nil, 50)
+	c := New(Config{Name: "L1I", Size: 32 << 10, LineSize: 32, Assoc: 4, HitLatency: 1}, l2, 0)
+	bus := obs.NewBus()
+	ring := obs.NewRing(1 << 10)
+	bus.Subscribe(ring, obs.EvCacheFill, obs.EvCacheEvict)
+	c.AttachBus(bus)
+	l2.AttachBus(bus)
+	const lines = 512
+	c.AccessRun(0x10000, lines) // warm: all resident afterwards, fills observed
+	c.AccessRun(0x10000, lines)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.AccessRun(0x10000, lines)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
+	if ring.Seen() == 0 {
+		b.Fatal("ring saw no fill events")
+	}
 }

@@ -4,8 +4,7 @@
 // with their instruction counts and stall cycles accumulated in locals
 // and flushed once per span — falling out to the scalar access path for
 // any reference the fast path cannot prove equivalent: a TLB miss, a
-// fault of any kind, an attached sampler, or an obs subscriber wanting
-// the event kinds batching could perturb.
+// fault of any kind, or an attached sampler.
 //
 // The equivalence argument, in full:
 //
@@ -21,10 +20,13 @@
 //   - Per-instruction sampling (SampleEvery > 0) attributes samples to
 //     individual references; the batch path cannot replicate that
 //     attribution and defers entirely to the scalar loop.
-//   - With an obs subscriber wanting TLB or cache or fault events, runs
-//     also execute scalar. The fast path's hit spans would in fact
-//     publish nothing either way, but bypassing keeps observed runs
-//     trivially event-exact rather than exact-by-argument.
+//
+// Event subscribers need no special case. The only events a run can
+// publish — TLB inserts and evictions, cache fills and evictions, page
+// faults — come from the scalar calls above, issued in stream order, and
+// cache.AccessRun issues its lines in stream order too, so an observed
+// run takes the fused path and publishes exactly the scalar loop's
+// event stream.
 //
 // The scalar loop survives unchanged (expandRun) as the reference for
 // the randomized scalar-vs-batched differential test.
@@ -33,22 +35,7 @@ package cpu
 
 import (
 	"repro/internal/arch"
-	"repro/internal/obs"
 )
-
-// batchable reports whether the fused fast path may execute runs at all
-// in the core's current configuration. Sampling needs per-reference
-// program-counter attribution, and a subscriber to translation, cache,
-// or fault events gets the scalar loop so every observed run is
-// event-exact by construction.
-func (c *CPU) batchable() bool {
-	if c.SampleEvery > 0 {
-		return false
-	}
-	return !(c.bus.Wants(obs.EvTLBInsert) || c.bus.Wants(obs.EvTLBEvict) ||
-		c.bus.Wants(obs.EvTLBFlush) || c.bus.Wants(obs.EvCacheFill) ||
-		c.bus.Wants(obs.EvCacheEvict) || c.bus.Wants(obs.EvPageFault))
-}
 
 // AccessBatch executes a reference stream: exactly equivalent to issuing
 // every reference of every run, in order, through Fetch/Read/Write (or
@@ -56,7 +43,8 @@ func (c *CPU) batchable() bool {
 // are skipped. On error the stream stops at the failing reference,
 // with every earlier reference fully applied, like the equivalent loop.
 func (c *CPU) AccessBatch(runs []arch.RefRun) error {
-	fast := c.batchable()
+	// Sampling needs per-reference program-counter attribution.
+	fast := c.SampleEvery <= 0
 	for i := range runs {
 		r := &runs[i]
 		if r.Count <= 0 {

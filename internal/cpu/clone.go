@@ -30,7 +30,6 @@ func (c *CPU) Clone(handler FaultHandler, l2 *cache.Cache, bus *obs.Bus, ctxs ma
 		tlbs, caches = &ar.TLBs, &ar.Caches
 	}
 	d := *c
-	d.bus = bus
 	d.MicroI = c.MicroI.Clone(bus, tlbs)
 	d.MicroD = c.MicroD.Clone(bus, tlbs)
 	d.Main = c.Main.Clone(bus, tlbs)

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/cache"
-	"repro/internal/obs"
 	"repro/internal/pagetable"
 	"repro/internal/tlb"
 )
@@ -173,12 +172,6 @@ type CPU struct {
 	now          uint64
 	sinceSample  int
 	lastFetchVA  arch.VirtAddr
-	// bus is the machine's event bus, observed (never published to) by
-	// the batched execution path: when a subscriber wants any event kind
-	// the fast path could reorder or suppress, AccessBatch falls back to
-	// the scalar reference loop so traced runs stay event-exact. Wired by
-	// AttachBus alongside the TLBs and caches.
-	bus *obs.Bus
 }
 
 // Sampler receives rate-based program-counter samples: the sampled

@@ -42,12 +42,10 @@ func (s ContextSource) Snapshot() map[string]uint64 {
 func (s ContextSource) Reset() { s.Ctx.Stats = Stats{} }
 
 // AttachBus attaches the core's TLBs and cache hierarchy to b, so their
-// insert/evict/flush and fill/evict events reach the bus's subscribers,
-// and lets the core itself consult subscriber interest: the batched
-// execution path (AccessBatch) reverts to the scalar loop whenever a
-// subscriber wants the event kinds batching could reorder.
+// insert/evict/flush and fill/evict events reach the bus's subscribers.
+// The core itself publishes nothing and never consults the bus: batched
+// and scalar execution publish the same events in the same order.
 func (c *CPU) AttachBus(b *obs.Bus) {
-	c.bus = b
 	c.MicroI.AttachBus(b)
 	c.MicroD.AttachBus(b)
 	c.Main.AttachBus(b)

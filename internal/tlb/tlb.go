@@ -31,8 +31,8 @@
 //     lastUse values are unique) make Insert's victim choice O(1).
 //
 // The indexed paths are behaviourally identical to the reference linear
-// implementation (reference.go) — same results, same entry states, same
-// counters — which the differential property test in
+// implementation (reference_test.go) — same results, same entry states,
+// same counters — which the differential property test in
 // differential_test.go enforces over randomized operation sequences.
 package tlb
 
