@@ -388,7 +388,7 @@ func BenchmarkTLBLookupHit(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, r := t.Lookup(arch.VirtAddr(i%64)<<arch.PageShift, 1, dacr, arch.AccessFetch); r != tlb.Hit {
+		if _, _, r := t.Lookup(arch.VirtAddr(i%64)<<arch.PageShift, 1, dacr, arch.AccessFetch); r != tlb.Hit {
 			b.Fatal("unexpected miss")
 		}
 	}

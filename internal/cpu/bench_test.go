@@ -65,3 +65,28 @@ func BenchmarkTranslateHit(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFetchBlockMicroMiss measures the page-visit miss path: 64
+// pages visited in turn overflow the 32-entry micro-TLB but stay in the
+// main TLB and the caches, so every 16-instruction visit misses the
+// micro-TLB and hits the main TLB.
+func BenchmarkFetchBlockMicroMiss(b *testing.B) {
+	c, ctx, base := benchContext(b, 64)
+	for i := 0; i < 64; i++ { // warm the main TLB and the caches
+		if err := c.FetchBlock(base+arch.VirtAddr(i)<<arch.PageShift, 16); err != nil {
+			b.Fatal(err)
+		}
+	}
+	walks := ctx.Stats.ITLBMainMisses
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.FetchBlock(base+arch.VirtAddr(i&63)<<arch.PageShift, 16); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if ctx.Stats.ITLBMainMisses != walks {
+		b.Fatal("visits walked: the working set left the main TLB")
+	}
+}

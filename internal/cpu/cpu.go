@@ -294,68 +294,73 @@ func (c *CPU) FetchBlock(va arch.VirtAddr, n int) error {
 	}
 	const instrSize = 4
 	const lineSize = 32
-	if int(va&arch.PageMask)+n*instrSize > arch.PageSize {
-		n = (arch.PageSize - int(va&arch.PageMask)) / instrSize
+	off := int(va & arch.PageMask)
+	if off+n*instrSize > arch.PageSize {
+		// The first instruction executes even when it straddles the page end.
+		n = max((arch.PageSize-off)/instrSize, 1)
 	}
 	ctx := c.cur
 	if ctx == nil {
 		return fmt.Errorf("cpu: fetch block at %#x with no context", va)
 	}
+	// The first instruction's line, plus the further lines the rest of
+	// the block's bytes reach.
+	lines := 1
+	if n > 1 {
+		lines += (off+n*instrSize-1)/lineSize - off/lineSize
+	}
 	// Fast path: when the page already translates in the micro-TLB and no
 	// sampler needs per-instruction attribution, the whole visit fuses —
-	// the scalar path's two Lookup hits (the first instruction's access
-	// and the block's explicit re-translation below) commit as one
-	// weight-2 update, the cache references issue exactly as the scalar
-	// path would issue them, and all costs are charged in one update.
-	// Any other outcome (micro miss, fault, sampling) takes the scalar
-	// path below, which remains the reference.
+	// the first instruction's micro-TLB hit and the block's own
+	// re-translation commit as one weight-2 update, the cache references
+	// issue exactly as the miss path below would issue them, and all
+	// costs are charged in one update.
 	if n > 1 && c.SampleEvery <= 0 {
 		if e, slot, r := c.MicroI.Peek(va, ctx.ASID, ctx.DACR, arch.AccessFetch); r == tlb.Hit {
 			c.MicroI.CommitRunHits(slot, 2, va, ctx.ASID, ctx.DACR)
 			c.lastFetchVA = va
 			ctx.Stats.Instructions += uint64(n)
-			pa := c.physAddr(e.Frame(), e.Flags(), va)
-			firstLine := int(va&arch.PageMask) / lineSize
-			lastLine := (int(va&arch.PageMask) + n*instrSize - 1) / lineSize
-			// One cache run covers every line of the block, the first
-			// included: AccessRun at pa starts with pa's own line.
-			stall := c.Caches.FetchRun(pa, lastLine-firstLine+1)
+			stall := c.fetchLines(c.physAddr(e.Frame(), e.Flags(), va), lines)
 			ctx.Stats.ICacheStallCycles += uint64(stall)
 			c.charge(n*c.Costs.BaseInstr + stall)
 			return nil
 		}
 	}
-	// First instruction takes the full translation path (and handles any
-	// fault); the rest of the block reuses the translation.
-	if err := c.access(va, arch.AccessFetch); err != nil {
+	// Miss path: the first instruction takes the full translation (and
+	// handles any fault), and the rest of the block reuses it. The block's
+	// re-translation is a micro-TLB hit on the slot the translation left,
+	// committed without a probe, and the first line's fetch joins the rest
+	// of the block's lines. Events carry no clock and samples carry only
+	// their address, so charging once after the translation leaves every
+	// counter, event and sample as charging step by step would.
+	pa, slot, err := c.issue(va, arch.AccessFetch)
+	if err != nil {
 		return err
 	}
-	rest := n - 1
-	if rest <= 0 {
-		return nil
-	}
-	ctx.Stats.Instructions += uint64(rest)
-	c.charge(rest * c.Costs.BaseInstr)
-	if c.SampleEvery > 0 {
-		c.tick(va, false, rest)
-	}
-	e, r := c.MicroI.Lookup(va, ctx.ASID, ctx.DACR, arch.AccessFetch)
-	if r != tlb.Hit {
-		// The fetch above inserted the translation; a miss here means a
-		// concurrent flush, which cannot happen in this single-core model.
-		return fmt.Errorf("cpu: lost translation for block at %#x", va)
-	}
-	pageBase := c.physAddr(e.Frame(), e.Flags(), va) - arch.PhysAddr(va&arch.PageMask)
-	firstLine := int(va&arch.PageMask) / lineSize
-	lastLine := (int(va&arch.PageMask) + n*instrSize - 1) / lineSize
-	if lines := lastLine - firstLine; lines > 0 {
-		stall := c.Caches.FetchRun(pageBase+arch.PhysAddr((firstLine+1)*lineSize), lines)
-		if stall > 0 {
-			ctx.Stats.ICacheStallCycles += uint64(stall)
-			c.charge(stall)
+	if rest := n - 1; rest > 0 {
+		ctx.Stats.Instructions += uint64(rest)
+		if c.SampleEvery > 0 {
+			c.tick(va, false, rest)
 		}
+		c.MicroI.CommitRunHits(slot, 1, va, ctx.ASID, ctx.DACR)
 	}
+	stall := c.fetchLines(pa, lines)
+	ctx.Stats.ICacheStallCycles += uint64(stall)
+	c.charge((n-1)*c.Costs.BaseInstr + stall)
 	return nil
+}
+
+// fetchLines fetches a block's lines through the I-cache and returns the
+// stall cycles: pa's own line, then the following lines at their line
+// bases, as the block's instructions address them. Page visits start at
+// a line base, so this is one cache run; a block starting mid-line
+// issues its first line separately.
+func (c *CPU) fetchLines(pa arch.PhysAddr, lines int) int {
+	const lineSize = 32
+	if off := pa & (lineSize - 1); off != 0 && lines > 1 {
+		return c.Caches.FetchRun(pa, 1) + c.Caches.FetchRun(pa-off+lineSize, lines-1)
+	}
+	return c.Caches.FetchRun(pa, lines)
 }
 
 // ChargeUser charges abstract user compute cycles (register-register
@@ -385,6 +390,29 @@ func (c *CPU) access(va arch.VirtAddr, kind arch.AccessKind) error {
 	if ctx == nil {
 		return fmt.Errorf("cpu: access %#x with no context", va)
 	}
+	pa, _, err := c.issue(va, kind)
+	if err != nil {
+		return err
+	}
+	var lat int
+	if kind == arch.AccessFetch {
+		lat = c.Caches.Fetch(pa)
+		ctx.Stats.ICacheStallCycles += uint64(lat - 1)
+	} else {
+		lat = c.Caches.Data(pa)
+		ctx.Stats.DCacheStallCycles += uint64(lat - 1)
+	}
+	c.charge(lat - 1)
+	return nil
+}
+
+// issue retires one instruction at va up to its memory access: the base
+// cost, the instruction count and the sampler tick, then the translation,
+// delivering faults to the kernel and retrying. It returns the physical
+// address and the micro-TLB slot the translation resolved at. The
+// caller has checked that a context is running.
+func (c *CPU) issue(va arch.VirtAddr, kind arch.AccessKind) (arch.PhysAddr, int32, error) {
+	ctx := c.cur
 	c.charge(c.Costs.BaseInstr)
 	ctx.Stats.Instructions++
 	if kind == arch.AccessFetch {
@@ -403,56 +431,48 @@ func (c *CPU) access(va arch.VirtAddr, kind arch.AccessKind) error {
 
 	const maxRetries = 8
 	for attempt := 0; attempt < maxRetries; attempt++ {
-		pa, ok, err := c.translate(va, kind, micro, stall, mainMisses)
+		pa, slot, ok, err := c.translate(va, kind, micro, stall, mainMisses)
 		if err != nil {
-			return err
+			return 0, 0, err
 		}
-		if !ok {
-			continue // fault handled; retry the translation
+		if ok {
+			return pa, slot, nil
 		}
-		var lat int
-		if kind == arch.AccessFetch {
-			lat = c.Caches.Fetch(pa)
-			ctx.Stats.ICacheStallCycles += uint64(lat - 1)
-		} else {
-			lat = c.Caches.Data(pa)
-			ctx.Stats.DCacheStallCycles += uint64(lat - 1)
-		}
-		c.charge(lat - 1)
-		return nil
+		// A fault was handled; retry the translation.
 	}
-	return fmt.Errorf("cpu: %s at %#x did not resolve after %d fault retries (pid %d %q)",
+	return 0, 0, fmt.Errorf("cpu: %s at %#x did not resolve after %d fault retries (pid %d %q)",
 		kind, va, maxRetries, ctx.ID, ctx.Name)
 }
 
-// translate resolves va to a physical address. ok=false means a fault was
-// delivered to the kernel and the access must be retried.
-func (c *CPU) translate(va arch.VirtAddr, kind arch.AccessKind, micro *tlb.TLB, stall *uint64, mainMisses *uint64) (arch.PhysAddr, bool, error) {
+// translate resolves va to a physical address and the micro-TLB slot
+// that now translates it. ok=false means a fault was delivered to the
+// kernel and the access must be retried.
+func (c *CPU) translate(va arch.VirtAddr, kind arch.AccessKind, micro *tlb.TLB, stall *uint64, mainMisses *uint64) (pa arch.PhysAddr, slot int32, ok bool, err error) {
 	ctx := c.cur
-	e, r := micro.Lookup(va, ctx.ASID, ctx.DACR, kind)
+	e, slot, r := micro.Lookup(va, ctx.ASID, ctx.DACR, kind)
 	switch r {
 	case tlb.Hit:
-		return c.physAddr(e.Frame(), e.Flags(), va), true, nil
+		return c.physAddr(e.Frame(), e.Flags(), va), slot, true, nil
 	case tlb.DomainFault:
 		c.domainFault(va, micro)
-		return 0, false, nil
+		return 0, 0, false, nil
 	case tlb.PermFault:
-		return 0, false, c.pageFault(va, kind, micro)
+		return 0, 0, false, c.pageFault(va, kind, micro)
 	}
 
 	// Micro miss: probe the main TLB.
 	c.charge(c.Costs.MainTLBHit)
 	*stall += uint64(c.Costs.MainTLBHit)
-	e, r = c.Main.Lookup(va, ctx.ASID, ctx.DACR, kind)
+	e, _, r = c.Main.Lookup(va, ctx.ASID, ctx.DACR, kind)
 	switch r {
 	case tlb.Hit:
-		micro.Insert(va, ctx.ASID, e.Frame(), e.Flags(), e.Domain())
-		return c.physAddr(e.Frame(), e.Flags(), va), true, nil
+		slot = micro.Insert(va, ctx.ASID, e.Frame(), e.Flags(), e.Domain())
+		return c.physAddr(e.Frame(), e.Flags(), va), slot, true, nil
 	case tlb.DomainFault:
 		c.domainFault(va, micro)
-		return 0, false, nil
+		return 0, 0, false, nil
 	case tlb.PermFault:
-		return 0, false, c.pageFault(va, kind, micro)
+		return 0, 0, false, c.pageFault(va, kind, micro)
 	}
 
 	// Main miss: hardware page walk. The walker reads one entry per
@@ -460,7 +480,7 @@ func (c *CPU) translate(va arch.VirtAddr, kind arch.AccessKind, micro *tlb.TLB, 
 	// leaf PTE word has the same physical address in every process.
 	*mainMisses++
 	walk := c.Costs.WalkFixed
-	pte, slot, fault, path := ctx.PT.Walk(va)
+	pte, ptSlot, fault, path := ctx.PT.Walk(va)
 	for i := 0; i < path.N; i++ {
 		walk += c.Caches.Walk(path.Addrs[i])
 	}
@@ -468,20 +488,20 @@ func (c *CPU) translate(va arch.VirtAddr, kind arch.AccessKind, micro *tlb.TLB, 
 	*stall += uint64(walk)
 
 	if fault != arch.FaultNone {
-		return 0, false, c.pageFault(va, kind, micro)
+		return 0, 0, false, c.pageFault(va, kind, micro)
 	}
-	if !permits(pte.Flags, kind, ctx.DACR.Access(slot.Domain)) {
-		if ctx.DACR.Access(slot.Domain) == arch.DomainNoAccess {
+	if !permits(pte.Flags, kind, ctx.DACR.Access(ptSlot.Domain)) {
+		if ctx.DACR.Access(ptSlot.Domain) == arch.DomainNoAccess {
 			// Architecturally a walk into a no-access domain aborts
 			// with a domain fault rather than loading the TLB.
 			c.domainFault(va, micro)
-			return 0, false, nil
+			return 0, 0, false, nil
 		}
-		return 0, false, c.pageFault(va, kind, micro)
+		return 0, 0, false, c.pageFault(va, kind, micro)
 	}
-	c.Main.Insert(va, ctx.ASID, pte.Frame, pte.Flags, slot.Domain)
-	micro.Insert(va, ctx.ASID, pte.Frame, pte.Flags, slot.Domain)
-	return c.physAddr(pte.Frame, pte.Flags, va), true, nil
+	c.Main.Insert(va, ctx.ASID, pte.Frame, pte.Flags, ptSlot.Domain)
+	slot = micro.Insert(va, ctx.ASID, pte.Frame, pte.Flags, ptSlot.Domain)
+	return c.physAddr(pte.Frame, pte.Flags, va), slot, true, nil
 }
 
 // physAddr computes the physical address for a translated access,

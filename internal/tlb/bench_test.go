@@ -25,7 +25,7 @@ func BenchmarkTLBLookupHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, r := tb.Lookup(arch.VirtAddr(i&127)<<arch.PageShift, 1, dacr, arch.AccessFetch); r != Hit {
+		if _, _, r := tb.Lookup(arch.VirtAddr(i&127)<<arch.PageShift, 1, dacr, arch.AccessFetch); r != Hit {
 			b.Fatal("unexpected miss")
 		}
 	}
@@ -41,7 +41,7 @@ func BenchmarkTLBLookupHitMRU(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, r := tb.Lookup(0x1000, 1, dacr, arch.AccessFetch); r != Hit {
+		if _, _, r := tb.Lookup(0x1000, 1, dacr, arch.AccessFetch); r != Hit {
 			b.Fatal("unexpected miss")
 		}
 	}
@@ -57,7 +57,7 @@ func BenchmarkTLBLookupMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		va := arch.VirtAddr(1024+(i&1023)) << arch.PageShift
-		if _, r := tb.Lookup(va, 1, dacr, arch.AccessFetch); r != Miss {
+		if _, _, r := tb.Lookup(va, 1, dacr, arch.AccessFetch); r != Miss {
 			b.Fatal("unexpected hit")
 		}
 	}
@@ -92,7 +92,40 @@ func BenchmarkTLBLookupLargePage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Probe every 4KB page of the 64KB blocks in turn.
 		va := arch.VirtAddr(i&1023) << arch.PageShift
-		if _, r := tb.Lookup(va, 1, dacr, arch.AccessFetch); r != Hit {
+		if _, _, r := tb.Lookup(va, 1, dacr, arch.AccessFetch); r != Hit {
+			b.Fatal("unexpected miss")
+		}
+	}
+}
+
+// BenchmarkTLBFlushAllSparse measures a micro-TLB's life between two
+// context switches: a 32-entry TLB loads 12 pages and is flushed, so the
+// flush finds most slots already empty.
+func BenchmarkTLBFlushAllSparse(b *testing.B) {
+	tb := New("bench", 32, armv7.PagesPerLargePage)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchFill(tb, 12)
+		tb.FlushAll()
+	}
+}
+
+// BenchmarkTLBLookupASIDAlias measures the probe path of a full 128-entry
+// main TLB holding each of 64 pages under two ASIDs, as a client and a
+// server running the same library code do: every key holds two slots.
+func BenchmarkTLBLookupASIDAlias(b *testing.B) {
+	tb := New("bench", 128, armv7.PagesPerLargePage)
+	for i := 0; i < 128; i++ {
+		tb.Insert(arch.VirtAddr(i>>1)<<arch.PageShift, arch.ASID(1+i&1), arch.FrameNum(i),
+			arch.PTEValid|arch.PTEUser|arch.PTEExec, armv7.DomainUser)
+	}
+	dacr := armv7.StockDACR()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		va := arch.VirtAddr(i>>1&63) << arch.PageShift
+		if _, _, r := tb.Lookup(va, arch.ASID(1+i&1), dacr, arch.AccessFetch); r != Hit {
 			b.Fatal("unexpected miss")
 		}
 	}
@@ -116,7 +149,7 @@ func BenchmarkReferenceTLBLookupHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, r := tb.Lookup(arch.VirtAddr(i&127)<<arch.PageShift, 1, dacr, arch.AccessFetch); r != Hit {
+		if _, _, r := tb.Lookup(arch.VirtAddr(i&127)<<arch.PageShift, 1, dacr, arch.AccessFetch); r != Hit {
 			b.Fatal("unexpected miss")
 		}
 	}
@@ -129,7 +162,7 @@ func BenchmarkReferenceTLBLookupHitMRU(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, r := tb.Lookup(0x1000, 1, dacr, arch.AccessFetch); r != Hit {
+		if _, _, r := tb.Lookup(0x1000, 1, dacr, arch.AccessFetch); r != Hit {
 			b.Fatal("unexpected miss")
 		}
 	}
@@ -143,7 +176,7 @@ func BenchmarkReferenceTLBLookupMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		va := arch.VirtAddr(1024+(i&1023)) << arch.PageShift
-		if _, r := tb.Lookup(va, 1, dacr, arch.AccessFetch); r != Miss {
+		if _, _, r := tb.Lookup(va, 1, dacr, arch.AccessFetch); r != Miss {
 			b.Fatal("unexpected hit")
 		}
 	}
@@ -173,7 +206,7 @@ func BenchmarkReferenceTLBLookupLargePage(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		va := arch.VirtAddr(i&1023) << arch.PageShift
-		if _, r := tb.Lookup(va, 1, dacr, arch.AccessFetch); r != Hit {
+		if _, _, r := tb.Lookup(va, 1, dacr, arch.AccessFetch); r != Hit {
 			b.Fatal("unexpected miss")
 		}
 	}

@@ -22,6 +22,7 @@ func (t *TLB) Clone(bus *obs.Bus, a *alloc.Arena[TLB]) *TLB {
 	*c = *t
 	c.bus = bus
 	c.entries = append([]Entry(nil), t.entries...)
+	c.same = append([]int32(nil), t.same...)
 	c.validBits = append([]uint64(nil), t.validBits...)
 	c.lruPrev = append([]int32(nil), t.lruPrev...)
 	c.lruNext = append([]int32(nil), t.lruNext...)

@@ -13,8 +13,9 @@ import (
 
 // The differential property test: the indexed TLB and the reference
 // linear implementation are driven through identical randomized
-// Lookup/Insert/Flush sequences and must agree on every operation's
-// result, every counter, and the entire entry array after every step.
+// Lookup/Peek/run/Insert/Flush sequences and must agree on every
+// operation's result, every counter, and the entire entry array after
+// every step.
 // This is the proof obligation for the hot-path index (see the package
 // comment): the paper's results are event counts, so the optimization
 // must be count-preserving, and entry-state equality is stronger still.
@@ -37,6 +38,40 @@ func diffDACRs() []arch.DACR {
 	}
 }
 
+// diffLookup applies one Lookup to both implementations and fails the
+// test unless entry, slot and result agree.
+func diffLookup(t *testing.T, indexed *TLB, ref *linearTLB, va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) {
+	t.Helper()
+	ge, gs, gr := indexed.Lookup(va, asid, dacr, kind)
+	we, ws, wr := ref.Lookup(va, asid, dacr, kind)
+	if ge != we || gs != ws || gr != wr {
+		t.Fatalf("Lookup(%#x, asid %d, dacr %#x, %v) diverged:\n  indexed (%+v, %d, %v)\n  reference (%+v, %d, %v)",
+			va, asid, dacr, kind, ge, gs, gr, we, ws, wr)
+	}
+}
+
+// diffPeek applies Peek to the indexed TLB and fails the test unless it
+// reports what a reference Lookup would, without mutating anything.
+func diffPeek(t *testing.T, indexed *TLB, ref *linearTLB, va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (int32, Result) {
+	t.Helper()
+	ge, gs, gr := indexed.Peek(va, asid, dacr, kind)
+	we, ws, wr := ref.peek(va, asid, dacr, kind)
+	if ge != we || gs != ws || gr != wr {
+		t.Fatalf("Peek(%#x, asid %d, dacr %#x, %v) diverged:\n  indexed (%+v, %d, %v)\n  reference (%+v, %d, %v)",
+			va, asid, dacr, kind, ge, gs, gr, we, ws, wr)
+	}
+	return gs, gr
+}
+
+// diffInsert applies one Insert to both implementations and fails the
+// test unless they report the same slot.
+func diffInsert(t *testing.T, indexed *TLB, ref *linearTLB, va arch.VirtAddr, asid arch.ASID, frame arch.FrameNum, flags arch.PTEFlags, domain uint8) {
+	t.Helper()
+	if gs, ws := indexed.Insert(va, asid, frame, flags, domain), ref.Insert(va, asid, frame, flags, domain); gs != ws {
+		t.Fatalf("Insert(%#x, asid %d, flags %#x) diverged: indexed slot %d, reference slot %d", va, asid, flags, gs, ws)
+	}
+}
+
 // diffOp applies one random operation to both implementations and fails
 // the test on any divergence in the operation's outcome.
 func diffOp(t *testing.T, rng *rand.Rand, indexed *TLB, ref *linearTLB, dacrs []arch.DACR) {
@@ -49,14 +84,37 @@ func diffOp(t *testing.T, rng *rand.Rand, indexed *TLB, ref *linearTLB, dacrs []
 	dacr := dacrs[rng.Intn(len(dacrs))]
 
 	switch r := rng.Intn(100); {
-	case r < 55: // Lookup
-		ge, gr := indexed.Lookup(va, asid, dacr, kind)
-		we, wr := ref.Lookup(va, asid, dacr, kind)
-		if ge != we || gr != wr {
-			t.Fatalf("Lookup(%#x, asid %d, dacr %#x, %v) diverged:\n  indexed (%+v, %v)\n  reference (%+v, %v)",
-				va, asid, dacr, kind, ge, gr, we, wr)
+	case r < 45: // Lookup
+		diffLookup(t, indexed, ref, va, asid, dacr, kind)
+	case r < 49: // Peek
+		diffPeek(t, indexed, ref, va, asid, dacr, kind)
+	case r < 53: // Peek, then n hits committed at once: n scalar Lookups
+		slot, res := diffPeek(t, indexed, ref, va, asid, dacr, kind)
+		if res != Hit {
+			break
 		}
-	case r < 85: // Insert
+		n := 1 + rng.Intn(4)
+		indexed.CommitRunHits(slot, uint64(n), va, asid, dacr)
+		for i := 0; i < n; i++ {
+			if _, ws, wr := ref.Lookup(va, asid, dacr, kind); ws != slot || wr != Hit {
+				t.Fatalf("committed hit %d/%d at %#x: reference (%d, %v), want (%d, hit)", i, n, va, ws, wr, slot)
+			}
+		}
+	case r < 57: // LookupRun: its committed iterations are scalar hits
+		page := arch.VirtAddr(arch.PageSize)
+		stride := []arch.VirtAddr{0, 4, page, -page, 16 * page}[rng.Intn(5)]
+		_, _, want := ref.peek(va, asid, dacr, kind)
+		n, e := indexed.LookupRun(va, stride, 1+rng.Intn(32), asid, dacr, kind)
+		if (n > 0) != (want == Hit) {
+			t.Fatalf("LookupRun(%#x) committed %d, reference first lookup %v", va, n, want)
+		}
+		for i := 0; i < n; i++ {
+			wva := va + arch.VirtAddr(i)*stride
+			if we, _, wr := ref.Lookup(wva, asid, dacr, kind); wr != Hit || we.frame != e.frame {
+				t.Fatalf("LookupRun(%#x, stride %#x) iteration %d: reference (%+v, %v), run entry %+v", va, stride, i, we, wr, e)
+			}
+		}
+	case r < 82: // Insert
 		flags := arch.PTEValid
 		if rng.Intn(100) < 80 {
 			flags |= arch.PTEUser
@@ -73,10 +131,14 @@ func diffOp(t *testing.T, rng *rand.Rand, indexed *TLB, ref *linearTLB, dacrs []
 		if rng.Intn(100) < 20 {
 			flags |= arch.PTELarge
 		}
-		frame := arch.FrameNum(rng.Intn(1 << 16))
+		diffInsert(t, indexed, ref, va, asid, arch.FrameNum(rng.Intn(1<<16)), flags, uint8(rng.Intn(4)))
+	case r < 85: // one page under every ASID plus a global copy: a long chain
+		flags := arch.PTEValid | arch.PTEUser | arch.PTEExec
 		domain := uint8(rng.Intn(4))
-		indexed.Insert(va, asid, frame, flags, domain)
-		ref.Insert(va, asid, frame, flags, domain)
+		for a := arch.ASID(1); a <= 3; a++ {
+			diffInsert(t, indexed, ref, va, a, arch.FrameNum(a), flags, domain)
+		}
+		diffInsert(t, indexed, ref, va, asid, 4, flags|arch.PTEGlobal, domain)
 	case r < 90: // FlushVA (the domain-fault handler / shootdown path)
 		if gn, wn := indexed.FlushVA(va), ref.FlushVA(va); gn != wn {
 			t.Fatalf("FlushVA(%#x) diverged: indexed %d, reference %d", va, gn, wn)
@@ -101,6 +163,63 @@ func diffOp(t *testing.T, rng *rand.Rand, indexed *TLB, ref *linearTLB, dacrs []
 		indexed.FlushAll()
 		ref.FlushAll()
 	}
+}
+
+// diffCheckIndex fails the test unless the indexed TLB's auxiliary
+// structures describe its entry array: every chain is strictly ascending
+// and holds only valid entries of its own key, every valid slot is on
+// exactly one chain, the LRU list threads exactly the valid slots, and
+// numValid and numLarge match a recount. It returns the longest chain.
+func diffCheckIndex(t *testing.T, step int, tb *TLB) int {
+	t.Helper()
+	seen := make([]int, len(tb.entries))
+	longest := 0
+	for i, k := range tb.idx.keys {
+		if k == idxEmpty {
+			continue
+		}
+		n, prev := 0, int32(-1)
+		for s := tb.idx.slots[i]; s >= 0; s = tb.same[s] {
+			if s <= prev {
+				t.Fatalf("step %d: chain of key %#x not ascending at slot %d after %d", step, k, s, prev)
+			}
+			if e := &tb.entries[s]; !e.valid || entryKey(e.vpn, e.large) != k {
+				t.Fatalf("step %d: chain of key %#x holds slot %d = %+v", step, k, s, *e)
+			}
+			seen[s]++
+			n++
+			prev = s
+		}
+		longest = max(longest, n)
+	}
+	valid, large := 0, 0
+	for s, e := range tb.entries {
+		want := 0
+		if e.valid {
+			want = 1
+			valid++
+			if e.large {
+				large++
+			}
+		}
+		if seen[s] != want {
+			t.Fatalf("step %d: slot %d (valid %v) is on %d chains", step, s, e.valid, seen[s])
+		}
+	}
+	if tb.numValid != valid || tb.numLarge != large {
+		t.Fatalf("step %d: numValid %d numLarge %d, recount %d and %d", step, tb.numValid, tb.numLarge, valid, large)
+	}
+	n := 0
+	for s := tb.lruHead; s >= 0; s = tb.lruNext[s] {
+		if !tb.entries[s].valid || n == valid {
+			t.Fatalf("step %d: LRU list reaches slot %d (valid %v) after %d of %d", step, s, tb.entries[s].valid, n, valid)
+		}
+		n++
+	}
+	if n != valid {
+		t.Fatalf("step %d: LRU list threads %d slots, %d valid", step, n, valid)
+	}
+	return longest
 }
 
 // diffCompareState fails the test unless both implementations hold
@@ -144,9 +263,14 @@ func TestDifferentialIndexedVsLinear(t *testing.T) {
 					ref := newLinear(size, ppl)
 					indexed.DomainMatchInHW = hw
 					ref.DomainMatchInHW = hw
+					longest := 0
 					for step := 0; step < opsPerConfig; step++ {
 						diffOp(t, rng, indexed, ref, dacrs)
 						diffCompareState(t, step, indexed, ref)
+						longest = max(longest, diffCheckIndex(t, step, indexed))
+					}
+					if size >= 8 && longest < 3 {
+						t.Errorf("longest index chain %d, want the chain-building ops to reach 3", longest)
 					}
 				})
 			}
@@ -170,12 +294,13 @@ func TestDifferentialHWToggle(t *testing.T) {
 		}
 		diffOp(t, rng, indexed, ref, dacrs)
 		diffCompareState(t, step, indexed, ref)
+		diffCheckIndex(t, step, indexed)
 	}
 }
 
 // TestDifferentialLargePageHeavy skews toward large pages and aliased
-// small pages so the masked-VPN key and the spill fallback are exercised
-// hard.
+// small pages so the masked-VPN key and the merged walk of the 4KB and
+// large-page chains are exercised hard.
 func TestDifferentialLargePageHeavy(t *testing.T) {
 	dacrs := diffDACRs()
 	rng := rand.New(rand.NewSource(7))
@@ -189,13 +314,10 @@ func TestDifferentialLargePageHeavy(t *testing.T) {
 		asid := arch.ASID(1 + rng.Intn(3))
 		dacr := dacrs[rng.Intn(len(dacrs))]
 		switch r := rng.Intn(10); {
+		case r < 4:
+			diffLookup(t, indexed, ref, va, asid, dacr, arch.AccessFetch)
 		case r < 5:
-			ge, gr := indexed.Lookup(va, asid, dacr, arch.AccessFetch)
-			we, wr := ref.Lookup(va, asid, dacr, arch.AccessFetch)
-			if ge != we || gr != wr {
-				t.Fatalf("Lookup(%#x, asid %d) diverged: indexed (%+v, %v), reference (%+v, %v)",
-					va, asid, ge, gr, we, wr)
-			}
+			diffPeek(t, indexed, ref, va, asid, dacr, arch.AccessFetch)
 		case r < 9:
 			flags := arch.PTEValid | arch.PTEUser | arch.PTEExec
 			if rng.Intn(2) == 0 {
@@ -204,14 +326,14 @@ func TestDifferentialLargePageHeavy(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				flags |= arch.PTEGlobal
 			}
-			indexed.Insert(va, asid, arch.FrameNum(step), flags, armv7.DomainUser)
-			ref.Insert(va, asid, arch.FrameNum(step), flags, armv7.DomainUser)
+			diffInsert(t, indexed, ref, va, asid, arch.FrameNum(step), flags, armv7.DomainUser)
 		default:
 			if gn, wn := indexed.FlushVA(va), ref.FlushVA(va); gn != wn {
 				t.Fatalf("FlushVA(%#x) diverged: indexed %d, reference %d", va, gn, wn)
 			}
 		}
 		diffCompareState(t, step, indexed, ref)
+		diffCheckIndex(t, step, indexed)
 	}
 }
 

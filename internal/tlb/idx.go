@@ -1,7 +1,8 @@
 // idxTable is the TLB's key-to-slot index: a small open-addressed hash
 // table with linear probing and backward-shift deletion, replacing a Go
 // map on the hottest simulator path (every lookup, insert and targeted
-// flush probes it). Capacity is four times the entry count rounded up to
+// flush probes it). It maps each resident key to the head of that key's
+// slot chain (TLB.same). Capacity is four times the entry count rounded up to
 // a power of two: at load factor ≤ 1/4 probe chains are nearly always a
 // single cell, which keeps both get and the backward-shift in del short,
 // and even the main TLB's table is only a few kilobytes. Purely an
@@ -43,22 +44,24 @@ func (it *idxTable) hash(k uint32) uint32 {
 	return (h ^ h>>16) & it.mask
 }
 
-func (it *idxTable) get(k uint32) (int32, bool) {
+// get returns the slot stored under k, or -1 when k is absent.
+func (it *idxTable) get(k uint32) int32 {
 	i := it.hash(k)
 	for {
 		kk := it.keys[i]
 		if kk == k {
-			return it.slots[i], true
+			return it.slots[i]
 		}
 		if kk == idxEmpty {
-			return 0, false
+			return -1
 		}
 		i = (i + 1) & it.mask
 	}
 }
 
 // set inserts k or overwrites its value. The caller keeps at most one
-// live key per TLB entry, so the half-empty table always has room.
+// live key per TLB entry, so the table, at most a quarter full, always
+// has room.
 func (it *idxTable) set(k uint32, v int32) {
 	i := it.hash(k)
 	for {
@@ -112,12 +115,6 @@ func (it *idxTable) del(k uint32) {
 		it.keys[i] = kk
 		it.slots[i] = it.slots[j]
 		i = j
-	}
-}
-
-func (it *idxTable) clear() {
-	for i := range it.keys {
-		it.keys[i] = idxEmpty
 	}
 }
 

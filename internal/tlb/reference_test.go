@@ -3,8 +3,9 @@ package tlb
 import "repro/internal/arch"
 
 // linearTLB is the reference implementation: the original fully linear
-// scan code, kept verbatim (minus the event bus) as the behavioural
-// ground truth for the indexed fast paths in TLB. The differential
+// scan code, kept verbatim (minus the event bus, plus the slot Lookup and
+// Insert report) as the behavioural ground truth for the indexed fast
+// paths in TLB. The differential
 // property test (differential_test.go) drives both implementations
 // through identical operation sequences and requires identical results,
 // entry states, and counters.
@@ -40,7 +41,7 @@ func refMatch(e *Entry, vpn uint32, asid arch.ASID, largeMask uint32) bool {
 	return evpn == qvpn && (e.global || e.asid == asid)
 }
 
-func (t *linearTLB) Lookup(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (Entry, Result) {
+func (t *linearTLB) Lookup(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (Entry, int32, Result) {
 	t.clock++
 	vpn := arch.VPN(va)
 	for i := range t.entries {
@@ -54,26 +55,38 @@ func (t *linearTLB) Lookup(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kin
 				continue // hardware requires a domain match for a hit
 			}
 			t.stats.DomainFaults++
-			return *e, DomainFault
+			return *e, int32(i), DomainFault
 		case arch.DomainManager:
 			e.lastUse = t.clock
 			t.stats.Hits++
-			return *e, Hit
+			return *e, int32(i), Hit
 		default: // client: check PTE permission bits
 			if !e.permit(kind) {
 				t.stats.PermFaults++
-				return *e, PermFault
+				return *e, int32(i), PermFault
 			}
 			e.lastUse = t.clock
 			t.stats.Hits++
-			return *e, Hit
+			return *e, int32(i), Hit
 		}
 	}
 	t.stats.Misses++
-	return Entry{}, Miss
+	return Entry{}, -1, Miss
 }
 
-func (t *linearTLB) Insert(va arch.VirtAddr, asid arch.ASID, frame arch.FrameNum, flags arch.PTEFlags, domain uint8) {
+// peek is what a Lookup at this moment would return, leaving the
+// reference untouched: the Lookup runs on a throwaway copy.
+func (t *linearTLB) peek(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (Entry, int32, Result) {
+	cp := *t
+	cp.entries = append([]Entry(nil), t.entries...)
+	e, slot, r := cp.Lookup(va, asid, dacr, kind)
+	if r == Hit {
+		e = t.entries[slot] // a real Lookup would refresh lastUse; Peek does not
+	}
+	return e, slot, r
+}
+
+func (t *linearTLB) Insert(va arch.VirtAddr, asid arch.ASID, frame arch.FrameNum, flags arch.PTEFlags, domain uint8) int32 {
 	t.clock++
 	vpn := arch.VPN(va)
 	newGlobal := flags&arch.PTEGlobal != 0
@@ -122,6 +135,7 @@ func (t *linearTLB) Insert(va arch.VirtAddr, asid arch.ASID, frame arch.FrameNum
 		lastUse: t.clock,
 	}
 	t.stats.Insertions++
+	return int32(victim)
 }
 
 func (t *linearTLB) flushed(n int) {

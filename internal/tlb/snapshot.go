@@ -64,7 +64,8 @@ func (t *TLB) SnapshotState() Snapshot {
 // architecture's large-page factor, exactly as passed to New. The LRU
 // list is reconstructed by pushing the valid slots in ascending lastUse
 // order — exact, because lastUse values are unique (every Lookup and
-// Insert ticks the clock).
+// Insert ticks the clock). A snapshot with two valid entries of equal
+// lastUse has no defined LRU order and is rejected.
 func Restore(s Snapshot, pagesPerLarge int) (*TLB, error) {
 	if len(s.Entries) == 0 {
 		return nil, fmt.Errorf("tlb: snapshot %q has no entry slots", s.Name)
@@ -97,7 +98,11 @@ func Restore(s Snapshot, pagesPerLarge int) (*TLB, error) {
 	sort.Slice(valid, func(a, b int) bool {
 		return t.entries[valid[a]].lastUse < t.entries[valid[b]].lastUse
 	})
-	for _, slot := range valid {
+	for i, slot := range valid {
+		if i > 0 && t.entries[slot].lastUse == t.entries[valid[i-1]].lastUse {
+			a, b := min(slot, valid[i-1]), max(slot, valid[i-1])
+			return nil, fmt.Errorf("tlb: snapshot %q slots %d and %d share last use %d", s.Name, a, b, t.entries[slot].lastUse)
+		}
 		t.lruPushBack(slot)
 	}
 	return t, nil

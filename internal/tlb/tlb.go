@@ -19,16 +19,20 @@
 // simulated instruction probes a micro-TLB and, on a miss, the main TLB.
 // Instead of scanning all entries per probe (the fully associative
 // hardware does that in parallel; software cannot), the TLB keeps an
-// index from the virtual page number to the one slot that can match:
+// index from the virtual page number to the few slots that can match:
 //
-//   - idx maps key(vpn, large) to a slot, with a spill sentinel (idxMany)
-//     when several entries share a key; the sentinel falls back to the
-//     reference linear scan, so aliasing cases stay exact.
+//   - idx maps key(vpn, large) to the lowest slot holding it, and the
+//     per-slot same links chain the other holders in ascending slot
+//     order (one VPN under several ASIDs, or a global and a private
+//     copy). A probe walks the 4KB and the large-page chain merged by
+//     slot: the reference linear scan restricted to the entries that can
+//     match, so aliasing cases stay exact.
 //   - a one-entry MRU register short-circuits repeated probes of the same
 //     page under the same ASID and DACR, the common case for straight-line
 //     code. Any mutation of the entry array invalidates it.
 //   - a free-slot bitmap and a doubly-linked LRU list (exact, since
-//     lastUse values are unique) make Insert's victim choice O(1).
+//     lastUse values are unique) make Insert's victim choice O(1), and
+//     let flushes visit only the valid entries.
 //
 // The indexed paths are behaviourally identical to the reference linear
 // implementation (reference_test.go) — same results, same entry states,
@@ -119,10 +123,6 @@ type Stats struct {
 	FlushedEntries uint64
 }
 
-// idxMany is the index spill sentinel: more than one entry currently
-// carries the key, so probes for it take the reference linear scan.
-const idxMany int32 = -1
-
 // mruReg is the one-entry most-recently-used register: the slot of the
 // last Hit, valid only for a probe with the identical (vpn, asid, dacr)
 // and DomainMatchInHW setting, and only while the entry array is
@@ -160,12 +160,15 @@ type TLB struct {
 	// Sv39's 2MB megapages).
 	largeMask uint32
 
-	// Indexed fast path; see the package comment. validBits marks valid
+	// Indexed fast path; see the package comment. same[s] is the next
+	// higher slot holding the key of slot s, or -1. validBits marks valid
 	// slots (phantom bits past len(entries) are permanently set so the
 	// first-free scan never reports them). lruPrev/lruNext thread the
 	// valid slots in recency order: lruHead is the least and lruTail the
-	// most recently used.
+	// most recently used. same, lruPrev and lruNext are meaningful only
+	// for valid slots; every insert rewrites them.
 	idx       idxTable
+	same      []int32
 	validBits []uint64
 	numValid  int
 	// numLarge counts the valid 64KB entries. Most workload phases hold
@@ -198,6 +201,7 @@ func New(name string, entries, pagesPerLarge int) *TLB {
 		largeMask: uint32(pagesPerLarge - 1),
 		entries:   make([]Entry, entries),
 		idx:       newIdxTable(entries),
+		same:      make([]int32, entries),
 		validBits: make([]uint64, (entries+63)/64),
 		lruPrev:   make([]int32, entries),
 		lruNext:   make([]int32, entries),
@@ -206,9 +210,6 @@ func New(name string, entries, pagesPerLarge int) *TLB {
 	}
 	for i := entries; i < len(t.validBits)*64; i++ {
 		t.validBits[i>>6] |= 1 << (i & 63)
-	}
-	for i := range t.lruPrev {
-		t.lruPrev[i], t.lruNext[i] = -1, -1
 	}
 	return t
 }
@@ -297,45 +298,60 @@ func (e *Entry) permit(kind arch.AccessKind) bool {
 
 // --- index, bitmap, and LRU-list maintenance --------------------------------
 
-// idxAdd registers the (valid) entry at slot under its key.
+// idxAdd links the (valid) entry at slot into its key's chain, keeping
+// the chain in ascending slot order.
 func (t *TLB) idxAdd(slot int32) {
-	if t.entries[slot].large {
+	e := &t.entries[slot]
+	if e.large {
 		t.numLarge++
 	}
-	k := entryKey(t.entries[slot].vpn, t.entries[slot].large)
-	if _, dup := t.idx.get(k); dup {
-		t.idx.set(k, idxMany)
-	} else {
+	k := entryKey(e.vpn, e.large)
+	p := t.idx.get(k)
+	if p < 0 || slot < p {
+		t.same[slot] = p
 		t.idx.set(k, slot)
-	}
-}
-
-// idxRemove unregisters the (still valid) entry at slot. When the key had
-// spilled, the surviving holders are recounted by a scan — rare, and the
-// scan is the reference behaviour anyway.
-func (t *TLB) idxRemove(slot int32) {
-	if t.entries[slot].large {
-		t.numLarge--
-	}
-	k := entryKey(t.entries[slot].vpn, t.entries[slot].large)
-	if v, _ := t.idx.get(k); v != idxMany {
-		t.idx.del(k)
 		return
 	}
-	survivor, n := int32(0), 0
-	for i := range t.entries {
-		e := &t.entries[i]
-		if int32(i) != slot && e.valid && entryKey(e.vpn, e.large) == k {
-			survivor = int32(i)
-			n++
+	for t.same[p] >= 0 && t.same[p] < slot {
+		p = t.same[p]
+	}
+	t.same[slot], t.same[p] = t.same[p], slot
+}
+
+// idxRemove unlinks the (still valid) entry at slot from its key's chain.
+func (t *TLB) idxRemove(slot int32) {
+	e := &t.entries[slot]
+	if e.large {
+		t.numLarge--
+	}
+	k := entryKey(e.vpn, e.large)
+	p := t.idx.get(k)
+	if p == slot {
+		if next := t.same[slot]; next >= 0 {
+			t.idx.set(k, next)
+		} else {
+			t.idx.del(k)
 		}
+		return
 	}
-	switch n {
-	case 0:
-		t.idx.del(k)
-	case 1:
-		t.idx.set(k, survivor)
+	for t.same[p] != slot {
+		p = t.same[p]
 	}
+	t.same[p] = t.same[slot]
+}
+
+// pop returns the lower of the two chain cursors' slots and advances that
+// cursor. Popping until both are -1 visits the slots of both chains in
+// ascending order, the order of the reference scan.
+func (t *TLB) pop(a, b *int32) int32 {
+	s := *a
+	if s < 0 || (*b >= 0 && *b < s) {
+		s = *b
+		*b = t.same[s]
+	} else {
+		*a = t.same[s]
+	}
+	return s
 }
 
 func (t *TLB) setValid(slot int32) {
@@ -383,7 +399,6 @@ func (t *TLB) lruRemove(s int32) {
 	} else {
 		t.lruTail = p
 	}
-	t.lruPrev[s], t.lruNext[s] = -1, -1
 }
 
 func (t *TLB) lruMoveBack(s int32) {
@@ -441,24 +456,12 @@ func (t *TLB) probe(slot int32, vpn uint32, asid arch.ASID, dacr arch.DACR, kind
 	}
 }
 
-// lookupScan is the reference linear probe order: every slot, ascending.
-// It is the exact fallback for index spills, and what the fast paths must
-// be equivalent to.
-func (t *TLB) lookupScan(vpn uint32, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (Entry, Result) {
-	for i := range t.entries {
-		if e, r, done := t.probe(int32(i), vpn, asid, dacr, kind); done {
-			return e, r
-		}
-	}
-	t.stats.Misses++
-	return Entry{}, Miss
-}
-
 // Lookup searches for a translation of va under the current ASID and DACR.
 // On a Hit the matching entry is returned and its LRU state refreshed. A
 // DomainFault or PermFault also returns the matching entry, so the
-// exception handler can inspect it.
-func (t *TLB) Lookup(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (Entry, Result) {
+// exception handler can inspect it. The slot is the matching entry's
+// (the handle CommitRunHits takes), or -1 on a Miss.
+func (t *TLB) Lookup(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (Entry, int32, Result) {
 	t.clock++
 	vpn := arch.VPN(va)
 
@@ -471,89 +474,42 @@ func (t *TLB) Lookup(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch
 		e := &t.entries[slot]
 		if acc := dacr.Access(e.domain); acc != arch.DomainNoAccess {
 			if acc == arch.DomainManager || e.permit(kind) {
-				return t.hitAt(slot, vpn, asid, dacr), Hit
+				return t.hitAt(slot, vpn, asid, dacr), slot, Hit
 			}
 			t.stats.PermFaults++
-			return *e, PermFault
+			return *e, slot, PermFault
 		}
 	}
 
-	// Index probe: at most one 4KB and one 64KB entry can match; check
-	// them in slot order. A spilled key falls back to the linear scan.
-	// With no large entries resident — most workload phases — the single
-	// 4KB key decides the lookup with no slot ordering to reconcile.
-	s0, ok0 := t.idx.get(entryKey(vpn, false))
-	if t.numLarge == 0 {
-		if s0 == idxMany {
-			return t.lookupScan(vpn, asid, dacr, kind)
-		}
-		if ok0 {
-			if e, r, done := t.probe(s0, vpn, asid, dacr, kind); done {
-				return e, r
-			}
-		}
-		t.stats.Misses++
-		return Entry{}, Miss
+	// The 4KB key's chain and, while large entries are resident, the
+	// large-page key's, walked merged by slot.
+	a, b := t.idx.get(entryKey(vpn, false)), int32(-1)
+	if t.numLarge != 0 {
+		b = t.idx.get(entryKey(vpn&^t.largeMask, true))
 	}
-	s1, ok1 := t.idx.get(entryKey(vpn&^t.largeMask, true))
-	if s0 == idxMany || s1 == idxMany {
-		return t.lookupScan(vpn, asid, dacr, kind)
-	}
-	a, b := s0, s1
-	if !ok0 {
-		a, ok0 = s1, ok1
-		ok1 = false
-	} else if ok1 && s1 < s0 {
-		a, b = s1, s0
-	}
-	if ok0 {
-		if e, r, done := t.probe(a, vpn, asid, dacr, kind); done {
-			return e, r
-		}
-	}
-	if ok1 {
-		if e, r, done := t.probe(b, vpn, asid, dacr, kind); done {
-			return e, r
+	for a >= 0 || b >= 0 {
+		slot := t.pop(&a, &b)
+		if e, r, done := t.probe(slot, vpn, asid, dacr, kind); done {
+			return e, slot, r
 		}
 	}
 	t.stats.Misses++
-	return Entry{}, Miss
+	return Entry{}, -1, Miss
 }
 
 // findMatch returns the first slot (in slot order) whose entry matches
 // (vpn, asid) and — under hardware domain matching — has the same global
 // kind, or -1. This is Insert's overwrite target.
 func (t *TLB) findMatch(vpn uint32, asid arch.ASID, newGlobal bool) int32 {
-	s0, ok0 := t.idx.get(entryKey(vpn, false))
-	var s1 int32
-	var ok1 bool
+	// Lookup's walk: both chains, merged by slot.
+	a, b := t.idx.get(entryKey(vpn, false)), int32(-1)
 	if t.numLarge != 0 {
-		s1, ok1 = t.idx.get(entryKey(vpn&^t.largeMask, true))
+		b = t.idx.get(entryKey(vpn&^t.largeMask, true))
 	}
-	if s0 == idxMany || s1 == idxMany {
-		for i := range t.entries {
-			e := &t.entries[i]
-			if e.match(vpn, asid, t.largeMask) && !(t.DomainMatchInHW && e.global != newGlobal) {
-				return int32(i)
-			}
-		}
-		return -1
-	}
-	a, b := s0, s1
-	if !ok0 {
-		a, ok0 = s1, ok1
-		ok1 = false
-	} else if ok1 && s1 < s0 {
-		a, b = s1, s0
-	}
-	if ok0 {
-		if e := &t.entries[a]; e.match(vpn, asid, t.largeMask) && !(t.DomainMatchInHW && e.global != newGlobal) {
-			return a
-		}
-	}
-	if ok1 {
-		if e := &t.entries[b]; e.match(vpn, asid, t.largeMask) && !(t.DomainMatchInHW && e.global != newGlobal) {
-			return b
+	for a >= 0 || b >= 0 {
+		slot := t.pop(&a, &b)
+		if e := &t.entries[slot]; e.match(vpn, asid, t.largeMask) && !(t.DomainMatchInHW && e.global != newGlobal) {
+			return slot
 		}
 	}
 	return -1
@@ -561,7 +517,8 @@ func (t *TLB) findMatch(vpn uint32, asid arch.ASID, newGlobal bool) int32 {
 
 // Insert loads a translation, evicting the LRU entry when full. If an
 // entry already translates (vpn, asid/global) it is overwritten in place.
-func (t *TLB) Insert(va arch.VirtAddr, asid arch.ASID, frame arch.FrameNum, flags arch.PTEFlags, domain uint8) {
+// It returns the slot the translation now occupies.
+func (t *TLB) Insert(va arch.VirtAddr, asid arch.ASID, frame arch.FrameNum, flags arch.PTEFlags, domain uint8) int32 {
 	t.clock++
 	t.mru.ok = false
 	vpn := arch.VPN(va)
@@ -631,46 +588,47 @@ func (t *TLB) Insert(va arch.VirtAddr, asid arch.ASID, frame arch.FrameNum, flag
 			Value:  uint64(asid),
 		})
 	}
+	return victim
 }
 
-// FlushAll invalidates every entry.
+// FlushAll invalidates every entry. Only the valid entries are visited.
 func (t *TLB) FlushAll() {
 	t.mru.ok = false
 	n := t.numValid
-	for i := range t.entries {
-		t.entries[i] = Entry{}
+	for s := t.lruHead; s >= 0; s = t.lruNext[s] {
+		e := &t.entries[s]
+		t.idx.del(entryKey(e.vpn, e.large))
+		t.validBits[s>>6] &^= 1 << (s & 63)
+		*e = Entry{}
 	}
-	t.idx.clear()
-	t.numLarge = 0
-	size := len(t.entries)
-	for i := range t.validBits {
-		t.validBits[i] = 0
-	}
-	for i := size; i < len(t.validBits)*64; i++ {
-		t.validBits[i>>6] |= 1 << (i & 63)
-	}
-	t.numValid = 0
-	for i := range t.lruPrev {
-		t.lruPrev[i], t.lruNext[i] = -1, -1
-	}
+	t.numValid, t.numLarge = 0, 0
 	t.lruHead, t.lruTail = -1, -1
 	t.flushed(n)
+}
+
+// removeIf invalidates the valid entries cond selects and records the
+// flush. It visits only the valid slots, in LRU order; the order of
+// removal affects no observable state.
+func (t *TLB) removeIf(cond func(e *Entry) bool) int {
+	t.mru.ok = false
+	n := 0
+	for s := t.lruHead; s >= 0; {
+		next := t.lruNext[s]
+		if cond(&t.entries[s]) {
+			t.removeEntry(s)
+			n++
+		}
+		s = next
+	}
+	t.flushed(n)
+	return n
 }
 
 // FlushASID invalidates the non-global entries of one address space.
 // Global entries survive: that is precisely what lets zygote-like
 // processes retain each other's shared-code translations.
 func (t *TLB) FlushASID(asid arch.ASID) {
-	t.mru.ok = false
-	n := 0
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.valid && !e.global && e.asid == asid {
-			t.removeEntry(int32(i))
-			n++
-		}
-	}
-	t.flushed(n)
+	t.removeIf(func(e *Entry) bool { return !e.global && e.asid == asid })
 }
 
 // FlushNonGlobal invalidates every non-global entry, regardless of ASID.
@@ -680,17 +638,7 @@ func (t *TLB) FlushASID(asid arch.ASID) {
 // space (and domain protection locks other processes out), so only the
 // private translations must go.
 func (t *TLB) FlushNonGlobal() int {
-	t.mru.ok = false
-	n := 0
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.valid && !e.global {
-			t.removeEntry(int32(i))
-			n++
-		}
-	}
-	t.flushed(n)
-	return n
+	return t.removeIf(func(e *Entry) bool { return !e.global })
 }
 
 // FlushGlobal invalidates every global entry, regardless of ASID — the
@@ -700,50 +648,24 @@ func (t *TLB) FlushNonGlobal() int {
 // a process must evict them; this models the software cost that replaces
 // the ARM domain trick.
 func (t *TLB) FlushGlobal() int {
-	t.mru.ok = false
-	n := 0
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.valid && e.global {
-			t.removeEntry(int32(i))
-			n++
-		}
-	}
-	t.flushed(n)
-	return n
+	return t.removeIf(func(e *Entry) bool { return e.global })
 }
 
 // FlushVA invalidates every entry matching the given virtual address,
 // regardless of ASID or global bit. The domain-fault handler uses this to
-// evict the global entries a non-zygote process tripped over. The index
-// resolves the (at most two, bar spills) slots directly: an entry is
-// affected exactly when its stored VPN equals VPN(va).
+// evict the global entries a non-zygote process tripped over. An entry is
+// affected exactly when its stored VPN equals VPN(va), so the affected
+// entries are the chains of the two keys of that VPN.
 func (t *TLB) FlushVA(va arch.VirtAddr) int {
 	t.mru.ok = false
 	vpn := arch.VPN(va)
-	s0, ok0 := t.idx.get(entryKey(vpn, false))
-	var s1 int32
-	var ok1 bool
-	if t.numLarge != 0 {
-		s1, ok1 = t.idx.get(entryKey(vpn, true))
-	}
 	n := 0
-	if s0 == idxMany || s1 == idxMany {
-		for i := range t.entries {
-			e := &t.entries[i]
-			if e.valid && e.vpn == vpn {
-				t.removeEntry(int32(i))
-				n++
-			}
-		}
-	} else {
-		if ok0 {
-			t.removeEntry(s0)
+	for _, k := range [2]uint32{entryKey(vpn, false), entryKey(vpn, true)} {
+		for s := t.idx.get(k); s >= 0; {
+			next := t.same[s]
+			t.removeEntry(s)
 			n++
-		}
-		if ok1 {
-			t.removeEntry(s1)
-			n++
+			s = next
 		}
 	}
 	t.flushed(n)
@@ -752,18 +674,10 @@ func (t *TLB) FlushVA(va arch.VirtAddr) int {
 
 // FlushRange invalidates entries translating any page in [start, end).
 func (t *TLB) FlushRange(start, end arch.VirtAddr, asid arch.ASID) int {
-	t.mru.ok = false
 	lo, hi := arch.VPN(start), arch.VPN(end-1)
-	n := 0
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.valid && e.vpn >= lo && e.vpn <= hi && (e.global || e.asid == asid) {
-			t.removeEntry(int32(i))
-			n++
-		}
-	}
-	t.flushed(n)
-	return n
+	return t.removeIf(func(e *Entry) bool {
+		return e.vpn >= lo && e.vpn <= hi && (e.global || e.asid == asid)
+	})
 }
 
 // Occupancy returns the number of valid entries and how many of them are

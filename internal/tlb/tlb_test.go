@@ -20,11 +20,11 @@ func userFlags(extra arch.PTEFlags) arch.PTEFlags {
 func TestMissThenHit(t *testing.T) {
 	tb := New("main", 8, armv7.PagesPerLargePage)
 	dacr := armv7.StockDACR()
-	if _, r := tb.Lookup(0x1000, asid1, dacr, arch.AccessFetch); r != Miss {
+	if _, _, r := tb.Lookup(0x1000, asid1, dacr, arch.AccessFetch); r != Miss {
 		t.Fatalf("lookup = %v, want miss", r)
 	}
 	tb.Insert(0x1000, asid1, 42, userFlags(0), armv7.DomainUser)
-	e, r := tb.Lookup(0x1000, asid1, dacr, arch.AccessFetch)
+	e, _, r := tb.Lookup(0x1000, asid1, dacr, arch.AccessFetch)
 	if r != Hit {
 		t.Fatalf("lookup = %v, want hit", r)
 	}
@@ -41,7 +41,7 @@ func TestASIDIsolation(t *testing.T) {
 	tb := New("main", 8, armv7.PagesPerLargePage)
 	dacr := armv7.StockDACR()
 	tb.Insert(0x1000, asid1, 42, userFlags(0), armv7.DomainUser)
-	if _, r := tb.Lookup(0x1000, asid2, dacr, arch.AccessFetch); r != Miss {
+	if _, _, r := tb.Lookup(0x1000, asid2, dacr, arch.AccessFetch); r != Miss {
 		t.Errorf("non-global entry must not match another ASID: got %v", r)
 	}
 }
@@ -50,7 +50,7 @@ func TestGlobalMatchesAnyASID(t *testing.T) {
 	tb := New("main", 8, armv7.PagesPerLargePage)
 	dacr := armv7.ZygoteDACR()
 	tb.Insert(0x1000, asid1, 42, userFlags(arch.PTEGlobal), armv7.DomainZygote)
-	e, r := tb.Lookup(0x1000, asid2, dacr, arch.AccessFetch)
+	e, _, r := tb.Lookup(0x1000, asid2, dacr, arch.AccessFetch)
 	if r != Hit {
 		t.Fatalf("global entry should hit under any ASID: got %v", r)
 	}
@@ -65,7 +65,7 @@ func TestDomainFault(t *testing.T) {
 	tb.Insert(0x1000, asid1, 42, userFlags(arch.PTEGlobal), armv7.DomainZygote)
 	// ...is globally matched by a non-zygote process, whose DACR denies
 	// the zygote domain: domain fault, not a hit and not a miss.
-	_, r := tb.Lookup(0x1000, asid2, armv7.StockDACR(), arch.AccessFetch)
+	_, _, r := tb.Lookup(0x1000, asid2, armv7.StockDACR(), arch.AccessFetch)
 	if r != DomainFault {
 		t.Fatalf("lookup = %v, want domain fault", r)
 	}
@@ -79,18 +79,18 @@ func TestPermissionChecks(t *testing.T) {
 	dacr := armv7.StockDACR()
 	// Read-only, non-executable data page.
 	tb.Insert(0x1000, asid1, 1, arch.PTEValid|arch.PTEUser, armv7.DomainUser)
-	if _, r := tb.Lookup(0x1000, asid1, dacr, arch.AccessRead); r != Hit {
+	if _, _, r := tb.Lookup(0x1000, asid1, dacr, arch.AccessRead); r != Hit {
 		t.Errorf("read = %v, want hit", r)
 	}
-	if _, r := tb.Lookup(0x1000, asid1, dacr, arch.AccessWrite); r != PermFault {
+	if _, _, r := tb.Lookup(0x1000, asid1, dacr, arch.AccessWrite); r != PermFault {
 		t.Errorf("write = %v, want permission fault", r)
 	}
-	if _, r := tb.Lookup(0x1000, asid1, dacr, arch.AccessFetch); r != PermFault {
+	if _, _, r := tb.Lookup(0x1000, asid1, dacr, arch.AccessFetch); r != PermFault {
 		t.Errorf("fetch = %v, want permission fault", r)
 	}
 	// Kernel-only page: no user bit.
 	tb.Insert(0x2000, asid1, 2, arch.PTEValid|arch.PTEWrite, armv7.DomainUser)
-	if _, r := tb.Lookup(0x2000, asid1, dacr, arch.AccessRead); r != PermFault {
+	if _, _, r := tb.Lookup(0x2000, asid1, dacr, arch.AccessRead); r != PermFault {
 		t.Errorf("user access to kernel page = %v, want permission fault", r)
 	}
 }
@@ -99,7 +99,7 @@ func TestManagerOverridesPermissions(t *testing.T) {
 	tb := New("main", 8, armv7.PagesPerLargePage)
 	dacr := armv7.StockDACR().WithAccess(armv7.DomainUser, arch.DomainManager)
 	tb.Insert(0x1000, asid1, 1, arch.PTEValid|arch.PTEUser, armv7.DomainUser)
-	if _, r := tb.Lookup(0x1000, asid1, dacr, arch.AccessWrite); r != Hit {
+	if _, _, r := tb.Lookup(0x1000, asid1, dacr, arch.AccessWrite); r != Hit {
 		t.Errorf("manager-domain write = %v, want hit", r)
 	}
 }
@@ -110,14 +110,14 @@ func TestLRUEviction(t *testing.T) {
 	tb.Insert(0x1000, asid1, 1, userFlags(0), armv7.DomainUser)
 	tb.Insert(0x2000, asid1, 2, userFlags(0), armv7.DomainUser)
 	// Touch 0x1000 so 0x2000 becomes LRU.
-	if _, r := tb.Lookup(0x1000, asid1, dacr, arch.AccessFetch); r != Hit {
+	if _, _, r := tb.Lookup(0x1000, asid1, dacr, arch.AccessFetch); r != Hit {
 		t.Fatal("expected hit")
 	}
 	tb.Insert(0x3000, asid1, 3, userFlags(0), armv7.DomainUser)
-	if _, r := tb.Lookup(0x1000, asid1, dacr, arch.AccessFetch); r != Hit {
+	if _, _, r := tb.Lookup(0x1000, asid1, dacr, arch.AccessFetch); r != Hit {
 		t.Errorf("recently used entry was evicted")
 	}
-	if _, r := tb.Lookup(0x2000, asid1, dacr, arch.AccessFetch); r != Miss {
+	if _, _, r := tb.Lookup(0x2000, asid1, dacr, arch.AccessFetch); r != Miss {
 		t.Errorf("LRU entry should have been evicted")
 	}
 	if tb.Stats().Evictions != 1 {
@@ -130,7 +130,7 @@ func TestInsertOverwritesMatching(t *testing.T) {
 	dacr := armv7.StockDACR()
 	tb.Insert(0x1000, asid1, 1, userFlags(0), armv7.DomainUser)
 	tb.Insert(0x1000, asid1, 9, userFlags(0), armv7.DomainUser)
-	e, r := tb.Lookup(0x1000, asid1, dacr, arch.AccessFetch)
+	e, _, r := tb.Lookup(0x1000, asid1, dacr, arch.AccessFetch)
 	if r != Hit || e.Frame() != 9 {
 		t.Errorf("lookup = (%v, frame %d), want hit frame 9", r, e.Frame())
 	}
@@ -162,13 +162,13 @@ func TestFlushASIDSparesGlobal(t *testing.T) {
 	tb.Insert(0x2000, asid1, 2, userFlags(arch.PTEGlobal), armv7.DomainZygote)
 	tb.Insert(0x3000, asid2, 3, userFlags(0), armv7.DomainUser)
 	tb.FlushASID(asid1)
-	if _, r := tb.Lookup(0x1000, asid1, dacr, arch.AccessFetch); r != Miss {
+	if _, _, r := tb.Lookup(0x1000, asid1, dacr, arch.AccessFetch); r != Miss {
 		t.Errorf("asid1 private entry should be flushed")
 	}
-	if _, r := tb.Lookup(0x2000, asid2, dacr, arch.AccessFetch); r != Hit {
+	if _, _, r := tb.Lookup(0x2000, asid2, dacr, arch.AccessFetch); r != Hit {
 		t.Errorf("global entry must survive FlushASID")
 	}
-	if _, r := tb.Lookup(0x3000, asid2, dacr, arch.AccessFetch); r != Hit {
+	if _, _, r := tb.Lookup(0x3000, asid2, dacr, arch.AccessFetch); r != Hit {
 		t.Errorf("other ASID's entry must survive")
 	}
 }
@@ -182,10 +182,10 @@ func TestFlushNonGlobal(t *testing.T) {
 	if n := tb.FlushNonGlobal(); n != 2 {
 		t.Errorf("FlushNonGlobal flushed %d, want 2", n)
 	}
-	if _, r := tb.Lookup(0x2000, asid1, dacr, arch.AccessFetch); r != Hit {
+	if _, _, r := tb.Lookup(0x2000, asid1, dacr, arch.AccessFetch); r != Hit {
 		t.Error("global entry must survive FlushNonGlobal")
 	}
-	if _, r := tb.Lookup(0x1000, asid1, dacr, arch.AccessFetch); r != Miss {
+	if _, _, r := tb.Lookup(0x1000, asid1, dacr, arch.AccessFetch); r != Miss {
 		t.Error("private entries must be flushed")
 	}
 }
@@ -199,7 +199,7 @@ func TestFlushVA(t *testing.T) {
 	if n := tb.FlushVA(0x1234); n != 2 {
 		t.Errorf("FlushVA flushed %d entries, want 2 (both ASIDs' mappings of the page)", n)
 	}
-	if _, r := tb.Lookup(0x2000, asid1, dacr, arch.AccessFetch); r != Hit {
+	if _, _, r := tb.Lookup(0x2000, asid1, dacr, arch.AccessFetch); r != Hit {
 		t.Errorf("unrelated entry must survive FlushVA")
 	}
 }
@@ -214,10 +214,10 @@ func TestFlushRange(t *testing.T) {
 	if n := tb.FlushRange(0x1000, 0x3000, asid1); n != 2 {
 		t.Errorf("FlushRange flushed %d, want 2", n)
 	}
-	if _, r := tb.Lookup(0x5000, asid1, dacr, arch.AccessFetch); r != Hit {
+	if _, _, r := tb.Lookup(0x5000, asid1, dacr, arch.AccessFetch); r != Hit {
 		t.Errorf("entry past range should survive")
 	}
-	if _, r := tb.Lookup(0x2000, asid2, dacr, arch.AccessFetch); r != Hit {
+	if _, _, r := tb.Lookup(0x2000, asid2, dacr, arch.AccessFetch); r != Hit {
 		t.Errorf("other ASID should survive a non-global range flush")
 	}
 }
@@ -230,15 +230,15 @@ func TestDomainFaultThenFlushVAThenWalk(t *testing.T) {
 	tb := New("main", 8, armv7.PagesPerLargePage)
 	tb.Insert(0x1000, asid1, 42, userFlags(arch.PTEGlobal), armv7.DomainZygote)
 	nonZygote := armv7.StockDACR()
-	if _, r := tb.Lookup(0x1000, asid2, nonZygote, arch.AccessFetch); r != DomainFault {
+	if _, _, r := tb.Lookup(0x1000, asid2, nonZygote, arch.AccessFetch); r != DomainFault {
 		t.Fatalf("want domain fault, got %v", r)
 	}
 	tb.FlushVA(0x1000)
-	if _, r := tb.Lookup(0x1000, asid2, nonZygote, arch.AccessFetch); r != Miss {
+	if _, _, r := tb.Lookup(0x1000, asid2, nonZygote, arch.AccessFetch); r != Miss {
 		t.Fatalf("after flush want miss, got %v", r)
 	}
 	tb.Insert(0x1000, asid2, 77, userFlags(0), armv7.DomainUser)
-	e, r := tb.Lookup(0x1000, asid2, nonZygote, arch.AccessFetch)
+	e, _, r := tb.Lookup(0x1000, asid2, nonZygote, arch.AccessFetch)
 	if r != Hit || e.Frame() != 77 {
 		t.Fatalf("retry = (%v, frame %d), want hit frame 77", r, e.Frame())
 	}
@@ -263,7 +263,7 @@ func TestResetStats(t *testing.T) {
 		t.Errorf("stats not reset: %+v", s)
 	}
 	// Entries survive a stats reset.
-	if _, r := tb.Lookup(0x1000, asid1, armv7.StockDACR(), arch.AccessFetch); r != Hit {
+	if _, _, r := tb.Lookup(0x1000, asid1, armv7.StockDACR(), arch.AccessFetch); r != Hit {
 		t.Errorf("entries should survive ResetStats")
 	}
 }
@@ -276,12 +276,12 @@ func TestInsertLookupProperty(t *testing.T) {
 		va := arch.VirtAddr(raw)
 		asid := arch.ASID(asidRaw)
 		tb.Insert(va, asid, arch.FrameNum(frame), userFlags(0), armv7.DomainUser)
-		e, r := tb.Lookup(va, asid, armv7.StockDACR(), arch.AccessFetch)
+		e, _, r := tb.Lookup(va, asid, armv7.StockDACR(), arch.AccessFetch)
 		if r != Hit || e.Frame() != arch.FrameNum(frame) {
 			return false
 		}
 		// Any other address in the same page also hits.
-		e2, r2 := tb.Lookup(arch.PageBase(va)+123, asid, armv7.StockDACR(), arch.AccessRead)
+		e2, _, r2 := tb.Lookup(arch.PageBase(va)+123, asid, armv7.StockDACR(), arch.AccessRead)
 		return r2 == Hit && e2.Frame() == e.Frame()
 	}
 	if err := quick.Check(prop, nil); err != nil {
@@ -297,7 +297,7 @@ func TestCapacityProperty(t *testing.T) {
 		tb.Insert(arch.VirtAddr(i)<<arch.PageShift, asid1, arch.FrameNum(i), userFlags(0), armv7.DomainUser)
 	}
 	for i := 0; i < 32; i++ {
-		if _, r := tb.Lookup(arch.VirtAddr(i)<<arch.PageShift, asid1, armv7.StockDACR(), arch.AccessFetch); r != Hit {
+		if _, _, r := tb.Lookup(arch.VirtAddr(i)<<arch.PageShift, asid1, armv7.StockDACR(), arch.AccessFetch); r != Hit {
 			t.Fatalf("entry %d not resident", i)
 		}
 	}
