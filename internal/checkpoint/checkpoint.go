@@ -21,8 +21,12 @@
 package checkpoint
 
 import (
+	"bufio"
+	"crypto/sha256"
 	"fmt"
+	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -226,36 +230,64 @@ func Key(cfg core.Config, layout android.Layout, u *workload.Universe, opts andr
 // page tables and context, every page-cache file, and every core's TLB,
 // cache and cycle state. Two fingerprints are equal iff the machines are
 // observably identical; the aliasing-hazard tests take one before and
-// after mutating a fork to prove the image never changes.
+// after mutating a fork to prove the image never changes. The text runs
+// to hundreds of kilobytes on a booted machine; callers that only
+// compare images should use FingerprintDigest, which renders the same
+// bytes without holding them.
 func (img *Image) Fingerprint() string {
+	var b strings.Builder
+	img.writeFingerprint(&b)
+	return b.String()
+}
+
+// FingerprintDigest returns the SHA-256 of Fingerprint's text, streamed
+// through the hash instead of materialized: equal to
+// sha256.Sum256([]byte(img.Fingerprint())).
+func (img *Image) FingerprintDigest() [sha256.Size]byte {
+	h := sha256.New()
+	w := bufio.NewWriterSize(h, 32<<10)
+	img.writeFingerprint(w)
+	_ = w.Flush() // a hash.Hash never returns a write error
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
+// writeFingerprint renders the fingerprint text to w, the one renderer
+// behind both sinks. Its two bulk loops — the valid PTEs of every leaf
+// table and the pages of every page-cache file — append each line into
+// a reused scratch slice with strconv and write it whole; everything
+// else is a few lines per process or core. Write errors are ignored:
+// both sinks are in-memory and cannot fail.
+func (img *Image) writeFingerprint(w io.Writer) {
 	sys := img.proto
 	k := sys.Kernel
-	var b strings.Builder
 
-	fmt.Fprintf(&b, "counters=%+v\n", k.Counters)
+	fmt.Fprintf(w, "counters=%+v\n", k.Counters)
 	ps := k.Phys.Stats()
-	fmt.Fprintf(&b, "phys alloc=%d freed=%d inuse=%d kinds=", ps.Allocated, ps.Freed, ps.InUse)
+	fmt.Fprintf(w, "phys alloc=%d freed=%d inuse=%d kinds=", ps.Allocated, ps.Freed, ps.InUse)
 	kinds := make([]int, 0, len(ps.ByKind))
 	for kind := range ps.ByKind {
 		kinds = append(kinds, int(kind))
 	}
 	sort.Ints(kinds)
 	for _, kind := range kinds {
-		fmt.Fprintf(&b, "%d:%d,", kind, ps.ByKind[mem.FrameKind(kind)])
+		fmt.Fprintf(w, "%d:%d,", kind, ps.ByKind[mem.FrameKind(kind)])
 	}
-	fmt.Fprintf(&b, "\nsharing=%+v\n", k.SharingStats())
+	fmt.Fprintf(w, "\nsharing=%+v\n", k.SharingStats())
 
+	var line []byte
 	for _, p := range k.Processes() {
-		fmt.Fprintf(&b, "proc %d %q zygote=%v child=%v alive=%v forkstats=%+v ptescopied=%d\n",
+		fmt.Fprintf(w, "proc %d %q zygote=%v child=%v alive=%v forkstats=%+v ptescopied=%d\n",
 			p.PID, p.Name, p.IsZygote, p.IsZygoteChild, p.Alive(), p.ForkStats, p.PTEsCopied)
-		fmt.Fprintf(&b, "  ctx asid=%d dacr=%#x stats=%+v\n", p.Ctx.ASID, p.Ctx.DACR, p.Ctx.Stats)
-		fmt.Fprintf(&b, "  mm counters=%+v ptstats=%+v\n", p.MM.Counters, p.MM.PT.Stats())
+		fmt.Fprintf(w, "  ctx asid=%d dacr=%#x stats=%+v\n", p.Ctx.ASID, p.Ctx.DACR, p.Ctx.Stats)
+		fmt.Fprintf(w, "  mm counters=%+v ptstats=%+v\n", p.MM.Counters, p.MM.PT.Stats())
 		for _, v := range p.MM.VMAs() {
 			name := ""
 			if v.File != nil {
 				name = v.File.Name
 			}
-			fmt.Fprintf(&b, "  vma %#x-%#x prot=%v flags=%d file=%q off=%d name=%q cat=%d\n",
+			fmt.Fprintf(w, "  vma %#x-%#x prot=%v flags=%d file=%q off=%d name=%q cat=%d\n",
 				v.Start, v.End, v.Prot, v.Flags, name, v.FileOff, v.Name, v.Category)
 		}
 		for idx := 0; idx < p.MM.PT.NumSlots(); idx++ {
@@ -263,14 +295,23 @@ func (img *Image) Fingerprint() string {
 			if !e.Valid() {
 				continue
 			}
-			fmt.Fprintf(&b, "  l1[%d] frame=%d domain=%d needcopy=%v pop=%d:",
+			fmt.Fprintf(w, "  l1[%d] frame=%d domain=%d needcopy=%v pop=%d:",
 				idx, e.Table.Frame, e.Domain, e.NeedCopy, e.Table.Populated())
+			line = line[:0]
 			for i := 0; i < e.Table.Len(); i++ {
 				if pte := e.Table.PTE(i); pte.Valid() {
-					fmt.Fprintf(&b, " %d=%d/%d/%d", i, pte.Frame, pte.Flags, pte.Soft)
+					line = append(line, ' ')
+					line = strconv.AppendInt(line, int64(i), 10)
+					line = append(line, '=')
+					line = strconv.AppendUint(line, uint64(pte.Frame), 10)
+					line = append(line, '/')
+					line = strconv.AppendUint(line, uint64(pte.Flags), 10)
+					line = append(line, '/')
+					line = strconv.AppendUint(line, uint64(pte.Soft), 10)
 				}
 			}
-			b.WriteByte('\n')
+			line = append(line, '\n')
+			w.Write(line)
 		}
 	}
 
@@ -278,11 +319,16 @@ func (img *Image) Fingerprint() string {
 		if f == nil {
 			continue
 		}
-		fmt.Fprintf(&b, "file %q size=%d resident=%d:", f.Name, f.Size, f.ResidentPages())
+		fmt.Fprintf(w, "file %q size=%d resident=%d:", f.Name, f.Size, f.ResidentPages())
+		line = line[:0]
 		f.ForEachPage(func(idx int, frame arch.FrameNum) {
-			fmt.Fprintf(&b, " %d=%d", idx, frame)
+			line = append(line, ' ')
+			line = strconv.AppendInt(line, int64(idx), 10)
+			line = append(line, '=')
+			line = strconv.AppendUint(line, uint64(frame), 10)
 		})
-		b.WriteByte('\n')
+		line = append(line, '\n')
+		w.Write(line)
 	}
 
 	for i := 0; i < k.NumCPUs(); i++ {
@@ -290,11 +336,11 @@ func (img *Image) Fingerprint() string {
 		iv, ig := c.MicroI.Occupancy()
 		dv, dg := c.MicroD.Occupancy()
 		mv, mg := c.Main.Occupancy()
-		fmt.Fprintf(&b, "cpu%d now=%d micro-i=%d/%d micro-d=%d/%d main=%d/%d l1i=%d l1d=%d\n",
+		fmt.Fprintf(w, "cpu%d now=%d micro-i=%d/%d micro-d=%d/%d main=%d/%d l1i=%d l1d=%d\n",
 			i, c.Now(), iv, ig, dv, dg, mv, mg,
 			c.Caches.L1I.Occupancy(), c.Caches.L1D.Occupancy())
 	}
-	fmt.Fprintf(&b, "l2=%d\n", k.CPUAt(0).Caches.L2.Occupancy())
+	fmt.Fprintf(w, "l2=%d\n", k.CPUAt(0).Caches.L2.Occupancy())
 
 	reg := obs.NewRegistry()
 	reg.MustRegister(k.Sources()...)
@@ -311,11 +357,10 @@ func (img *Image) Fingerprint() string {
 			keys = append(keys, key)
 		}
 		sort.Strings(keys)
-		fmt.Fprintf(&b, "src %s:", name)
+		fmt.Fprintf(w, "src %s:", name)
 		for _, key := range keys {
-			fmt.Fprintf(&b, " %s=%d", key, m[key])
+			fmt.Fprintf(w, " %s=%d", key, m[key])
 		}
-		b.WriteByte('\n')
+		io.WriteString(w, "\n")
 	}
-	return b.String()
 }

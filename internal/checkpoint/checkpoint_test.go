@@ -7,6 +7,7 @@
 package checkpoint
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/android"
@@ -103,6 +104,43 @@ func TestMutatedForkLeavesImageUnchanged(t *testing.T) {
 				t.Error("fork minted after mutations differs from the captured state")
 			}
 		})
+	}
+}
+
+// TestConcurrentForks forks one image from several goroutines at once,
+// as parallel sweep workers do, and runs an app launch on each fork. Run
+// under the race detector it pins that a fork only reads the image; in
+// any mode every fork must end in the same state and leave the image
+// unchanged.
+func TestConcurrentForks(t *testing.T) {
+	img := Capture(bootSys(t, android.Options{}))
+	before := img.Fingerprint()
+	prof := workload.BuildProfile(workload.DefaultUniverse(), workload.HelloWorldSpec())
+	const workers = 4
+	results := make([]string, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sys := img.Fork()
+			app, _, err := sys.LaunchApp(prof, 1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			sys.Kernel.Exit(app.Proc)
+			results[w] = fingerprintOf(sys)
+		}(w)
+	}
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		if results[w] != results[0] {
+			t.Errorf("fork %d diverged from fork 0 under concurrent forking", w)
+		}
+	}
+	if img.Fingerprint() != before {
+		t.Error("concurrent forks changed the image")
 	}
 }
 

@@ -1,6 +1,7 @@
 package imagestore
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 
@@ -70,7 +71,7 @@ func decodeImage(data []byte, u *workload.Universe) (*checkpoint.Image, string, 
 	if err != nil {
 		return nil, "", err
 	}
-	snap.Kernel.Phys.Frames = frames
+	snap.Kernel.Phys.Chunks = mem.ChunkViews(frames)
 	snap.Kernel.Phys.FreeList = freeList
 	phys, err := mem.Restore(snap.Kernel.Phys)
 	if err != nil {
@@ -161,7 +162,7 @@ func decodeImage(data []byte, u *workload.Universe) (*checkpoint.Image, string, 
 		return nil, "", err
 	}
 	img := checkpoint.Adopt(sys)
-	if got := fingerprintDigest(img.Fingerprint()); got != meta.FingerprintSHA {
+	if got := img.FingerprintDigest(); hex.EncodeToString(got[:]) != meta.FingerprintSHA {
 		return nil, "", fmt.Errorf("imagestore: fingerprint mismatch: restored machine differs from the captured one")
 	}
 	return img, meta.Key, nil

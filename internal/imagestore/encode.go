@@ -1,20 +1,18 @@
 package imagestore
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 
 	"repro/internal/android"
 	"repro/internal/arch"
 	"repro/internal/cache"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/pagetable"
-	"repro/internal/vm"
 )
 
 // fileRange locates one file's page array inside the FILEPAGES section,
@@ -24,24 +22,18 @@ type fileRange struct {
 }
 
 // metaDoc is the JSON document of the META section: the full cache key
-// (collision guard for the hashed file name), a digest of the image
-// fingerprint the loader verifies before admission (the full text runs
-// to megabytes; the loader re-renders it from the restored machine and
-// compares digests), the machine snapshot with its bulky arrays
-// stripped into the binary sections, and the placement records needed
-// to stitch them back.
+// (collision guard for the hashed file name), the hex SHA-256 of the
+// image fingerprint the loader verifies before admission (the loader
+// takes the restored machine's digest the same way, with
+// checkpoint.Image.FingerprintDigest, and compares), the machine
+// snapshot with its bulky arrays stripped into the binary sections, and
+// the placement records needed to stitch them back.
 type metaDoc struct {
 	Key            string
 	FingerprintSHA string
 	TableFrames    []arch.FrameNum
 	FileRanges     []fileRange
 	System         android.SystemSnapshot
-}
-
-// fingerprintDigest is the stored form of a machine fingerprint.
-func fingerprintDigest(fp string) string {
-	sum := sha256.Sum256([]byte(fp))
-	return hex.EncodeToString(sum[:])
 }
 
 // cacheSnapshots lists the machine's cache levels in the fixed section
@@ -57,100 +49,122 @@ func cacheSnapshots(k *core.KernelSnapshot) []*cache.Snapshot {
 	return cs
 }
 
-// encodeImage renders the image as one image-file byte buffer.
-func encodeImage(key string, img *checkpoint.Image) ([]byte, error) {
+// zeros supplies the alignment padding between sections.
+var zeros [8]byte
+
+// writeImage streams the image file for img to w: the header, then each
+// section straight from the captured machine's own arrays — the frame
+// table chunk by chunk, the PTEs table by table — with no flattened copy
+// and no whole-file buffer. The bytes are those of one 8-aligned
+// section layout (see format.go), so the directory is computed from the
+// section lengths and the checksum is taken over the same byte sequence
+// before anything is written. The image's machine is immutable, so the
+// arrays it hands out stay valid for the whole write.
+func writeImage(w io.Writer, key string, img *checkpoint.Image) error {
 	snap, files, tables := img.Proto().SnapshotState()
 	m, ok := arch.Lookup(snap.Kernel.Arch)
 	if !ok {
-		return nil, fmt.Errorf("imagestore: unknown architecture %q", snap.Kernel.Arch)
+		return fmt.Errorf("imagestore: unknown architecture %q", snap.Kernel.Arch)
 	}
 	stride := m.Geometry().LeafEntries
 
-	meta := metaDoc{Key: key, FingerprintSHA: fingerprintDigest(img.Fingerprint())}
+	digest := img.FingerprintDigest()
+	meta := metaDoc{Key: key, FingerprintSHA: hex.EncodeToString(digest[:])}
 
-	// Strip the bulky arrays out of the snapshot into flat sections; the
-	// remaining snapshot is the META document.
-	frames := snap.Kernel.Phys.Frames
-	snap.Kernel.Phys.Frames = nil
-	freeList := snap.Kernel.Phys.FreeList
+	// Strip the bulky arrays out of the snapshot into the sections'
+	// pieces; the remaining snapshot is the META document.
+	var sections [numSections][][]byte
+	for _, c := range snap.Kernel.Phys.Chunks {
+		sections[secFrames] = append(sections[secFrames], bytesOf(c))
+	}
+	snap.Kernel.Phys.Chunks = nil
+	sections[secFreeList] = [][]byte{bytesOf(snap.Kernel.Phys.FreeList)}
 	snap.Kernel.Phys.FreeList = nil
 
-	var tags []uint32
-	var mrus []cache.MRUSnapshot
-	var ages []uint64
 	for _, cs := range cacheSnapshots(&snap.Kernel) {
-		tags = append(tags, cs.Tags...)
-		mrus = append(mrus, cs.MRU...)
-		ages = append(ages, cs.Age...)
+		sections[secCacheTags] = append(sections[secCacheTags], bytesOf(cs.Tags))
+		sections[secCacheMRU] = append(sections[secCacheMRU], bytesOf(cs.MRU))
+		sections[secCacheAge] = append(sections[secCacheAge], bytesOf(cs.Age))
 		cs.Tags, cs.MRU, cs.Age = nil, nil, nil
 	}
 
-	var slots []pagetable.SlotSnapshot
 	for i := range snap.Kernel.Procs {
 		pt := &snap.Kernel.Procs[i].MM.PT
-		slots = append(slots, pt.Slots...)
+		sections[secPTSlots] = append(sections[secPTSlots], bytesOf(pt.Slots))
 		pt.Slots = nil
 	}
 
-	ptes := make([]pagetable.PTE, 0, len(tables)*stride)
 	meta.TableFrames = make([]arch.FrameNum, len(tables))
 	for i, t := range tables {
 		p := t.SnapshotPTEs()
 		if len(p) != stride {
-			return nil, fmt.Errorf("imagestore: leaf table %d has %d PTEs, geometry wants %d", i, len(p), stride)
+			return fmt.Errorf("imagestore: leaf table %d has %d PTEs, geometry wants %d", i, len(p), stride)
 		}
-		ptes = append(ptes, p...)
+		sections[secPTEs] = append(sections[secPTEs], bytesOf(p))
 		meta.TableFrames[i] = t.Frame
 	}
 
-	var filePages []vm.FilePage
 	meta.FileRanges = make([]fileRange, len(files))
+	nPages := 0
 	for i, f := range files {
 		pg := f.SnapshotPages()
-		meta.FileRanges[i] = fileRange{Off: len(filePages), N: len(pg)}
-		filePages = append(filePages, pg...)
+		meta.FileRanges[i] = fileRange{Off: nPages, N: len(pg)}
+		nPages += len(pg)
+		sections[secFilePages] = append(sections[secFilePages], bytesOf(pg))
 	}
 
 	meta.System = snap
 	metaJSON, err := json.Marshal(&meta)
 	if err != nil {
-		return nil, fmt.Errorf("imagestore: encoding metadata: %w", err)
+		return fmt.Errorf("imagestore: encoding metadata: %w", err)
 	}
+	sections[secMeta] = [][]byte{metaJSON}
 
-	sections := [numSections][]byte{
-		secMeta:      metaJSON,
-		secFrames:    bytesOf(frames),
-		secFreeList:  bytesOf(freeList),
-		secPTEs:      bytesOf(ptes),
-		secPTSlots:   bytesOf(slots),
-		secFilePages: bytesOf(filePages),
-		secCacheTags: bytesOf(tags),
-		secCacheMRU:  bytesOf(mrus),
-		secCacheAge:  bytesOf(ages),
-	}
-
-	// Lay the sections out 8-aligned in index order behind the header.
+	// Lay the sections out 8-aligned in index order behind the header,
+	// as the file's list of byte runs.
+	header := make([]byte, headerSize)
+	runs := [][]byte{header}
 	var dir [numSections]sectionRange
 	off := uint64(headerSize)
-	for i, s := range sections {
-		off = (off + 7) &^ 7
-		dir[i] = sectionRange{Off: off, Len: uint64(len(s))}
-		off += uint64(len(s))
+	pad := func() {
+		if n := (off+7)&^7 - off; n > 0 {
+			runs = append(runs, zeros[:n])
+			off += n
+		}
 	}
-	buf := make([]byte, (off+7)&^7)
+	for i, pieces := range sections {
+		pad()
+		dir[i].Off = off
+		for _, p := range pieces {
+			if len(p) > 0 {
+				runs = append(runs, p)
+				off += uint64(len(p))
+			}
+		}
+		dir[i].Len = off - dir[i].Off
+	}
+	pad()
+
 	le := binary.LittleEndian
-	copy(buf[0:8], magic)
-	le.PutUint32(buf[8:12], FormatVersion)
-	hostPutUint32(buf[12:16], endianTag)
-	le.PutUint32(buf[24:28], numSections)
-	le.PutUint32(buf[28:32], layoutHash())
+	copy(header[0:8], magic)
+	le.PutUint32(header[8:12], FormatVersion)
+	hostPutUint32(header[12:16], endianTag)
+	le.PutUint32(header[24:28], numSections)
+	le.PutUint32(header[28:32], layoutHash())
 	for i, r := range dir {
-		le.PutUint64(buf[32+i*16:], r.Off)
-		le.PutUint64(buf[32+i*16+8:], r.Len)
+		le.PutUint64(header[32+i*16:], r.Off)
+		le.PutUint64(header[32+i*16+8:], r.Len)
 	}
-	for i, s := range sections {
-		copy(buf[dir[i].Off:], s)
+	sum := crc32.Checksum(header[24:], crcTable)
+	for _, r := range runs[1:] {
+		sum = crc32.Update(sum, crcTable, r)
 	}
-	le.PutUint64(buf[16:24], uint64(crc32.Checksum(buf[24:], crcTable)))
-	return buf, nil
+	le.PutUint64(header[16:24], uint64(sum))
+
+	for _, r := range runs {
+		if _, err := w.Write(r); err != nil {
+			return err
+		}
+	}
+	return nil
 }

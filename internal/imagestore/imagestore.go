@@ -20,6 +20,7 @@
 package imagestore
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"os"
@@ -113,15 +114,15 @@ func (s *Store) Save(key string, img *checkpoint.Image) {
 	if _, err := os.Stat(path); err == nil {
 		return
 	}
-	buf, err := encodeImage(key, img)
-	if err != nil {
-		return
-	}
 	tmp, err := os.CreateTemp(s.dir, ".img-*")
 	if err != nil {
 		return
 	}
-	_, werr := tmp.Write(buf)
+	bw := bufio.NewWriterSize(tmp, 64<<10)
+	werr := writeImage(bw, key, img)
+	if werr == nil {
+		werr = bw.Flush()
+	}
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		_ = os.Remove(tmp.Name())

@@ -176,10 +176,7 @@ func TestCorruptionRejected(t *testing.T) {
 	store := openStore(t)
 	img := checkpoint.Capture(bootSys(t, android.Options{}))
 	key := bootKey(android.Options{})
-	good, err := encodeImage(key, img)
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := encodeBytes(t, key, img)
 	path := filepath.Join(store.Dir(), fileName(key))
 	fresh := img.Fingerprint()
 
@@ -290,10 +287,7 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 // warm load's overhead is the checksum pass plus the JSON metadata.
 func TestParseHeaderZeroAlloc(t *testing.T) {
 	img := checkpoint.Capture(bootSys(t, android.Options{}))
-	buf, err := encodeImage(bootKey(android.Options{}), img)
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf := encodeBytes(t, bootKey(android.Options{}), img)
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := parseHeader(buf); err != nil {
 			t.Fatal(err)

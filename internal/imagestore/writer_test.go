@@ -1,0 +1,229 @@
+// Tests for the streamed image writer: its bytes equal those of the
+// assemble-a-buffer reference encoder below on every launch prefix, the
+// streamed fingerprint digest equals the digest of the rendered text,
+// and one boot image's digest is pinned so the fingerprint text cannot
+// drift unnoticed.
+
+package imagestore
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"hash/crc32"
+	"testing"
+
+	"repro/internal/android"
+	"repro/internal/arch"
+	"repro/internal/cache"
+	"repro/internal/checkpoint"
+	"repro/internal/core"
+	"repro/internal/mem"
+	"repro/internal/pagetable"
+	"repro/internal/vm"
+	"repro/internal/workload"
+)
+
+// encodeImageReference is the straightforward encoder the streamed
+// writer replaced, kept as its reference: it flattens every section into
+// its own array, assembles the whole file in one buffer, and digests
+// the fingerprint text rendered as a string.
+func encodeImageReference(key string, img *checkpoint.Image) ([]byte, error) {
+	snap, files, tables := img.Proto().SnapshotState()
+	m, ok := arch.Lookup(snap.Kernel.Arch)
+	if !ok {
+		return nil, fmt.Errorf("imagestore: unknown architecture %q", snap.Kernel.Arch)
+	}
+	stride := m.Geometry().LeafEntries
+
+	sum := sha256.Sum256([]byte(img.Fingerprint()))
+	meta := metaDoc{Key: key, FingerprintSHA: hex.EncodeToString(sum[:])}
+
+	var frames []mem.Frame
+	for _, c := range snap.Kernel.Phys.Chunks {
+		frames = append(frames, c...)
+	}
+	snap.Kernel.Phys.Chunks = nil
+	freeList := snap.Kernel.Phys.FreeList
+	snap.Kernel.Phys.FreeList = nil
+
+	var tags []uint32
+	var mrus []cache.MRUSnapshot
+	var ages []uint64
+	for _, cs := range cacheSnapshots(&snap.Kernel) {
+		tags = append(tags, cs.Tags...)
+		mrus = append(mrus, cs.MRU...)
+		ages = append(ages, cs.Age...)
+		cs.Tags, cs.MRU, cs.Age = nil, nil, nil
+	}
+
+	var slots []pagetable.SlotSnapshot
+	for i := range snap.Kernel.Procs {
+		pt := &snap.Kernel.Procs[i].MM.PT
+		slots = append(slots, pt.Slots...)
+		pt.Slots = nil
+	}
+
+	ptes := make([]pagetable.PTE, 0, len(tables)*stride)
+	meta.TableFrames = make([]arch.FrameNum, len(tables))
+	for i, t := range tables {
+		p := t.SnapshotPTEs()
+		if len(p) != stride {
+			return nil, fmt.Errorf("imagestore: leaf table %d has %d PTEs, geometry wants %d", i, len(p), stride)
+		}
+		ptes = append(ptes, p...)
+		meta.TableFrames[i] = t.Frame
+	}
+
+	var filePages []vm.FilePage
+	meta.FileRanges = make([]fileRange, len(files))
+	for i, f := range files {
+		pg := f.SnapshotPages()
+		meta.FileRanges[i] = fileRange{Off: len(filePages), N: len(pg)}
+		filePages = append(filePages, pg...)
+	}
+
+	meta.System = snap
+	metaJSON, err := json.Marshal(&meta)
+	if err != nil {
+		return nil, fmt.Errorf("imagestore: encoding metadata: %w", err)
+	}
+
+	sections := [numSections][]byte{
+		secMeta:      metaJSON,
+		secFrames:    bytesOf(frames),
+		secFreeList:  bytesOf(freeList),
+		secPTEs:      bytesOf(ptes),
+		secPTSlots:   bytesOf(slots),
+		secFilePages: bytesOf(filePages),
+		secCacheTags: bytesOf(tags),
+		secCacheMRU:  bytesOf(mrus),
+		secCacheAge:  bytesOf(ages),
+	}
+
+	var dir [numSections]sectionRange
+	off := uint64(headerSize)
+	for i, s := range sections {
+		off = (off + 7) &^ 7
+		dir[i] = sectionRange{Off: off, Len: uint64(len(s))}
+		off += uint64(len(s))
+	}
+	buf := make([]byte, (off+7)&^7)
+	le := binary.LittleEndian
+	copy(buf[0:8], magic)
+	le.PutUint32(buf[8:12], FormatVersion)
+	hostPutUint32(buf[12:16], endianTag)
+	le.PutUint32(buf[24:28], numSections)
+	le.PutUint32(buf[28:32], layoutHash())
+	for i, r := range dir {
+		le.PutUint64(buf[32+i*16:], r.Off)
+		le.PutUint64(buf[32+i*16+8:], r.Len)
+	}
+	for i, s := range sections {
+		copy(buf[dir[i].Off:], s)
+	}
+	le.PutUint64(buf[16:24], uint64(crc32.Checksum(buf[24:], crcTable)))
+	return buf, nil
+}
+
+// encodeBytes returns the streamed writer's output for img in an
+// 8-aligned buffer, so the decoder's in-place casts accept it the way
+// they accept a file mapping.
+func encodeBytes(t testing.TB, key string, img *checkpoint.Image) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := writeImage(&b, key, img); err != nil {
+		t.Fatal(err)
+	}
+	return alignedCopy(b.Bytes())
+}
+
+// alignedCopy copies data into a buffer backed by []uint64.
+func alignedCopy(data []byte) []byte {
+	buf := bytesOf(make([]uint64, (len(data)+7)/8))[:len(data)]
+	copy(buf, data)
+	return buf
+}
+
+// launchPrefix is one boot prefix of the launch study (Figs 7-9).
+type launchPrefix struct {
+	cfg    core.Config
+	layout android.Layout
+	arch   string
+}
+
+func (p launchPrefix) String() string {
+	return fmt.Sprintf("%s/%+v/layout=%d", p.arch, p.cfg, p.layout)
+}
+
+// launchPrefixes lists the 16 prefixes of the launch study: four
+// kernels, two layouts, both MMU backends.
+func launchPrefixes() []launchPrefix {
+	var ps []launchPrefix
+	for _, a := range []string{"armv7", "sv39"} {
+		for _, layout := range []android.Layout{android.LayoutOriginal, android.Layout2MB} {
+			for _, cfg := range []core.Config{core.Stock(), core.CopiedPTEs(), core.SharedPTP(), core.SharedPTPTLB()} {
+				ps = append(ps, launchPrefix{cfg, layout, a})
+			}
+		}
+	}
+	return ps
+}
+
+// TestWriterMatchesReference pins the streamed writer to the reference
+// encoder byte for byte, and the streamed digest to the digest of the
+// rendered text, on every launch prefix: freshly booted, and after a
+// fork plus an app launch (a machine whose page tables, frame chunks and
+// page cache have diverged from the boot image's).
+func TestWriterMatchesReference(t *testing.T) {
+	u := workload.DefaultUniverse()
+	hello := workload.BuildProfile(u, workload.HelloWorldSpec())
+	for _, p := range launchPrefixes() {
+		t.Run(p.String(), func(t *testing.T) {
+			opts := android.Options{Arch: p.arch}
+			sys, err := android.BootOpts(p.cfg, p.layout, u, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := checkpoint.Key(p.cfg, p.layout, u, opts)
+			boot := checkpoint.Capture(sys)
+			fork := boot.Fork()
+			if _, _, err := fork.LaunchApp(hello, 1); err != nil {
+				t.Fatal(err)
+			}
+			launched := checkpoint.Capture(fork)
+			for _, tc := range []struct {
+				name string
+				img  *checkpoint.Image
+			}{{"boot", boot}, {"launched", launched}} {
+				want, err := encodeImageReference(key, tc.img)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := encodeBytes(t, key, tc.img); !bytes.Equal(got, want) {
+					t.Errorf("%s: streamed image differs from the reference encoding (%d vs %d bytes)",
+						tc.name, len(got), len(want))
+				}
+				if got, want := tc.img.FingerprintDigest(), sha256.Sum256([]byte(tc.img.Fingerprint())); got != want {
+					t.Errorf("%s: FingerprintDigest %x, sha256(Fingerprint()) %x", tc.name, got, want)
+				}
+			}
+		})
+	}
+}
+
+// bootDigest pins the fingerprint digest of the default armv7 shared-PTP
+// boot. A change to the fingerprint text, or to the booted machine, must
+// update it in a reviewed diff: stored images carry this digest, so a
+// silent change would invalidate every store.
+const bootDigest = "7e6f796e682e9b0d2d23bf27926f78e72d6863c4a50810f31a51b97dd03a20a2"
+
+func TestFingerprintDigestPinned(t *testing.T) {
+	img := checkpoint.Capture(bootSys(t, android.Options{}))
+	if got := img.FingerprintDigest(); hex.EncodeToString(got[:]) != bootDigest {
+		t.Errorf("boot image fingerprint digest %x, pinned %s", got, bootDigest)
+	}
+}

@@ -6,17 +6,23 @@ import (
 	"repro/internal/arch"
 )
 
-// Snapshot is the complete serializable state of a PhysMem: the flat
-// frame-metadata array plus the allocator bookkeeping. It exists for the
-// persistent image store (internal/imagestore); the frame array is by
-// far the largest section of an image, so both directions share slices
-// instead of copying.
+// Snapshot is the complete serializable state of a PhysMem: the frame
+// metadata as its chunk list plus the allocator bookkeeping. It exists
+// for the persistent image store (internal/imagestore). The frame table
+// is by far the largest section of an image, so neither direction
+// copies it: SnapshotState hands out the live chunks for the encoder to
+// write one by one, and Restore adopts chunk views of a decoded (often
+// memory-mapped) frame section built with ChunkViews.
 type Snapshot struct {
 	// NFrames is the physical memory size in frames.
 	NFrames int
-	// Frames is the frame metadata, flattened chunk by chunk; it has
-	// exactly NFrames entries.
-	Frames []Frame
+	// Chunks is the frame metadata, chunk by chunk in frame order: every
+	// chunk but the last holds exactly chunkFrames frames, and together
+	// they hold NFrames. The chunks are shared, never copied, so both
+	// sides must treat them as read-only. The JSON name is the field's
+	// former name, which keeps the stored metadata document of format
+	// version 1 byte for byte (the image store always marshals it nil).
+	Chunks [][]Frame `json:"Frames"`
 	// FreeList is the allocator free list; order is significant (the
 	// allocator pops from the back, LIFO).
 	FreeList []arch.FrameNum
@@ -26,19 +32,16 @@ type Snapshot struct {
 	Stats Stats
 }
 
-// SnapshotState flattens the allocator state. The returned slices alias no
-// live chunk (the frame array is freshly assembled), except that a
-// caller must still treat the snapshot as read-only while encoding.
+// SnapshotState captures the allocator state. The chunk list is a fresh
+// slice, but its chunks are the live ones: the snapshot is only valid
+// while nothing writes m, which holds for a checkpoint image's machine
+// (its chunks are shared with every fork and owned by none).
 func (m *PhysMem) SnapshotState() Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	flat := make([]Frame, m.nframes)
-	for i, c := range m.chunks {
-		copy(flat[i*chunkFrames:], c)
-	}
 	s := Snapshot{
 		NFrames:  m.nframes,
-		Frames:   flat,
+		Chunks:   append([][]Frame(nil), m.chunks...),
 		FreeList: append([]arch.FrameNum(nil), m.freeList...),
 		Next:     m.next,
 		Stats:    m.stats,
@@ -50,19 +53,33 @@ func (m *PhysMem) SnapshotState() Snapshot {
 	return s
 }
 
-// Restore rebuilds a PhysMem from a snapshot. The chunk slices alias
-// s.Frames without copying and the PhysMem starts with no chunk
-// ownership, exactly like the survivor of a Fork: the first write to any
-// chunk copies it out of the snapshot buffer. That makes Restore safe
-// over memory-mapped image files — the mapping is never written.
+// ChunkViews splits a flat frame table into the chunk list Restore
+// expects. The views alias frames; nothing is copied.
+func ChunkViews(frames []Frame) [][]Frame {
+	chunks := make([][]Frame, 0, (len(frames)+chunkFrames-1)/chunkFrames)
+	for lo := 0; lo < len(frames); lo += chunkFrames {
+		hi := min(lo+chunkFrames, len(frames))
+		chunks = append(chunks, frames[lo:hi:hi])
+	}
+	return chunks
+}
+
+// Restore rebuilds a PhysMem from a snapshot. The chunks are adopted
+// without copying and the PhysMem starts with no chunk ownership,
+// exactly like the survivor of a Fork: the first write to any chunk
+// copies it out of the snapshot's memory. That makes Restore safe over
+// memory-mapped image files — the mapping is never written.
 func Restore(s Snapshot) (*PhysMem, error) {
-	if s.NFrames <= 0 || len(s.Frames) != s.NFrames {
-		return nil, fmt.Errorf("mem: snapshot has %d frame entries for %d frames", len(s.Frames), s.NFrames)
+	if s.NFrames <= 0 {
+		return nil, fmt.Errorf("mem: snapshot of %d frames", s.NFrames)
 	}
 	if int(s.Next) > s.NFrames {
 		return nil, fmt.Errorf("mem: snapshot bump pointer %d beyond %d frames", s.Next, s.NFrames)
 	}
 	nChunks := (s.NFrames + chunkFrames - 1) / chunkFrames
+	if len(s.Chunks) != nChunks {
+		return nil, fmt.Errorf("mem: snapshot has %d frame chunks for %d frames", len(s.Chunks), s.NFrames)
+	}
 	m := &PhysMem{
 		nframes:  s.NFrames,
 		chunks:   make([][]Frame, nChunks),
@@ -71,13 +88,12 @@ func Restore(s Snapshot) (*PhysMem, error) {
 		next:     s.Next,
 		stats:    s.Stats,
 	}
-	for i := range m.chunks {
-		lo := i * chunkFrames
-		hi := lo + chunkFrames
-		if hi > s.NFrames {
-			hi = s.NFrames
+	for i, c := range s.Chunks {
+		n := min(chunkFrames, s.NFrames-i*chunkFrames)
+		if len(c) != n {
+			return nil, fmt.Errorf("mem: snapshot chunk %d holds %d frames, want %d", i, len(c), n)
 		}
-		m.chunks[i] = s.Frames[lo:hi:hi]
+		m.chunks[i] = c[:n:n]
 	}
 	m.stats.ByKind = make(map[FrameKind]int, len(s.Stats.ByKind))
 	for k, v := range s.Stats.ByKind {

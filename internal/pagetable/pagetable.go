@@ -114,9 +114,14 @@ type CloneArena = alloc.Arena[LeafTable]
 
 // cloneShared returns a struct copy of t whose PTE array is shared
 // copy-on-write with t; both sides are marked cow. The node comes from
-// the arena when one is supplied.
+// the arena when one is supplied. The flag is only written when it is
+// still clear: a checkpoint image's tables are cow from capture (or
+// restore) on, and several workers fork one image at once, so a fork
+// must only read them.
 func (t *LeafTable) cloneShared(nodes *CloneArena) *LeafTable {
-	t.cow = true
+	if !t.cow {
+		t.cow = true
+	}
 	var c *LeafTable
 	if nodes != nil {
 		c = nodes.New()
