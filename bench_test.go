@@ -353,7 +353,9 @@ func BenchmarkSoftPageFault(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		va := sys.CodePageVA(pages[i%len(pages)])
-		err := sys.Kernel.Run(child, func() error { return sys.Kernel.CPU.Fetch(va) })
+		err := sys.Kernel.Run(child, func() error {
+			return sys.Kernel.CPU.AccessBatch([]arch.RefRun{{VA: va, Count: 1, Kind: arch.AccessFetch}})
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -370,7 +372,7 @@ func BenchmarkUnshareOnWrite(b *testing.B) {
 		}
 		// First heap write: write fault in a shared PTP -> unshare + COW.
 		err = sys.Kernel.Run(child, func() error {
-			return sys.Kernel.CPU.Write(0x20000000)
+			return sys.Kernel.CPU.AccessBatch([]arch.RefRun{{VA: 0x20000000, Count: 1, Kind: arch.AccessWrite}})
 		})
 		if err != nil {
 			b.Fatal(err)

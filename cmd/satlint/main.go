@@ -5,10 +5,9 @@
 // which golden tests can only probe and review can only hope to
 // remember.
 //
-// It is a multichecker over eight project-specific analyzers:
+// It is a multichecker over seven project-specific analyzers:
 //
 //	captureimmut   forbid writes to frozen-after-capture checkpoint state
-//	deprecated     forbid new uses of module symbols marked "// Deprecated:"
 //	detflow        forbid nondeterministic values flowing into observable output
 //	maporder       forbid map iteration that feeds ordered output
 //	nondet         forbid wall-clock time and globally-seeded randomness

@@ -73,15 +73,14 @@ func run(cfg core.Config) (faults uint64, ptpFrames int, err error) {
 	}); err != nil {
 		return 0, 0, err
 	}
+	// A scan reads one word per pool page, then touches the stack: two
+	// runs of one reference stream.
+	scan := []arch.RefRun{
+		{VA: poolBase, Stride: arch.PageSize, Count: scanPages, Kind: arch.AccessRead},
+		{VA: 0xBEFFF000, Count: 1, Kind: arch.AccessWrite},
+	}
 	// The postmaster warms the pool (reads pages in from disk).
-	err = k.Run(server, func() error {
-		for pg := 0; pg < scanPages; pg++ {
-			if err := k.CPU.Read(poolBase + arch.VirtAddr(pg*arch.PageSize)); err != nil {
-				return err
-			}
-		}
-		return k.CPU.Write(0xBEFFF000)
-	})
+	err = k.Run(server, func() error { return k.CPU.AccessBatch(scan) })
 	if err != nil {
 		return 0, 0, err
 	}
@@ -92,14 +91,7 @@ func run(cfg core.Config) (faults uint64, ptpFrames int, err error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		err = k.Run(worker, func() error {
-			for pg := 0; pg < scanPages; pg++ {
-				if err := k.CPU.Read(poolBase + arch.VirtAddr(pg*arch.PageSize)); err != nil {
-					return err
-				}
-			}
-			return k.CPU.Write(0xBEFFF000) // its own stack
-		})
+		err = k.Run(worker, func() error { return k.CPU.AccessBatch(scan) })
 		if err != nil {
 			return 0, 0, err
 		}

@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"repro/internal/android"
+	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/workload"
 )
@@ -39,14 +40,13 @@ func main() {
 		// The child can run immediately: with shared PTPs its fetches of
 		// zygote-preloaded code hit PTEs the zygote already populated,
 		// so it takes almost no soft page faults on shared code.
-		err = sys.Kernel.Run(child, func() error {
-			for _, pg := range universe.ZygoteSet()[:512] {
-				if err := sys.Kernel.CPU.FetchBlock(sys.CodePageVA(pg), 16); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+		// Each page visit executes 16 instructions; the visits form one
+		// reference stream.
+		var visits arch.RefStream
+		for _, pg := range universe.ZygoteSet()[:512] {
+			visits.Add(sys.CodePageVA(pg), arch.AccessFetch, 16)
+		}
+		err = sys.Kernel.Run(child, func() error { return sys.Kernel.CPU.AccessBatch(visits.Runs()) })
 		if err != nil {
 			log.Fatal(err)
 		}

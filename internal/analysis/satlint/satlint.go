@@ -1,4 +1,4 @@
-// Package satlint assembles the project's analyzer suite: the eight
+// Package satlint assembles the project's analyzer suite: the seven
 // invariant checks cmd/satlint runs as a multichecker. The set is
 // defined here, away from the command, so tests can assert registration
 // and future analyzers have one place to plug in.
@@ -6,7 +6,6 @@ package satlint
 
 import (
 	"repro/internal/analysis/captureimmut"
-	"repro/internal/analysis/deprecated"
 	"repro/internal/analysis/detflow"
 	"repro/internal/analysis/framework"
 	"repro/internal/analysis/maporder"
@@ -20,7 +19,6 @@ import (
 func Analyzers() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		captureimmut.Analyzer,
-		deprecated.Analyzer,
 		detflow.Analyzer,
 		maporder.Analyzer,
 		nondet.Analyzer,

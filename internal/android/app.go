@@ -180,7 +180,7 @@ func (sys *System) LaunchApp(profile *workload.Profile, runSeed int64) (*App, La
 		totalVisits := iters * hotN
 		for it := 0; it < iters; it++ {
 			for v, va := range app.launchPages[:hotN] {
-				if err := k.CPU.FetchBlock(va, launchVisitLen); err != nil {
+				if err := k.CPU.AccessBatch([]arch.RefRun{{VA: va, Count: 1, Kind: arch.AccessFetch, Block: launchVisitLen}}); err != nil {
 					return err
 				}
 				k.CPU.ChargeUser(launchBulkInstr)
@@ -190,7 +190,7 @@ func (sys *System) LaunchApp(profile *workload.Profile, runSeed int64) (*App, La
 				// the L1 I-cache.
 				want := len(cover) * (it*hotN + v + 1) / totalVisits
 				for covered < want {
-					if err := k.CPU.FetchBlock(cover[covered], 16); err != nil {
+					if err := k.CPU.AccessBatch([]arch.RefRun{{VA: cover[covered], Count: 1, Kind: arch.AccessFetch, Block: 16}}); err != nil {
 						return err
 					}
 					covered++
@@ -396,7 +396,7 @@ func (a *App) Run() (RunStats, error) {
 		}
 		for it := 0; it < runSteadyIter; it++ {
 			va, cat := pick()
-			if err := k.CPU.FetchBlock(va, runVisitLen); err != nil {
+			if err := k.CPU.AccessBatch([]arch.RefRun{{VA: va, Count: 1, Kind: arch.AccessFetch, Block: runVisitLen}}); err != nil {
 				return err
 			}
 			k.CPU.ChargeUser(runBulkInstr)
@@ -433,7 +433,7 @@ func (a *App) Run() (RunStats, error) {
 					chunk = int(missing)
 				}
 				va, cat := pick()
-				if err := k.CPU.FetchBlock(va, 16); err != nil {
+				if err := k.CPU.AccessBatch([]arch.RefRun{{VA: va, Count: 1, Kind: arch.AccessFetch, Block: 16}}); err != nil {
 					return err
 				}
 				k.CPU.ChargeUser(chunk)

@@ -104,8 +104,10 @@ func (sys *System) RunBinder(iterations int, useASID bool) (BinderResult, error)
 	ss0 := server.Ctx.Stats
 
 	rng := rand.New(rand.NewSource(7))
+	var visits arch.RefStream
 	leg := func(p *core.Process, priv []arch.VirtAddr) error {
 		k.CPU.ContextSwitch(p.Ctx)
+		visits.Reset()
 		for v := 0; v < binderVisitsPerTx; v++ {
 			var va arch.VirtAddr
 			if v%3 == 2 { // one third private code, two thirds libbinder
@@ -113,9 +115,10 @@ func (sys *System) RunBinder(iterations int, useASID bool) (BinderResult, error)
 			} else {
 				va = shared[rng.Intn(len(shared))]
 			}
-			if err := k.CPU.FetchBlock(va, binderVisitLen); err != nil {
-				return err
-			}
+			visits.Add(va, arch.AccessFetch, binderVisitLen)
+		}
+		if err := k.CPU.AccessBatch(visits.Runs()); err != nil {
+			return err
 		}
 		k.CPU.KernelExec(binderKernelBytes) // binder driver transaction work
 		return nil

@@ -1,11 +1,12 @@
-// Run-length-encoded reference streams. The workload drivers walk large
-// address ranges with constant strides (sequential file pages, heap
-// sweeps, descending stack touches); instead of one CPU call per
-// reference they emit RefRuns — "Count references of Kind starting at VA,
-// Stride bytes apart" — and hand whole streams to cpu.AccessBatch, whose
-// fused fast path resolves entire TLB-hit spans per probe. The encoding
-// changes nothing about which references happen or in what order; it only
-// states the pattern explicitly instead of leaving it implicit in a loop.
+// Run-length-encoded reference streams, the input of cpu.AccessBatch,
+// the core's only memory-reference entry point. The workload drivers
+// walk large address ranges with constant strides (sequential file
+// pages, heap sweeps, descending stack touches) and emit RefRuns —
+// "Count references of Kind starting at VA, Stride bytes apart" — whose
+// fused execution resolves entire TLB-hit spans per probe; a single
+// reference is a one-element run. The encoding changes nothing about
+// which references happen or in what order; it only states the pattern
+// explicitly instead of leaving it implicit in a loop.
 
 package arch
 
@@ -15,10 +16,10 @@ package arch
 // non-positive Count is an empty run.
 //
 // Block extends the encoding to the workload's page-visit primitive:
-// when Kind is AccessFetch and Block > 1, each reference is a
-// CPU.FetchBlock of Block sequential instructions instead of a single
-// fetch. Block <= 1 is a plain single reference; Block is ignored for
-// reads and writes.
+// when Kind is AccessFetch and Block > 1, each reference is a page
+// visit — Block sequential instructions from its address, clamped to
+// the end of its page — instead of a single fetch. Block <= 1 is a
+// plain single reference; Block is ignored for reads and writes.
 type RefRun struct {
 	VA     VirtAddr
 	Stride VirtAddr

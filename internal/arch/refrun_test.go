@@ -1,7 +1,9 @@
 package arch
 
 import (
+	"encoding/binary"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -141,4 +143,68 @@ func TestRefStreamReset(t *testing.T) {
 	if !reflect.DeepEqual(s.Runs(), []RefRun{{VA: 0x8008, Stride: 0, Count: 1, Kind: AccessRead, Block: 1}}) {
 		t.Errorf("post-Reset runs = %+v", s.Runs())
 	}
+}
+
+// FuzzRefStream feeds an arbitrary sequence of Add and AddRun calls to a
+// RefStream and checks that expanding its runs reproduces the sequence
+// of references, with only Block normalized (to 1 for reads, writes and
+// blocks below 1). Each op takes 3 input bytes (Add) or 6 (AddRun):
+//
+//	op      bit 0 AddRun, bits 1-2 kind (mod 3), bits 3-7 block+4
+//	delta   int16: the VA is the previous op's VA plus delta, so
+//	        patterns continue often and any VA is reachable by wrapping
+//	stride  int16 (AddRun only)
+//	count   int8 (AddRun only; zero and negative counts are empty runs)
+func FuzzRefStream(f *testing.F) {
+	type ref struct {
+		va    VirtAddr
+		kind  AccessKind
+		block int
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s RefStream
+		var want []ref
+		var va VirtAddr
+		for len(data) >= 3 {
+			op := data[0]
+			va += VirtAddr(int16(binary.LittleEndian.Uint16(data[1:])))
+			kind := AccessKind(((op >> 1) & 3) % 3)
+			block := int(op>>3) - 4
+			norm := block
+			if norm < 1 || kind != AccessFetch {
+				norm = 1
+			}
+			if op&1 == 0 {
+				s.Add(va, kind, block)
+				want = append(want, ref{va, kind, norm})
+				data = data[3:]
+				continue
+			}
+			if len(data) < 6 {
+				break
+			}
+			stride := VirtAddr(int16(binary.LittleEndian.Uint16(data[3:])))
+			count := int(int8(data[5]))
+			s.AddRun(RefRun{VA: va, Stride: stride, Count: count, Kind: kind, Block: block})
+			for i := 0; i < count; i++ {
+				want = append(want, ref{va + VirtAddr(i)*stride, kind, norm})
+			}
+			data = data[6:]
+		}
+		var got []ref
+		for _, r := range s.Runs() {
+			if r.Count <= 0 {
+				t.Fatalf("stream kept an empty run %+v", r)
+			}
+			for i := 0; i < r.Count; i++ {
+				got = append(got, ref{r.VA + VirtAddr(i)*r.Stride, r.Kind, r.Block})
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("expanded runs diverge from the added references\nruns: %+v\ngot:  %+v\nwant: %+v", s.Runs(), got, want)
+		}
+		if s.Len() != len(want) {
+			t.Fatalf("Len = %d, want %d", s.Len(), len(want))
+		}
+	})
 }

@@ -42,11 +42,11 @@ func TestCrossArchConservation(t *testing.T) {
 				// Touch code (shared read-only) and heap (COW) in each child.
 				err = k.Run(child, func() error {
 					for va := arch.VirtAddr(0x00100000); va < 0x00104000; va += arch.PageSize {
-						if err := k.CPU.Fetch(va); err != nil {
+						if err := ref(k.CPU, va, arch.AccessFetch); err != nil {
 							return err
 						}
 					}
-					return k.CPU.Write(0x00200000 + arch.VirtAddr(i)*arch.PageSize)
+					return ref(k.CPU, 0x00200000+arch.VirtAddr(i)*arch.PageSize, arch.AccessWrite)
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/vm"
 )
@@ -11,6 +12,8 @@ import (
 // Example demonstrates the paper's central mechanism end to end: fork
 // shares the parent's page-table pages copy-on-write, a read fault
 // populates the shared PTP for every sharer, and a write fault unshares.
+// Every memory reference goes through CPU.AccessBatch; a single
+// reference is a one-element run.
 func Example() {
 	k, err := core.New(4096, core.WithConfig(core.SharedPTP()))
 	if err != nil {
@@ -36,7 +39,8 @@ func Example() {
 		log.Fatal(err)
 	}
 	// Touch a code page so the parent has a populated PTP to share.
-	if err := k.Run(parent, func() error { return k.CPU.Fetch(0x00100000) }); err != nil {
+	touchCode := []arch.RefRun{{VA: 0x00100000, Count: 1, Kind: arch.AccessFetch}}
+	if err := k.Run(parent, func() error { return k.CPU.AccessBatch(touchCode) }); err != nil {
 		log.Fatal(err)
 	}
 
@@ -49,7 +53,8 @@ func Example() {
 
 	// The child reads a page nobody touched: the PTE lands in the shared
 	// PTP and is immediately visible to the parent too.
-	if err := k.Run(child, func() error { return k.CPU.Fetch(0x00110000) }); err != nil {
+	readCode := []arch.RefRun{{VA: 0x00110000, Count: 1, Kind: arch.AccessFetch}}
+	if err := k.Run(child, func() error { return k.CPU.AccessBatch(readCode) }); err != nil {
 		log.Fatal(err)
 	}
 	pte := parent.MM.PT.PTEAt(0x00110000)
@@ -57,7 +62,8 @@ func Example() {
 
 	// The child writes its heap (untouched before the fork, so its PTP
 	// is allocated privately on demand); the code PTP stays shared.
-	if err := k.Run(child, func() error { return k.CPU.Write(0x00200000) }); err != nil {
+	writeHeap := []arch.RefRun{{VA: 0x00200000, Count: 1, Kind: arch.AccessWrite}}
+	if err := k.Run(child, func() error { return k.CPU.AccessBatch(writeHeap) }); err != nil {
 		log.Fatal(err)
 	}
 	geo := k.Geometry()

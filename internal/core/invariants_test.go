@@ -114,9 +114,9 @@ func TestRandomWalkInvariants(t *testing.T) {
 			}
 			err := k.Run(p, func() error {
 				if kind == arch.AccessFetch {
-					return k.CPU.Fetch(va)
+					return ref(k.CPU, va, arch.AccessFetch)
 				}
-				return k.CPU.Read(va)
+				return ref(k.CPU, va, arch.AccessRead)
 			})
 			if err != nil {
 				t.Fatalf("step %d %s at %#x in %q: %v", step, kind, va, p.Name, err)
@@ -127,7 +127,7 @@ func TestRandomWalkInvariants(t *testing.T) {
 			if vma == nil || vma.Prot&vm.ProtWrite == 0 {
 				break
 			}
-			if err := k.Run(p, func() error { return k.CPU.Write(va) }); err != nil {
+			if err := k.Run(p, func() error { return ref(k.CPU, va, arch.AccessWrite) }); err != nil {
 				t.Fatalf("step %d write at %#x in %q: %v", step, va, p.Name, err)
 			}
 		case op < 8: // mmap a small anonymous region in a private area
@@ -137,7 +137,7 @@ func TestRandomWalkInvariants(t *testing.T) {
 			if err := k.Mmap(p, nv); err != nil {
 				t.Fatalf("step %d mmap: %v", step, err)
 			}
-			if err := k.Run(p, func() error { return k.CPU.Write(base) }); err != nil {
+			if err := k.Run(p, func() error { return ref(k.CPU, base, arch.AccessWrite) }); err != nil {
 				t.Fatalf("step %d write new map: %v", step, err)
 			}
 		case op < 9:

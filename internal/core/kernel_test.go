@@ -4,11 +4,17 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/cpu"
 	"repro/internal/mem"
 	"repro/internal/vm"
 )
 
 const testFrames = 4096
+
+// ref issues one reference of kind at va on c: a one-element run.
+func ref(c *cpu.CPU, va arch.VirtAddr, kind arch.AccessKind) error {
+	return c.AccessBatch([]arch.RefRun{{VA: va, Count: 1, Kind: kind}})
+}
 
 func boot(t *testing.T, cfg Config) *Kernel {
 	t.Helper()
@@ -47,17 +53,17 @@ func buildParent(t *testing.T, k *Kernel) *Process {
 	}
 	err = k.Run(p, func() error {
 		for va := arch.VirtAddr(0x00100000); va < 0x00110000; va += arch.PageSize {
-			if err := k.CPU.Fetch(va); err != nil {
+			if err := ref(k.CPU, va, arch.AccessFetch); err != nil {
 				return err
 			}
 		}
 		for va := arch.VirtAddr(0x00200000); va < 0x00208000; va += arch.PageSize {
-			if err := k.CPU.Write(va); err != nil {
+			if err := ref(k.CPU, va, arch.AccessWrite); err != nil {
 				return err
 			}
 		}
 		for va := arch.VirtAddr(0x7FF3C000); va < 0x7FF40000; va += arch.PageSize {
-			if err := k.CPU.Write(va); err != nil {
+			if err := ref(k.CPU, va, arch.AccessWrite); err != nil {
 				return err
 			}
 		}
@@ -215,14 +221,14 @@ func TestSharedPTPReadFaultPopulatesForAllSharers(t *testing.T) {
 
 	// child1 faults on a code page nobody has touched.
 	va := arch.VirtAddr(0x00120000)
-	if err := k.Run(child1, func() error { return k.CPU.Fetch(va) }); err != nil {
+	if err := k.Run(child1, func() error { return ref(k.CPU, va, arch.AccessFetch) }); err != nil {
 		t.Fatal(err)
 	}
 	if child1.MM.Counters.FileFaults != 1 {
 		t.Errorf("child1 FileFaults = %d, want 1", child1.MM.Counters.FileFaults)
 	}
 	// child2 and the parent see the PTE without faulting.
-	if err := k.Run(child2, func() error { return k.CPU.Fetch(va) }); err != nil {
+	if err := k.Run(child2, func() error { return ref(k.CPU, va, arch.AccessFetch) }); err != nil {
 		t.Fatal(err)
 	}
 	if child2.MM.Counters.FileFaults != 0 {
@@ -241,7 +247,7 @@ func TestWriteFaultUnshares(t *testing.T) {
 	// Child writes its heap: write fault in a shared PTP triggers
 	// unsharing, then normal COW handling.
 	va := arch.VirtAddr(0x00200000)
-	if err := k.Run(child, func() error { return k.CPU.Write(va) }); err != nil {
+	if err := k.Run(child, func() error { return ref(k.CPU, va, arch.AccessWrite) }); err != nil {
 		t.Fatal(err)
 	}
 	if k.Counters.UnshareOps == 0 {
@@ -285,7 +291,7 @@ func TestMmapUnshares(t *testing.T) {
 	if child.MM.PT.Slot(2).NeedCopy {
 		t.Error("mmap into a shared PTP's range must unshare it")
 	}
-	if err := k.Run(child, func() error { return k.CPU.Write(0x00280000) }); err != nil {
+	if err := k.Run(child, func() error { return ref(k.CPU, 0x00280000, arch.AccessWrite) }); err != nil {
 		t.Fatal(err)
 	}
 	// Parent must not see the new PTE.
@@ -335,7 +341,7 @@ func TestMprotectUnshares(t *testing.T) {
 		t.Error("parent's protection must be untouched")
 	}
 	// Fetching the now non-exec page must fail in the child.
-	if err := k.Run(child, func() error { return k.CPU.Fetch(0x00100000) }); err == nil {
+	if err := k.Run(child, func() error { return ref(k.CPU, 0x00100000, arch.AccessFetch) }); err == nil {
 		t.Error("fetch from PROT_READ region should fail")
 	}
 }
@@ -362,7 +368,7 @@ func TestExitDetachesWithoutCopy(t *testing.T) {
 		t.Errorf("parent sharer count = %d, want 1", got)
 	}
 	// Parent can still unshare trivially (sole sharer: clear NEED_COPY).
-	if err := k.Run(parent, func() error { return k.CPU.Write(0x00150000) }); err != nil {
+	if err := k.Run(parent, func() error { return ref(k.CPU, 0x00150000, arch.AccessWrite) }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -378,7 +384,7 @@ func TestTLBSharingGlobalBit(t *testing.T) {
 	child, _ := k.Fork(parent, "app")
 	// Child fetches the same page: the TLB entry loaded by the parent is
 	// global, so no main-TLB miss and no fault.
-	if err := k.Run(child, func() error { return k.CPU.Fetch(0x00100000) }); err != nil {
+	if err := k.Run(child, func() error { return ref(k.CPU, 0x00100000, arch.AccessFetch) }); err != nil {
 		t.Fatal(err)
 	}
 	if child.Ctx.Stats.ITLBMainMisses != 0 {
@@ -404,7 +410,7 @@ func TestTLBSharingDeniedToNonZygote(t *testing.T) {
 		Prot: vm.ProtRead | vm.ProtExec, Flags: vm.VMAPrivate, File: f, Name: "bin"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.Run(daemon, func() error { return k.CPU.Fetch(0x00100000) }); err != nil {
+	if err := k.Run(daemon, func() error { return ref(k.CPU, 0x00100000, arch.AccessFetch) }); err != nil {
 		t.Fatal(err)
 	}
 	if daemon.Ctx.Stats.DomainFaults != 1 {
@@ -459,7 +465,7 @@ func TestCopyOnlyReferencedAblation(t *testing.T) {
 	// Write to the lib data segment: unshare of the libc slot. With the
 	// referenced-only policy, clean file-backed PTEs (the parent's 16
 	// fetched code pages) are skipped: page faults can reconstruct them.
-	if err := k.Run(child, func() error { return k.CPU.Write(0x00150000) }); err != nil {
+	if err := k.Run(child, func() error { return ref(k.CPU, 0x00150000, arch.AccessWrite) }); err != nil {
 		t.Fatal(err)
 	}
 	if got := k.Counters.PTEsCopiedOnUnshare; got != 0 {
@@ -467,7 +473,7 @@ func TestCopyOnlyReferencedAblation(t *testing.T) {
 	}
 	// The dropped translations simply soft-fault again.
 	faults := child.MM.Counters.FileFaults
-	if err := k.Run(child, func() error { return k.CPU.Fetch(0x00100000) }); err != nil {
+	if err := k.Run(child, func() error { return ref(k.CPU, 0x00100000, arch.AccessFetch) }); err != nil {
 		t.Fatal(err)
 	}
 	if child.MM.Counters.FileFaults != faults+1 {
@@ -478,7 +484,7 @@ func TestCopyOnlyReferencedAblation(t *testing.T) {
 	k2 := boot(t, SharedPTP())
 	parent2 := buildParent(t, k2)
 	child2, _ := k2.Fork(parent2, "app")
-	if err := k2.Run(child2, func() error { return k2.CPU.Write(0x00150000) }); err != nil {
+	if err := k2.Run(child2, func() error { return ref(k2.CPU, 0x00150000, arch.AccessWrite) }); err != nil {
 		t.Fatal(err)
 	}
 	if got := k2.Counters.PTEsCopiedOnUnshare; got != 16 {
@@ -526,7 +532,7 @@ func TestShareStackAblation(t *testing.T) {
 		t.Errorf("PTPsAllocated = %d, want 0", child.ForkStats.PTPsAllocated)
 	}
 	// First stack write unshares immediately — sharing bought nothing.
-	if err := k.Run(child, func() error { return k.CPU.Write(0x7FF3C000) }); err != nil {
+	if err := k.Run(child, func() error { return ref(k.CPU, 0x7FF3C000, arch.AccessWrite) }); err != nil {
 		t.Fatal(err)
 	}
 	if child.MM.PT.Slot(0x7FF).NeedCopy {
@@ -563,7 +569,7 @@ func TestSMPShootdowns(t *testing.T) {
 	// Child runs on core 2; the parent's entries on core 0 are stale
 	// after the child's unshare, which must broadcast.
 	before := k.Counters.TLBShootdowns
-	err = k.RunOn(2, child, func() error { return k.CPUAt(2).Write(0x00200000) })
+	err = k.RunOn(2, child, func() error { return ref(k.CPUAt(2), 0x00200000, arch.AccessWrite) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -596,11 +602,11 @@ func buildParentOn(t *testing.T, k *Kernel) *Process {
 	}
 	err = k.Run(p, func() error {
 		for va := arch.VirtAddr(0x00100000); va < 0x00108000; va += arch.PageSize {
-			if err := k.CPU.Fetch(va); err != nil {
+			if err := ref(k.CPU, va, arch.AccessFetch); err != nil {
 				return err
 			}
 		}
-		return k.CPU.Write(0x00200000)
+		return ref(k.CPU, 0x00200000, arch.AccessWrite)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -618,10 +624,10 @@ func TestSMPCrossCoreSharedPTE(t *testing.T) {
 	parent := buildParentOn(t, k)
 	c1, _ := k.Fork(parent, "app1")
 	c2, _ := k.Fork(parent, "app2")
-	if err := k.RunOn(0, c1, func() error { return k.CPUAt(0).Fetch(0x00120000) }); err != nil {
+	if err := k.RunOn(0, c1, func() error { return ref(k.CPUAt(0), 0x00120000, arch.AccessFetch) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.RunOn(3, c2, func() error { return k.CPUAt(3).Fetch(0x00120000) }); err != nil {
+	if err := k.RunOn(3, c2, func() error { return ref(k.CPUAt(3), 0x00120000, arch.AccessFetch) }); err != nil {
 		t.Fatal(err)
 	}
 	if c2.MM.Counters.PageFaults != 0 {
@@ -645,7 +651,7 @@ func TestASIDWrapFlushes(t *testing.T) {
 		Prot: vm.ProtRead | vm.ProtWrite, Flags: vm.VMAPrivate, Name: "heap"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.Run(p, func() error { return k.CPU.Write(0x10000) }); err != nil {
+	if err := k.Run(p, func() error { return ref(k.CPU, 0x10000, arch.AccessWrite) }); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := k.CPU.Main.Occupancy(); v == 0 {
@@ -678,10 +684,10 @@ func TestMunmapSpanningMultiplePTPs(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := k.Run(parent, func() error {
-		if err := k.CPU.Fetch(0x00300000); err != nil {
+		if err := ref(k.CPU, 0x00300000, arch.AccessFetch); err != nil {
 			return err
 		}
-		return k.CPU.Fetch(0x003F0000)
+		return ref(k.CPU, 0x003F0000, arch.AccessFetch)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -709,7 +715,7 @@ func TestMunmapSpanningMultiplePTPs(t *testing.T) {
 		t.Error("parent's lib2 PTE must survive")
 	}
 	// The child's libc code below the unmapped range still works.
-	if err := k.Run(child, func() error { return k.CPU.Fetch(0x00100000) }); err != nil {
+	if err := k.Run(child, func() error { return ref(k.CPU, 0x00100000, arch.AccessFetch) }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -725,14 +731,14 @@ func TestSharedMappingWriteKeepsFrame(t *testing.T) {
 		Prot: vm.ProtRead | vm.ProtWrite, Flags: vm.VMAShared, File: shm, Name: "shm"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.Run(parent, func() error { return k.CPU.Write(0x00400000) }); err != nil {
+	if err := k.Run(parent, func() error { return ref(k.CPU, 0x00400000, arch.AccessWrite) }); err != nil {
 		t.Fatal(err)
 	}
 	child, err := k.Fork(parent, "worker")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := k.Run(child, func() error { return k.CPU.Write(0x00400000) }); err != nil {
+	if err := k.Run(child, func() error { return ref(k.CPU, 0x00400000, arch.AccessWrite) }); err != nil {
 		t.Fatal(err)
 	}
 	pp := parent.MM.PT.PTEAt(0x00400000)

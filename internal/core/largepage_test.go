@@ -68,7 +68,7 @@ func TestLargePageExecution(t *testing.T) {
 	err = k.Run(p, func() error {
 		// Fetch across the whole 64KB page: no faults (eager mapping).
 		for off := arch.VirtAddr(0); off < armv7.LargePageSize; off += arch.PageSize {
-			if err := k.CPU.Fetch(v.Start + off); err != nil {
+			if err := ref(k.CPU, v.Start+off, arch.AccessFetch); err != nil {
 				return err
 			}
 		}
@@ -120,7 +120,7 @@ func TestLargePagePTPSharing(t *testing.T) {
 	if !child.MM.PT.Slot(idx).NeedCopy {
 		t.Error("large-page PTP should be shared at fork")
 	}
-	if err := k.Run(child, func() error { return k.CPU.Fetch(v.Start + 0x7000) }); err != nil {
+	if err := k.Run(child, func() error { return ref(k.CPU, v.Start+0x7000, arch.AccessFetch) }); err != nil {
 		t.Fatal(err)
 	}
 	if child.MM.Counters.PageFaults != 0 {

@@ -1,10 +1,20 @@
-// Batched reference-stream execution: CPU.AccessBatch consumes
-// run-length-encoded reference streams (arch.RefRun) with a fused fast
-// path — spans of TLB-hit, cache-hit iterations resolved inside one loop
-// with their instruction counts and stall cycles accumulated in locals
-// and flushed once per span — falling out to the scalar access path for
-// any reference the fast path cannot prove equivalent: a TLB miss, a
-// fault of any kind, or an attached sampler.
+// Reference-stream execution: CPU.AccessBatch is the core's one entry
+// point for memory references. A single reference is a one-element run.
+// Inside the package three paths execute them:
+//
+//   - access, the scalar reference: one fetch, load or store, translated
+//     through micro-TLB, main TLB and walker, faulting to the kernel,
+//     then one cache access. It is the semantics the other two must
+//     reproduce.
+//   - fetchBlock, the page visit (a fetch run with Block > 1): one
+//     translation, then the block's I-cache lines as one cache run, with
+//     a fused micro-TLB-hit fast path (TestFetchBlockDifferential).
+//   - refRunFused, a run of single references: spans of TLB-hit,
+//     cache-hit iterations resolved inside one loop with their
+//     instruction counts and stall cycles accumulated in locals and
+//     flushed once per span, falling out to access for any reference the
+//     fast path cannot prove equivalent: a TLB miss or a fault of any
+//     kind (TestScalarBatchedDifferential).
 //
 // The equivalence argument, in full:
 //
@@ -13,13 +23,13 @@
 //     committed in one update (tlb.CommitRunHits, cache.AccessRun) with
 //     bit-identical final state to k scalar iterations.
 //   - Everything else — TLB misses and inserts, page walks, cache fills,
-//     faults, permission checks — runs through the unchanged scalar
-//     access path, one reference at a time, with all accumulated fast-path
-//     state flushed first, so counters, events, and handler interactions
-//     occur exactly as the scalar loop would produce them.
-//   - Per-instruction sampling (SampleEvery > 0) attributes samples to
-//     individual references; the batch path cannot replicate that
-//     attribution and defers entirely to the scalar loop.
+//     faults, permission checks — runs through access, one reference at
+//     a time, with all accumulated fast-path state flushed first, so
+//     counters, events, and handler interactions occur exactly as the
+//     scalar loop would produce them.
+//   - Per-instruction sampling (CPU.sampling) attributes samples to
+//     individual references; the fused paths cannot replicate that
+//     attribution, so a sampled stream runs through expandRun.
 //
 // Event subscribers need no special case. The only events a run can
 // publish — TLB inserts and evictions, cache fills and evictions, page
@@ -37,27 +47,31 @@ import (
 	"repro/internal/arch"
 )
 
-// AccessBatch executes a reference stream: exactly equivalent to issuing
-// every reference of every run, in order, through Fetch/Read/Write (or
-// FetchBlock for runs with Block > 1). Runs with a non-positive count
-// are skipped. On error the stream stops at the failing reference,
-// with every earlier reference fully applied, like the equivalent loop.
+// AccessBatch executes a reference stream, run by run and in order.
+// A run issues Count references of its Kind at VA, VA+Stride,
+// VA+2*Stride, ...; each translates through the instruction side
+// (fetches) or the data side (loads and stores) of the TLBs and the page
+// walker, delivering translation, permission and domain faults to the
+// kernel handler and retrying, then accesses the I-cache or D-cache, and
+// charges its cycles and counters to the running context. In a fetch
+// run with Block > 1 each reference is a page visit instead: Block
+// sequential instructions from its address, clamped to the end of its
+// page, translated once and fetched one 32-byte line at a time. Runs
+// with a non-positive count are skipped. On error the stream stops at
+// the failing reference, with every earlier reference fully applied.
 func (c *CPU) AccessBatch(runs []arch.RefRun) error {
 	// Sampling needs per-reference program-counter attribution.
-	fast := c.SampleEvery <= 0
+	fast := !c.sampling()
 	for i := range runs {
 		r := &runs[i]
 		if r.Count <= 0 {
 			continue
 		}
 		var err error
-		switch {
-		case !fast:
-			err = c.expandRun(r)
-		case r.Kind == arch.AccessFetch && r.Block > 1:
-			err = c.fetchBlockRun(r)
-		default:
+		if fast && (r.Kind != arch.AccessFetch || r.Block <= 1) {
 			err = c.refRunFused(r)
+		} else {
+			err = c.expandRun(r)
 		}
 		if err != nil {
 			return err
@@ -66,33 +80,20 @@ func (c *CPU) AccessBatch(runs []arch.RefRun) error {
 	return nil
 }
 
-// expandRun is the scalar reference semantics of one run: the loop the
-// encoding replaced, calling the unchanged per-reference entry points.
+// expandRun is the scalar reference semantics of one run: one page visit
+// or one scalar reference per iteration. It also executes every run of
+// page visits: fetchBlock fuses each visit on its own, and the visits
+// cannot fuse further because each one re-decides its page.
 func (c *CPU) expandRun(r *arch.RefRun) error {
 	va := r.VA
 	for i := 0; i < r.Count; i++ {
 		var err error
 		if r.Kind == arch.AccessFetch && r.Block > 1 {
-			err = c.FetchBlock(va, r.Block)
+			err = c.fetchBlock(va, r.Block)
 		} else {
 			err = c.access(va, r.Kind)
 		}
 		if err != nil {
-			return err
-		}
-		va += r.Stride
-	}
-	return nil
-}
-
-// fetchBlockRun executes a run of page visits. FetchBlock has its own
-// fused fast path (one peek, one committed double-hit, one cache run),
-// so the per-visit loop is already batched where it counts; the visits
-// themselves cannot fuse further because each one re-decides its page.
-func (c *CPU) fetchBlockRun(r *arch.RefRun) error {
-	va := r.VA
-	for i := 0; i < r.Count; i++ {
-		if err := c.FetchBlock(va, r.Block); err != nil {
 			return err
 		}
 		va += r.Stride

@@ -13,8 +13,8 @@ import (
 )
 
 // The scalar-vs-batched differential: two identical machines execute the
-// same randomized reference program, one through the per-reference entry
-// points (Fetch/Read/Write/FetchBlock), the other through AccessBatch,
+// same randomized reference program, one a reference at a time through
+// fetchBlock and access, the other through AccessBatch,
 // and every piece of architectural state must come out bit-identical.
 // The program mixes strides (zero, sub-line, page, multi-page, negative,
 // larger than a large page), large-page mappings, demand faults, runs
@@ -31,19 +31,25 @@ const (
 
 // diffMachine is one side of the differential: a core, its demand pager,
 // three contexts with distinct ASIDs, and (optionally) a recorded event
-// stream.
+// stream. sampleEvery sets the sampling rate; the sampler is attached
+// only when sampled is set, so a rate alone leaves sampling off.
 type diffMachine struct {
-	cpu    *CPU
-	pager  *demandPager
-	ctxs   []*Context
-	events []obs.Event
+	cpu     *CPU
+	pager   *demandPager
+	ctxs    []*Context
+	events  []obs.Event
+	sampler *recordingSampler
 }
 
-func newDiffMachine(t *testing.T, observe bool) *diffMachine {
+func newDiffMachine(t *testing.T, observe bool, sampleEvery int, sampled bool) *diffMachine {
 	t.Helper()
 	phys := mem.New(1 << 18)
 	pager := &demandPager{phys: phys}
-	m := &diffMachine{cpu: New(pager, geoARM), pager: pager}
+	m := &diffMachine{cpu: New(pager, geoARM), pager: pager, sampler: &recordingSampler{}}
+	m.cpu.SampleEvery = sampleEvery
+	if sampled {
+		m.cpu.Sampler = m.sampler
+	}
 	ppl := geoARM.PagesPerLarge()
 	span := arch.VirtAddr(ppl * arch.PageSize)
 	for i := 1; i <= 3; i++ {
@@ -139,8 +145,8 @@ func buildDiffProgram(rng *rand.Rand, minRefs int) (prog []diffOp, refs int) {
 	return prog, refs
 }
 
-// scalarRun executes one run through the public per-reference entry
-// points — the independent restatement of the run semantics AccessBatch
+// scalarRun executes one run one page visit or one scalar reference at
+// a time — the independent restatement of the run semantics AccessBatch
 // must reproduce.
 func scalarRun(t *testing.T, c *CPU, r arch.RefRun) {
 	t.Helper()
@@ -148,16 +154,9 @@ func scalarRun(t *testing.T, c *CPU, r arch.RefRun) {
 	for i := 0; i < r.Count; i++ {
 		var err error
 		if r.Kind == arch.AccessFetch && r.Block > 1 {
-			err = c.FetchBlock(va, r.Block)
+			err = c.fetchBlock(va, r.Block)
 		} else {
-			switch r.Kind {
-			case arch.AccessFetch:
-				err = c.Fetch(va)
-			case arch.AccessRead:
-				err = c.Read(va)
-			default:
-				err = c.Write(va)
-			}
+			err = c.access(va, r.Kind)
 		}
 		if err != nil {
 			t.Fatalf("scalar %v at %#x: %v", r.Kind, va, err)
@@ -170,7 +169,7 @@ func (m *diffMachine) snapshot() Snapshot {
 	return m.cpu.SnapshotState(func(c *Context) int32 { return int32(c.ID) })
 }
 
-func runDifferential(t *testing.T, observe bool) {
+func runDifferential(t *testing.T, observe bool, sampleEvery int, sampled bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(0x5eed))
 	prog, refs := buildDiffProgram(rng, 10000)
@@ -178,8 +177,8 @@ func runDifferential(t *testing.T, observe bool) {
 		t.Fatalf("program has %d references, want >= 10000", refs)
 	}
 
-	a := newDiffMachine(t, observe) // scalar reference
-	b := newDiffMachine(t, observe) // batched
+	a := newDiffMachine(t, observe, sampleEvery, sampled) // scalar reference
+	b := newDiffMachine(t, observe, sampleEvery, sampled) // batched
 
 	for opIdx, op := range prog {
 		if op.ctx >= 0 {
@@ -219,16 +218,27 @@ func runDifferential(t *testing.T, observe bool) {
 		t.Errorf("event streams diverge: scalar %d events, batched %d events",
 			len(a.events), len(b.events))
 	}
+	if sampled && len(a.sampler.samples) == 0 {
+		t.Error("sampled variant delivered no samples")
+	}
+	if !reflect.DeepEqual(a.sampler.samples, b.sampler.samples) || a.cpu.sinceSample != b.cpu.sinceSample {
+		t.Errorf("samples diverge: scalar %d samples, batched %d samples",
+			len(a.sampler.samples), len(b.sampler.samples))
+	}
 }
 
 // TestScalarBatchedDifferential drives >= 10k randomized references
 // through both execution paths. The fused fast path handles hit spans in
 // both variants; the observed one subscribes to every event kind and
 // demands that the batched machine publish exactly the scalar loop's
-// event stream.
+// event stream. The sampled variant attaches a sampler, and every sample
+// must match; the nosampler variant sets a rate without a sampler, which
+// is sampling off, so the fused paths run.
 func TestScalarBatchedDifferential(t *testing.T) {
-	t.Run("fused", func(t *testing.T) { runDifferential(t, false) })
-	t.Run("observed", func(t *testing.T) { runDifferential(t, true) })
+	t.Run("fused", func(t *testing.T) { runDifferential(t, false, 0, false) })
+	t.Run("observed", func(t *testing.T) { runDifferential(t, true, 0, false) })
+	t.Run("sampled", func(t *testing.T) { runDifferential(t, false, 7, true) })
+	t.Run("nosampler", func(t *testing.T) { runDifferential(t, false, 7, false) })
 }
 
 // TestAccessBatchEmptyRuns: zero and negative counts are skipped without
@@ -273,23 +283,25 @@ func TestAccessBatchNoContext(t *testing.T) {
 // scalar path — same instruction count, same stall accounting, and no
 // touch of the next page.
 func TestFetchBlockPageBoundary(t *testing.T) {
-	build := func(sampleEvery int) (*CPU, *Context) {
+	build := func(sampled bool) (*CPU, *Context) {
 		phys := mem.New(256)
 		c := New(&demandPager{phys: phys}, geoARM)
-		c.SampleEvery = sampleEvery // > 0 disables the fused block path (nil sampler: no ticks)
+		if sampled { // an attached sampler disables the fused block path
+			c.SampleEvery, c.Sampler = 1, &countingSampler{}
+		}
 		ctx := newCtx(t, phys, 1, 1, armv7.StockDACR())
 		c.ContextSwitch(ctx)
 		return c, ctx
 	}
-	fused, fctx := build(0)
-	scalar, sctx := build(1)
+	fused, fctx := build(false)
+	scalar, sctx := build(true)
 
 	const va = arch.VirtAddr(0x8000 + arch.PageSize - 3*4) // 3 instruction slots left
 	for _, m := range []*CPU{fused, scalar} {
-		if err := m.Fetch(0x8000); err != nil { // warm the page so the fused path engages
+		if err := m.access(0x8000, arch.AccessFetch); err != nil { // warm the page so the fused path engages
 			t.Fatal(err)
 		}
-		if err := m.FetchBlock(va, 100); err != nil {
+		if err := m.fetchBlock(va, 100); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -374,7 +386,7 @@ func BenchmarkAccessBatchScalar(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		va := r.VA
 		for j := 0; j < r.Count; j++ {
-			if err := c.Fetch(va); err != nil {
+			if err := c.access(va, arch.AccessFetch); err != nil {
 				b.Fatal(err)
 			}
 			va += r.Stride

@@ -46,7 +46,7 @@ func BenchmarkTranslateWalk(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		va := base + arch.VirtAddr(i&255)<<arch.PageShift
-		if err := c.Fetch(va); err != nil {
+		if err := c.access(va, arch.AccessFetch); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -60,7 +60,7 @@ func BenchmarkTranslateHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		va := base + arch.VirtAddr(i&15)<<arch.PageShift
-		if err := c.Fetch(va); err != nil {
+		if err := c.access(va, arch.AccessFetch); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -73,7 +73,7 @@ func BenchmarkTranslateHit(b *testing.B) {
 func BenchmarkFetchBlockMicroMiss(b *testing.B) {
 	c, ctx, base := benchContext(b, 64)
 	for i := 0; i < 64; i++ { // warm the main TLB and the caches
-		if err := c.FetchBlock(base+arch.VirtAddr(i)<<arch.PageShift, 16); err != nil {
+		if err := c.fetchBlock(base+arch.VirtAddr(i)<<arch.PageShift, 16); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -81,7 +81,7 @@ func BenchmarkFetchBlockMicroMiss(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.FetchBlock(base+arch.VirtAddr(i&63)<<arch.PageShift, 16); err != nil {
+		if err := c.fetchBlock(base+arch.VirtAddr(i&63)<<arch.PageShift, 16); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -160,8 +160,9 @@ type CPU struct {
 	Handler FaultHandler
 	// SampleEvery enables rate-based program-counter sampling: one
 	// sample is delivered to Sampler every SampleEvery executed
-	// instructions (0 disables sampling). This mirrors the perf
-	// record methodology of Section 4.1.1.
+	// instructions. This mirrors the perf record methodology of
+	// Section 4.1.1. Sampling is on only while both SampleEvery > 0 and
+	// Sampler is set; a caller detaching the sampler clears both.
 	SampleEvery int
 	// Sampler receives the samples.
 	Sampler Sampler
@@ -180,12 +181,14 @@ type Sampler interface {
 	Sample(va arch.VirtAddr, kernel bool)
 }
 
+// sampling reports whether program-counter samples are being taken: a
+// rate and a sampler are both set. Only then do references need
+// per-instruction attribution, so every fused path tests this alone.
+func (c *CPU) sampling() bool { return c.SampleEvery > 0 && c.Sampler != nil }
+
 // tick advances the sampling counter by n instructions executed at or
-// near va and emits due samples.
+// near va and emits due samples. The caller has checked c.sampling().
 func (c *CPU) tick(va arch.VirtAddr, kernel bool, n int) {
-	if c.SampleEvery <= 0 || c.Sampler == nil {
-		return
-	}
 	c.sinceSample += n
 	for c.sinceSample >= c.SampleEvery {
 		c.sinceSample -= c.SampleEvery
@@ -266,29 +269,12 @@ func (c *CPU) ContextSwitch(ctx *Context) {
 	c.charge(cost)
 }
 
-// Fetch executes one user instruction at va: translate through the
-// instruction side, access the I-cache, and charge the cycles. A
-// translation or permission fault invokes the kernel handler and retries.
-func (c *CPU) Fetch(va arch.VirtAddr) error {
-	return c.access(va, arch.AccessFetch)
-}
-
-// Read executes a user load at va through the data side.
-func (c *CPU) Read(va arch.VirtAddr) error {
-	return c.access(va, arch.AccessRead)
-}
-
-// Write executes a user store at va through the data side.
-func (c *CPU) Write(va arch.VirtAddr) error {
-	return c.access(va, arch.AccessWrite)
-}
-
-// FetchBlock models the execution of n sequential instructions starting
+// fetchBlock models the execution of n sequential instructions starting
 // at va, all within one page: the address is translated once, and the
-// I-cache is accessed once per 32-byte line covered. This is the
-// page-visit primitive the workload runner uses; it keeps the TLB and
-// cache models exact at line granularity while charging n instructions.
-func (c *CPU) FetchBlock(va arch.VirtAddr, n int) error {
+// I-cache is accessed once per 32-byte line covered. This is the page
+// visit (a RefRun with Block n); it keeps the TLB and cache models exact
+// at line granularity while charging n instructions.
+func (c *CPU) fetchBlock(va arch.VirtAddr, n int) error {
 	if n <= 0 {
 		return nil
 	}
@@ -315,7 +301,7 @@ func (c *CPU) FetchBlock(va arch.VirtAddr, n int) error {
 	// re-translation commit as one weight-2 update, the cache references
 	// issue exactly as the miss path below would issue them, and all
 	// costs are charged in one update.
-	if n > 1 && c.SampleEvery <= 0 {
+	if n > 1 && !c.sampling() {
 		if e, slot, r := c.MicroI.Peek(va, ctx.ASID, ctx.DACR, arch.AccessFetch); r == tlb.Hit {
 			c.MicroI.CommitRunHits(slot, 2, va, ctx.ASID, ctx.DACR)
 			c.lastFetchVA = va
@@ -339,7 +325,7 @@ func (c *CPU) FetchBlock(va arch.VirtAddr, n int) error {
 	}
 	if rest := n - 1; rest > 0 {
 		ctx.Stats.Instructions += uint64(rest)
-		if c.SampleEvery > 0 {
+		if c.sampling() {
 			c.tick(va, false, rest)
 		}
 		c.MicroI.CommitRunHits(slot, 1, va, ctx.ASID, ctx.DACR)
@@ -372,19 +358,16 @@ func (c *CPU) ChargeUser(instrs int) {
 	}
 	c.cur.Stats.Instructions += uint64(instrs)
 	c.charge(instrs * c.Costs.BaseInstr)
-	if c.SampleEvery > 0 {
+	if c.sampling() {
 		c.tick(c.lastFetchVA, false, instrs)
 	}
 }
 
-// Touch reads or writes va according to write.
-func (c *CPU) Touch(va arch.VirtAddr, write bool) error {
-	if write {
-		return c.Write(va)
-	}
-	return c.Read(va)
-}
-
+// access executes one user reference at va: an instruction fetch through
+// the instruction side and the I-cache, or a load or store through the
+// data side, charging the cycles. A translation or permission fault
+// invokes the kernel handler and retries. It is the scalar reference
+// semantics every fused path must reproduce.
 func (c *CPU) access(va arch.VirtAddr, kind arch.AccessKind) error {
 	ctx := c.cur
 	if ctx == nil {
@@ -418,7 +401,7 @@ func (c *CPU) issue(va arch.VirtAddr, kind arch.AccessKind) (arch.PhysAddr, int3
 	if kind == arch.AccessFetch {
 		c.lastFetchVA = va
 	}
-	if c.SampleEvery > 0 {
+	if c.sampling() {
 		c.tick(c.lastFetchVA, false, 1)
 	}
 
@@ -579,7 +562,7 @@ func (c *CPU) KernelExec(bytes int) {
 	n := bytes / instrSize
 	ctx.Stats.KernelInstructions += uint64(n)
 	c.charge(n * c.Costs.BaseInstr)
-	if c.SampleEvery > 0 {
+	if c.sampling() {
 		c.tick(kernelSpaceVA, true, n)
 	}
 	stall := c.Caches.FetchRun(ctx.KernelTextPA, (bytes+lineSize-1)/lineSize)
@@ -597,7 +580,7 @@ func (c *CPU) ChargeKernel(cycles int) {
 		c.cur.Stats.KernelInstructions += uint64(cycles)
 	}
 	c.charge(cycles)
-	if c.SampleEvery > 0 {
+	if c.sampling() {
 		c.tick(kernelSpaceVA, true, cycles)
 	}
 }

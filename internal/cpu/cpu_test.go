@@ -69,7 +69,7 @@ func TestFetchDemandPaging(t *testing.T) {
 	ctx := newCtx(t, phys, 1, 1, armv7.StockDACR())
 	c.ContextSwitch(ctx)
 
-	if err := c.Fetch(0x8000); err != nil {
+	if err := c.access(0x8000, arch.AccessFetch); err != nil {
 		t.Fatal(err)
 	}
 	if pager.faults != 1 {
@@ -80,7 +80,7 @@ func TestFetchDemandPaging(t *testing.T) {
 	}
 	// Second fetch of the same page: no fault, TLB hit.
 	misses := ctx.Stats.ITLBMainMisses
-	if err := c.Fetch(0x8004); err != nil {
+	if err := c.access(0x8004, arch.AccessFetch); err != nil {
 		t.Fatal(err)
 	}
 	if pager.faults != 1 {
@@ -100,7 +100,7 @@ func TestFaultChargesCycles(t *testing.T) {
 	ctx := newCtx(t, phys, 1, 1, armv7.StockDACR())
 	c.ContextSwitch(ctx)
 	before := ctx.Stats.Cycles
-	if err := c.Fetch(0x8000); err != nil {
+	if err := c.access(0x8000, arch.AccessFetch); err != nil {
 		t.Fatal(err)
 	}
 	if got := ctx.Stats.Cycles - before; got < uint64(c.Costs.SoftFault) {
@@ -116,14 +116,14 @@ func TestHandlerErrorPropagates(t *testing.T) {
 	c := New(&demandPager{phys: phys, fail: true}, geoARM)
 	ctx := newCtx(t, phys, 1, 1, armv7.StockDACR())
 	c.ContextSwitch(ctx)
-	if err := c.Fetch(0x8000); err == nil {
+	if err := c.access(0x8000, arch.AccessFetch); err == nil {
 		t.Fatal("expected error from failing handler")
 	}
 }
 
 func TestNoContext(t *testing.T) {
 	c := New(nil, geoARM)
-	if err := c.Fetch(0x8000); err == nil {
+	if err := c.access(0x8000, arch.AccessFetch); err == nil {
 		t.Fatal("fetch with no context should fail")
 	}
 }
@@ -135,10 +135,10 @@ func TestCOWWriteFault(t *testing.T) {
 	ctx := newCtx(t, phys, 1, 1, armv7.StockDACR())
 	c.ContextSwitch(ctx)
 
-	if err := c.Read(0x8000); err != nil { // populate read-only
+	if err := c.access(0x8000, arch.AccessRead); err != nil { // populate read-only
 		t.Fatal(err)
 	}
-	if err := c.Write(0x8000); err != nil { // permission fault, then fixed
+	if err := c.access(0x8000, arch.AccessWrite); err != nil { // permission fault, then fixed
 		t.Fatal(err)
 	}
 	if pager.faults != 2 {
@@ -157,7 +157,7 @@ func TestContextSwitchFlushesMicroTLB(t *testing.T) {
 	a := newCtx(t, phys, 1, 1, armv7.StockDACR())
 	b := newCtx(t, phys, 2, 2, armv7.StockDACR())
 	c.ContextSwitch(a)
-	if err := c.Fetch(0x8000); err != nil {
+	if err := c.access(0x8000, arch.AccessFetch); err != nil {
 		t.Fatal(err)
 	}
 	c.ContextSwitch(b)
@@ -165,7 +165,7 @@ func TestContextSwitchFlushesMicroTLB(t *testing.T) {
 	// Micro-TLB was flushed, but the main TLB (ASID mode) still holds the
 	// entry: the refetch must not walk or fault.
 	misses, faults := a.Stats.ITLBMainMisses, a.Stats.SoftFaults
-	if err := c.Fetch(0x8000); err != nil {
+	if err := c.access(0x8000, arch.AccessFetch); err != nil {
 		t.Fatal(err)
 	}
 	if a.Stats.ITLBMainMisses != misses || a.Stats.SoftFaults != faults {
@@ -181,13 +181,13 @@ func TestNoASIDFlushesMainTLB(t *testing.T) {
 	a := newCtx(t, phys, 1, 1, armv7.StockDACR())
 	b := newCtx(t, phys, 2, 2, armv7.StockDACR())
 	c.ContextSwitch(a)
-	if err := c.Fetch(0x8000); err != nil {
+	if err := c.access(0x8000, arch.AccessFetch); err != nil {
 		t.Fatal(err)
 	}
 	c.ContextSwitch(b)
 	c.ContextSwitch(a)
 	misses := a.Stats.ITLBMainMisses
-	if err := c.Fetch(0x8000); err != nil {
+	if err := c.access(0x8000, arch.AccessFetch); err != nil {
 		t.Fatal(err)
 	}
 	if a.Stats.ITLBMainMisses != misses+1 {
@@ -207,13 +207,13 @@ func TestKeepGlobalOnFlush(t *testing.T) {
 	a := newCtx(t, phys, 1, 1, armv7.ZygoteDACR())
 	b := newCtx(t, phys, 2, 2, armv7.ZygoteDACR())
 	c.ContextSwitch(a)
-	if err := c.Fetch(0x8000); err != nil {
+	if err := c.access(0x8000, arch.AccessFetch); err != nil {
 		t.Fatal(err)
 	}
 	tab := a.PT.SlotForVA(0x8000).Table
 	b.PT.AttachShared(geoARM.Slot(0x8000), tab, armv7.DomainZygote)
 	c.ContextSwitch(b)
-	if err := c.Fetch(0x8000); err != nil {
+	if err := c.access(0x8000, arch.AccessFetch); err != nil {
 		t.Fatal(err)
 	}
 	if b.Stats.ITLBMainMisses != 0 {
@@ -226,13 +226,13 @@ func TestKeepGlobalOnFlush(t *testing.T) {
 	a2 := newCtx(t, phys, 3, 3, armv7.ZygoteDACR())
 	b2 := newCtx(t, phys, 4, 4, armv7.ZygoteDACR())
 	c2.ContextSwitch(a2)
-	if err := c2.Fetch(0x8000); err != nil {
+	if err := c2.access(0x8000, arch.AccessFetch); err != nil {
 		t.Fatal(err)
 	}
 	tab2 := a2.PT.SlotForVA(0x8000).Table
 	b2.PT.AttachShared(geoARM.Slot(0x8000), tab2, armv7.DomainZygote)
 	c2.ContextSwitch(b2)
-	if err := c2.Fetch(0x8000); err != nil {
+	if err := c2.access(0x8000, arch.AccessFetch); err != nil {
 		t.Fatal(err)
 	}
 	if b2.Stats.ITLBMainMisses == 0 {
@@ -250,7 +250,7 @@ func TestGlobalEntrySharedAcrossContexts(t *testing.T) {
 	a := newCtx(t, phys, 1, 1, armv7.ZygoteDACR())
 	b := newCtx(t, phys, 2, 2, armv7.ZygoteDACR())
 	c.ContextSwitch(a)
-	if err := c.Fetch(0x8000); err != nil {
+	if err := c.access(0x8000, arch.AccessFetch); err != nil {
 		t.Fatal(err)
 	}
 	// Process b shares the same L2 table (as with a shared PTP).
@@ -258,7 +258,7 @@ func TestGlobalEntrySharedAcrossContexts(t *testing.T) {
 	b.PT.AttachShared(geoARM.Slot(0x8000), tab, armv7.DomainZygote)
 
 	c.ContextSwitch(b)
-	if err := c.Fetch(0x8000); err != nil {
+	if err := c.access(0x8000, arch.AccessFetch); err != nil {
 		t.Fatal(err)
 	}
 	if b.Stats.ITLBMainMisses != 0 {
@@ -278,14 +278,14 @@ func TestDomainFaultForNonZygote(t *testing.T) {
 	c := New(zygotePager, geoARM)
 	zyg := newCtx(t, phys, 1, 1, armv7.ZygoteDACR())
 	c.ContextSwitch(zyg)
-	if err := c.Fetch(0x8000); err != nil {
+	if err := c.access(0x8000, arch.AccessFetch); err != nil {
 		t.Fatal(err)
 	}
 
 	c.Handler = &demandPager{phys: phys} // private pager for the daemon
 	daemon := newCtx(t, phys, 2, 2, armv7.StockDACR())
 	c.ContextSwitch(daemon)
-	if err := c.Fetch(0x8000); err != nil {
+	if err := c.access(0x8000, arch.AccessFetch); err != nil {
 		t.Fatal(err)
 	}
 	if daemon.Stats.DomainFaults != 1 {
@@ -299,7 +299,7 @@ func TestDomainFaultForNonZygote(t *testing.T) {
 	// zygote re-walks (but does not re-fault: its PTE is still there).
 	c.ContextSwitch(zyg)
 	faults := zyg.Stats.SoftFaults
-	if err := c.Fetch(0x8000); err != nil {
+	if err := c.access(0x8000, arch.AccessFetch); err != nil {
 		t.Fatal(err)
 	}
 	if zyg.Stats.SoftFaults != faults {
@@ -312,7 +312,7 @@ func TestStallAccounting(t *testing.T) {
 	c := New(&demandPager{phys: phys}, geoARM)
 	ctx := newCtx(t, phys, 1, 1, armv7.StockDACR())
 	c.ContextSwitch(ctx)
-	if err := c.Fetch(0x8000); err != nil {
+	if err := c.access(0x8000, arch.AccessFetch); err != nil {
 		t.Fatal(err)
 	}
 	if ctx.Stats.ITLBStallCycles == 0 {
@@ -323,7 +323,7 @@ func TestStallAccounting(t *testing.T) {
 	}
 	stalls := ctx.Stats.ITLBStallCycles
 	icache := ctx.Stats.ICacheStallCycles
-	if err := c.Fetch(0x8000); err != nil { // warm: same line, TLB hit
+	if err := c.access(0x8000, arch.AccessFetch); err != nil { // warm: same line, TLB hit
 		t.Fatal(err)
 	}
 	if ctx.Stats.ITLBStallCycles != stalls {
@@ -339,7 +339,7 @@ func TestDataSideCounters(t *testing.T) {
 	c := New(&demandPager{phys: phys}, geoARM)
 	ctx := newCtx(t, phys, 1, 1, armv7.StockDACR())
 	c.ContextSwitch(ctx)
-	if err := c.Read(0x9000); err != nil {
+	if err := c.access(0x9000, arch.AccessRead); err != nil {
 		t.Fatal(err)
 	}
 	if ctx.Stats.DTLBMainMisses == 0 {
@@ -370,14 +370,14 @@ func TestTouch(t *testing.T) {
 	c := New(&demandPager{phys: phys}, geoARM)
 	ctx := newCtx(t, phys, 1, 1, armv7.StockDACR())
 	c.ContextSwitch(ctx)
-	if err := c.Touch(0xA000, false); err != nil {
+	if err := c.AccessBatch([]arch.RefRun{{VA: 0xA000, Count: 1, Kind: arch.AccessRead}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Touch(0xB000, true); err != nil {
+	if err := c.AccessBatch([]arch.RefRun{{VA: 0xB000, Count: 1, Kind: arch.AccessWrite}}); err != nil {
 		t.Fatal(err)
 	}
 	if p := ctx.PT.PTEAt(0xB000); p == nil || !p.Writable() {
-		t.Error("Touch(write) should produce a writable mapping")
+		t.Error("a one-reference write run should produce a writable mapping")
 	}
 }
 
@@ -403,11 +403,11 @@ func TestFetchBlockClampsToPage(t *testing.T) {
 	c.ContextSwitch(ctx)
 	// 2000 instructions from 0x8FF0 would cross the page; the block must
 	// clamp to the page without touching 0x9000.
-	if err := c.FetchBlock(0x8FF0, 2000); err != nil {
+	if err := c.fetchBlock(0x8FF0, 2000); err != nil {
 		t.Fatal(err)
 	}
 	if p := ctx.PT.PTEAt(0x9000); p != nil && p.Valid() {
-		t.Error("FetchBlock must not cross the page boundary")
+		t.Error("fetchBlock must not cross the page boundary")
 	}
 	if ctx.Stats.Instructions != 4 { // (0x1000-0xFF0)/4
 		t.Errorf("Instructions = %d, want 4", ctx.Stats.Instructions)
@@ -417,10 +417,10 @@ func TestFetchBlockClampsToPage(t *testing.T) {
 func TestFetchBlockZeroAndNoContext(t *testing.T) {
 	phys := mem.New(256)
 	c := New(&demandPager{phys: phys}, geoARM)
-	if err := c.FetchBlock(0x8000, 0); err != nil {
+	if err := c.fetchBlock(0x8000, 0); err != nil {
 		t.Errorf("zero-length block should be a no-op, got %v", err)
 	}
-	if err := c.FetchBlock(0x8000, 4); err == nil {
+	if err := c.fetchBlock(0x8000, 4); err == nil {
 		t.Error("block with no context should fail")
 	}
 }
@@ -465,7 +465,7 @@ func TestSamplingRate(t *testing.T) {
 	s := &countingSampler{}
 	c.SampleEvery = 100
 	c.Sampler = s
-	if err := c.FetchBlock(0x8000, 256); err != nil { // one page visit
+	if err := c.fetchBlock(0x8000, 256); err != nil { // one page visit
 		t.Fatal(err)
 	}
 	c.ChargeUser(744)  // total user instructions: 1000
@@ -495,7 +495,7 @@ func TestFlushGlobalsOnSwitchIn(t *testing.T) {
 	c := New(pager, geoARM)
 	a := newCtx(t, phys, 1, 1, armv7.StockDACR())
 	c.ContextSwitch(a)
-	if err := c.Fetch(0x8000); err != nil {
+	if err := c.access(0x8000, arch.AccessFetch); err != nil {
 		t.Fatal(err)
 	}
 	daemon := newCtx(t, phys, 2, 2, armv7.StockDACR())
@@ -509,7 +509,7 @@ func TestFlushGlobalsOnSwitchIn(t *testing.T) {
 	c2 := New(pager, geoARM)
 	a2 := newCtx(t, phys, 3, 3, armv7.StockDACR())
 	c2.ContextSwitch(a2)
-	if err := c2.Fetch(0x8000); err != nil {
+	if err := c2.access(0x8000, arch.AccessFetch); err != nil {
 		t.Fatal(err)
 	}
 	b2 := newCtx(t, phys, 4, 4, armv7.StockDACR())

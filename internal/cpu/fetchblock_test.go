@@ -14,9 +14,9 @@ import (
 	"repro/internal/tlb"
 )
 
-// The FetchBlock differential: two identical machines execute the same
-// randomized page visits, one through FetchBlock, the other through
-// fetchBlockScalar, FetchBlock's former scalar body. The visits cover
+// The page-visit differential: two identical machines execute the same
+// randomized page visits, one through fetchBlock, the other through
+// fetchBlockScalar, fetchBlock's former scalar body. The visits cover
 // micro-TLB hits and misses, main-TLB hits, walks, demand and
 // permission faults, and domain faults (a non-zygote context tripping
 // over the zygote contexts' global entries), under ASIDs on and off,
@@ -24,7 +24,7 @@ import (
 // Every op must leave identical per-context counters, samples and event
 // streams, and the runs must end in identical TLB and cache state.
 
-// fetchBlockScalar is the reference semantics of FetchBlock: the first
+// fetchBlockScalar is the reference semantics of fetchBlock: the first
 // instruction through the scalar access path, the block's
 // re-translation as a second micro-TLB Lookup, and the block's other
 // lines as a cache run of their own.
@@ -50,7 +50,7 @@ func fetchBlockScalar(c *CPU, va arch.VirtAddr, n int) error {
 	}
 	ctx.Stats.Instructions += uint64(rest)
 	c.charge(rest * c.Costs.BaseInstr)
-	if c.SampleEvery > 0 {
+	if c.sampling() {
 		c.tick(va, false, rest)
 	}
 	e, _, r := c.MicroI.Lookup(va, ctx.ASID, ctx.DACR, arch.AccessFetch)
@@ -82,7 +82,7 @@ const (
 	visitPages = 96
 )
 
-// visitPager is the kernel of the FetchBlock differential. A zygote
+// visitPager is the kernel of the page-visit differential. A zygote
 // context (zygote DACR) gets global zygote-domain pages in the shared
 // region; every other mapping is private. A translation fault maps the
 // page with the permission the access needs; a permission fault grants
@@ -149,14 +149,16 @@ type visitMachine struct {
 	events  []obs.Event
 }
 
-func newVisitMachine(t *testing.T, sampleEvery int, useASID bool) *visitMachine {
+func newVisitMachine(t *testing.T, sampleEvery int, sampler, useASID bool) *visitMachine {
 	t.Helper()
 	phys := mem.New(1 << 12)
 	m := &visitMachine{pager: &visitPager{phys: phys}, sampler: &recordingSampler{}}
 	m.cpu = New(m.pager, geoARM)
 	m.cpu.UseASID = useASID
 	m.cpu.SampleEvery = sampleEvery
-	m.cpu.Sampler = m.sampler
+	if sampler {
+		m.cpu.Sampler = m.sampler
+	}
 	zyg := newCtx(t, phys, 1, 1, armv7.ZygoteDACR())
 	zyg2 := *zyg
 	zyg2.ID, zyg2.ASID = 2, 2
@@ -176,7 +178,7 @@ type visitOp struct {
 	ctx    int // >= 0: switch to this context
 	toggle int // 1: flip UseASID, 2: flip KeepGlobalOnFlush
 	va     arch.VirtAddr
-	n      int             // > 0: FetchBlock(va, n)
+	n      int             // > 0: fetchBlock(va, n)
 	data   arch.AccessKind // otherwise: a data access of this kind at va
 }
 
@@ -209,7 +211,7 @@ func buildVisitProgram(rng *rand.Rand, ops int) []visitOp {
 	return prog
 }
 
-func (m *visitMachine) apply(op visitOp, fetchBlock func(*CPU, arch.VirtAddr, int) error) error {
+func (m *visitMachine) apply(op visitOp, visit func(*CPU, arch.VirtAddr, int) error) error {
 	switch {
 	case op.ctx >= 0:
 		m.cpu.ContextSwitch(m.ctxs[op.ctx])
@@ -218,36 +220,36 @@ func (m *visitMachine) apply(op visitOp, fetchBlock func(*CPU, arch.VirtAddr, in
 	case op.toggle == 2:
 		m.cpu.KeepGlobalOnFlush = !m.cpu.KeepGlobalOnFlush
 	case op.n > 0:
-		return fetchBlock(m.cpu, op.va, op.n)
+		return visit(m.cpu, op.va, op.n)
 	default:
 		return m.cpu.access(op.va, op.data)
 	}
 	return nil
 }
 
-func runVisitDifferential(t *testing.T, sampleEvery int, useASID bool) {
+func runVisitDifferential(t *testing.T, sampleEvery int, sampler, useASID bool) {
 	t.Helper()
 	prog := buildVisitProgram(rand.New(rand.NewSource(0xb10c)), 6000)
-	ref := newVisitMachine(t, sampleEvery, useASID)
-	got := newVisitMachine(t, sampleEvery, useASID)
+	ref := newVisitMachine(t, sampleEvery, sampler, useASID)
+	got := newVisitMachine(t, sampleEvery, sampler, useASID)
 	snap := func(m *visitMachine) Snapshot {
 		return m.cpu.SnapshotState(func(c *Context) int32 { return int32(c.ID) })
 	}
 	for i, op := range prog {
 		rerr := ref.apply(op, fetchBlockScalar)
-		gerr := got.apply(op, (*CPU).FetchBlock)
+		gerr := got.apply(op, (*CPU).fetchBlock)
 		if (rerr == nil) != (gerr == nil) {
-			t.Fatalf("op %d %+v: scalar error %v, FetchBlock error %v", i, op, rerr, gerr)
+			t.Fatalf("op %d %+v: scalar error %v, fetchBlock error %v", i, op, rerr, gerr)
 		}
 		for j := range ref.ctxs {
 			if ref.ctxs[j].Stats != got.ctxs[j].Stats {
-				t.Fatalf("op %d %+v: ctx %d stats diverge\nscalar:     %+v\nFetchBlock: %+v",
+				t.Fatalf("op %d %+v: ctx %d stats diverge\nscalar:     %+v\nfetchBlock: %+v",
 					i, op, j+1, ref.ctxs[j].Stats, got.ctxs[j].Stats)
 			}
 		}
 		if len(ref.events) != len(got.events) || len(ref.sampler.samples) != len(got.sampler.samples) ||
 			ref.pager.faults != got.pager.faults {
-			t.Fatalf("op %d %+v: scalar %d events %d samples %d faults, FetchBlock %d events %d samples %d faults",
+			t.Fatalf("op %d %+v: scalar %d events %d samples %d faults, fetchBlock %d events %d samples %d faults",
 				i, op, len(ref.events), len(ref.sampler.samples), ref.pager.faults,
 				len(got.events), len(got.sampler.samples), got.pager.faults)
 		}
@@ -263,14 +265,14 @@ func runVisitDifferential(t *testing.T, sampleEvery int, useASID bool) {
 	}
 	for i := range ref.events {
 		if ref.events[i] != got.events[i] {
-			t.Errorf("event %d diverges: scalar %+v, FetchBlock %+v", i, ref.events[i], got.events[i])
+			t.Errorf("event %d diverges: scalar %+v, fetchBlock %+v", i, ref.events[i], got.events[i])
 			break
 		}
 	}
 	if !reflect.DeepEqual(ref.sampler.samples, got.sampler.samples) || ref.cpu.sinceSample != got.cpu.sinceSample {
 		t.Error("samples diverge")
 	}
-	if sampleEvery > 0 && len(got.sampler.samples) == 0 {
+	if sampleEvery > 0 && sampler && len(got.sampler.samples) == 0 {
 		t.Error("sampled variant delivered no samples")
 	}
 	// The program must reach every path it claims to cover.
@@ -289,10 +291,19 @@ func runVisitDifferential(t *testing.T, sampleEvery int, useASID bool) {
 }
 
 func TestFetchBlockDifferential(t *testing.T) {
-	for _, sampleEvery := range []int{0, 7} {
+	for _, cfg := range []struct {
+		name        string
+		sampleEvery int
+		sampler     bool
+	}{
+		{"sample=0", 0, true},
+		{"sample=7", 7, true},
+		// A rate without a sampler is sampling off: the fused path runs.
+		{"sample=7-nosampler", 7, false},
+	} {
 		for _, useASID := range []bool{true, false} {
-			t.Run(fmt.Sprintf("sample=%d/asid=%v", sampleEvery, useASID), func(t *testing.T) {
-				runVisitDifferential(t, sampleEvery, useASID)
+			t.Run(fmt.Sprintf("%s/asid=%v", cfg.name, useASID), func(t *testing.T) {
+				runVisitDifferential(t, cfg.sampleEvery, cfg.sampler, useASID)
 			})
 		}
 	}

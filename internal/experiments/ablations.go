@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"repro/internal/android"
+	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/sweep"
@@ -49,7 +50,7 @@ func (s *Session) StackSharingAblation() (*AblationResult, error) {
 		}
 		cyc0 := child.Ctx.Stats.Cycles
 		err = sys.Kernel.Run(child, func() error {
-			return sys.Kernel.CPU.Write(sys.StackTouchVA(0))
+			return sys.Kernel.CPU.AccessBatch([]arch.RefRun{{VA: sys.StackTouchVA(0), Count: 1, Kind: arch.AccessWrite}})
 		})
 		if err != nil {
 			return 0, 0, err

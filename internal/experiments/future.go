@@ -56,29 +56,27 @@ func (s *Session) DomainMatchStudy() (*AblationResult, error) {
 
 		rng := rand.New(rand.NewSource(5))
 		zygotePages := s.Universe().ZygoteSet()[:256]
+		var visits arch.RefStream
 		for round := 0; round < 400; round++ {
 			// App touches hot shared code, loading global entries.
 			err = k.Run(app, func() error {
+				visits.Reset()
 				for i := 0; i < 8; i++ {
 					pg := zygotePages[rng.Intn(len(zygotePages))]
-					if err := k.CPU.FetchBlock(sys.CodePageVA(pg), 16); err != nil {
-						return err
-					}
+					visits.Add(sys.CodePageVA(pg), arch.AccessFetch, 16)
 				}
-				return nil
+				return k.CPU.AccessBatch(visits.Runs())
 			})
 			if err != nil {
 				return 0, 0, err
 			}
 			// Daemon runs over its own (overlapping) addresses.
 			err = k.Run(daemon, func() error {
+				visits.Reset()
 				for i := 0; i < 8; i++ {
-					va := arch.PageBase(lib0) + arch.VirtAddr(rng.Intn(256)*arch.PageSize)
-					if err := k.CPU.FetchBlock(va, 16); err != nil {
-						return err
-					}
+					visits.Add(arch.PageBase(lib0)+arch.VirtAddr(rng.Intn(256)*arch.PageSize), arch.AccessFetch, 16)
 				}
-				return nil
+				return k.CPU.AccessBatch(visits.Runs())
 			})
 			if err != nil {
 				return 0, 0, err
@@ -189,6 +187,7 @@ func (s *Session) SchedulerGrouping() (*SchedulerGroupingResult, error) {
 		}
 
 		hot := s.Universe().ZygoteSet()[:192]
+		var visits arch.RefStream
 		flushes := 0
 		var prev *core.Process
 		for _, p := range schedule {
@@ -202,12 +201,11 @@ func (s *Session) SchedulerGrouping() (*SchedulerGroupingResult, error) {
 			prev = p
 			quantum := func() error {
 				if p.IsZygoteChild {
+					visits.Reset()
 					for i := 0; i < 16; i++ {
-						if err := k.CPU.FetchBlock(sys.CodePageVA(hot[(i*13)%len(hot)]), 16); err != nil {
-							return err
-						}
+						visits.Add(sys.CodePageVA(hot[(i*13)%len(hot)]), arch.AccessFetch, 16)
 					}
-					return nil
+					return k.CPU.AccessBatch(visits.Runs())
 				}
 				base := p.MM.VMAs()[0].Start
 				return k.CPU.AccessBatch([]arch.RefRun{{

@@ -106,7 +106,7 @@ func (s *Session) runMotivationApp(spec workload.AppSpec, u *workload.Universe) 
 	if _, err := app.Run(); err != nil {
 		return appMotivation{}, fmt.Errorf("experiments: motivation %s: %w", spec.Name, err)
 	}
-	sys.Kernel.CPU.Sampler = nil
+	sys.Kernel.CPU.SampleEvery, sys.Kernel.CPU.Sampler = 0, nil
 
 	smaps := app.Proc.MM.SmapsDump()
 	pages := ft.ExecPages(app.Proc.PID)

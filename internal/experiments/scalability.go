@@ -200,7 +200,7 @@ func (s *Session) CachePollution() (*CachePollutionResult, error) {
 			err := k.Run(p, func() error {
 				for _, pg := range pages {
 					va := sys.CodePageVA(pg)
-					if err := k.CPU.Fetch(va); err != nil {
+					if err := k.CPU.AccessBatch([]arch.RefRun{{VA: va, Count: 1, Kind: arch.AccessFetch}}); err != nil {
 						return err
 					}
 					geo := p.MM.PT.Geometry()
@@ -274,19 +274,18 @@ func (s *Session) SMP() (*SMPResult, error) {
 		pages := s.Universe().ZygoteSet()[:1024]
 		// Interleaved quanta: each app covers a slice of the shared code
 		// on its own core, with occasional heap writes (unshare triggers).
+		var refs arch.RefStream
 		for round := 0; round < 16; round++ {
 			for ci, p := range apps {
 				c := k.CPUAt(ci)
 				lo := (round*4 + ci) * len(pages) / 64
 				hi := (round*4 + ci + 1) * len(pages) / 64
-				err := k.RunOn(ci, p, func() error {
-					for _, pg := range pages[lo:hi] {
-						if err := c.Fetch(sys.CodePageVA(pg)); err != nil {
-							return err
-						}
-					}
-					return c.Write(heapWriteVA(round))
-				})
+				refs.Reset()
+				for _, pg := range pages[lo:hi] {
+					refs.Add(sys.CodePageVA(pg), arch.AccessFetch, 1)
+				}
+				refs.Add(heapWriteVA(round), arch.AccessWrite, 1)
+				err := k.RunOn(ci, p, func() error { return c.AccessBatch(refs.Runs()) })
 				if err != nil {
 					return 0, 0, err
 				}

@@ -5,8 +5,14 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/vm"
 )
+
+// ref issues one reference of kind at va on c: a one-element run.
+func ref(c *cpu.CPU, va arch.VirtAddr, kind arch.AccessKind) error {
+	return c.AccessBatch([]arch.RefRun{{VA: va, Count: 1, Kind: kind}})
+}
 
 func TestFaultTraceCollects(t *testing.T) {
 	k, err := core.New(2048, core.WithConfig(core.Stock()))
@@ -29,16 +35,16 @@ func TestFaultTraceCollects(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = k.Run(p, func() error {
-		if err := k.CPU.Fetch(0x10000); err != nil {
+		if err := ref(k.CPU, 0x10000, arch.AccessFetch); err != nil {
 			return err
 		}
-		if err := k.CPU.Fetch(0x11000); err != nil {
+		if err := ref(k.CPU, 0x11000, arch.AccessFetch); err != nil {
 			return err
 		}
-		if err := k.CPU.Fetch(0x11004); err != nil { // same page: no fault
+		if err := ref(k.CPU, 0x11004, arch.AccessFetch); err != nil { // same page: no fault
 			return err
 		}
-		return k.CPU.Write(0x30000)
+		return ref(k.CPU, 0x30000, arch.AccessWrite)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +57,7 @@ func TestFaultTraceCollects(t *testing.T) {
 		t.Errorf("ExecPages = %v", pages)
 	}
 	tr.Detach(k)
-	if err := k.Run(p, func() error { return k.CPU.Fetch(0x12000) }); err != nil {
+	if err := k.Run(p, func() error { return ref(k.CPU, 0x12000, arch.AccessFetch) }); err != nil {
 		t.Fatal(err)
 	}
 	if len(tr.Events) != 3 {
