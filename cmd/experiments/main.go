@@ -7,8 +7,8 @@
 //
 //	experiments [-quick] [-arch armv7|sv39] [-parallel N] [-launch-runs N]
 //	            [-app-runs N] [-binder-iters N] [-only LIST] [-list] [-json]
-//	            [-nocheckpoint] [-imagestore DIR] [-cpuprofile FILE]
-//	            [-memprofile FILE] [-blockprofile FILE] [-mutexprofile FILE]
+//	            [-imagestore DIR] [-cpuprofile FILE] [-memprofile FILE]
+//	            [-blockprofile FILE] [-mutexprofile FILE]
 //
 // -only selects a comma-separated subset, e.g. -only table4,figure7; an
 // unknown name is an error. -arch selects the simulated MMU architecture
@@ -18,14 +18,14 @@
 // results are byte-identical regardless of the worker count. -json
 // replaces the text tables with one structured document (schema
 // "sat-experiments/v1", see internal/experiments/report.go), also
-// byte-identical for every -parallel setting. -nocheckpoint disables
-// boot-checkpoint reuse (internal/checkpoint) so every scenario boots
-// from scratch; results are byte-identical with or without it.
-// -imagestore persists checkpoint images under DIR (default: the
-// sat-sim cache directory) so later processes warm-start instead of
-// re-simulating the boot prefix; -imagestore "" disables persistence.
-// Stored images are fingerprint-verified on load, so results are
-// byte-identical across cold-store, warm-store and -nocheckpoint runs.
+// byte-identical for every -parallel setting. -imagestore persists the
+// boot checkpoints every scenario forks (internal/checkpoint) under DIR
+// (default: the sat-sim cache directory) so later processes warm-start
+// instead of re-simulating the boot prefix; -imagestore "" disables
+// persistence. Stored images are fingerprint-verified on load, so
+// results are byte-identical with a cold store, a warm store or none
+// (TestGolden in internal/experiments diffs each mode, and fresh boots,
+// against testdata/experiments_quick*.golden.json).
 // -cpuprofile, -memprofile, -blockprofile and -mutexprofile write pprof
 // captures of the run (see README "Profiling").
 package main
@@ -63,7 +63,6 @@ func run(argv []string, out *os.File) (err error) {
 	only := fs.String("only", "", "comma-separated experiments to run (see -list); empty = all")
 	list := fs.Bool("list", false, "list the experiment names and exit")
 	jsonOut := fs.Bool("json", false, "emit one structured JSON document instead of text tables")
-	noCheckpoint := fs.Bool("nocheckpoint", false, "boot every scenario from scratch instead of forking memoized boot checkpoints (A/B timing; output is byte-identical either way)")
 	storeDir := fs.String("imagestore", imagestore.DefaultDir(), "persist checkpoint images in this directory so later runs warm-start; empty disables the store (output is byte-identical either way)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile after the run to this file")
@@ -149,9 +148,8 @@ func run(argv []string, out *os.File) (err error) {
 
 	s := experiments.New(params)
 	s.Parallel = *parallel
-	s.NoCheckpoint = *noCheckpoint
 	s.Arch = *archName
-	if *storeDir != "" && !*noCheckpoint {
+	if *storeDir != "" {
 		store, serr := imagestore.Open(*storeDir, s.Universe())
 		if serr != nil {
 			// The store is an optimization; a directory or platform that

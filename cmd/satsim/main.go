@@ -8,7 +8,7 @@
 //
 //	satsim [-kernel stock|copied|shared|shared-tlb] [-layout original|2mb]
 //	       [-arch armv7|sv39] [-app NAME|all] [-runs N] [-parallel N]
-//	       [-json] [-list] [-nocheckpoint] [-imagestore DIR]
+//	       [-json] [-list] [-imagestore DIR]
 //	       [-cpuprofile FILE] [-memprofile FILE]
 //	       [-blockprofile FILE] [-mutexprofile FILE]
 //
@@ -21,14 +21,15 @@
 // 1 = serial); the output order and values are identical regardless of
 // the worker count. The boot prefix is simulated once, captured as a
 // checkpoint (internal/checkpoint), and forked copy-on-write for every
-// application; -nocheckpoint boots each from scratch instead, with
-// byte-identical output.
+// application; forks are byte-identical to fresh boots (TestGolden in
+// internal/experiments checks both against the committed goldens).
 //
 // -imagestore persists checkpoint images under DIR (default: the
 // sat-sim cache directory) so later satsim processes warm-start instead
 // of re-simulating the boot; -imagestore "" disables persistence.
 // Stored images are fingerprint-verified on load (internal/imagestore),
-// so output is byte-identical with a cold store, a warm store, or none.
+// so output is byte-identical with a cold store, a warm store, or none;
+// TestGolden diffs all three against testdata/satsim_email*.golden.json.
 //
 // -json replaces the text report with one structured document (schema
 // "satsim/v1"): scenario parameters, per-run counters, the system-wide
@@ -64,14 +65,14 @@ import (
 )
 
 func main() {
-	kernel := flag.String("kernel", "shared-tlb", "kernel config: stock, copied, shared, shared-tlb")
-	layout := flag.String("layout", "original", "library layout: original or 2mb")
-	archName := flag.String("arch", "armv7", "MMU architecture to simulate: "+strings.Join(arch.Names(), ", "))
-	app := flag.String("app", "Email", "application to run (see -list), or all for the whole suite")
-	runs := flag.Int("runs", 1, "number of consecutive executions, >= 1 (warm starts after the first)")
-	parallel := flag.Int("parallel", 0, "workers for -app all: 1 = serial, N>1 = N workers, 0 = GOMAXPROCS")
-	jsonOut := flag.Bool("json", false, "emit one structured JSON document instead of the text report")
-	noCheckpoint := flag.Bool("nocheckpoint", false, "boot every scenario from scratch instead of forking one boot checkpoint (A/B timing; output is byte-identical either way)")
+	var o options
+	flag.StringVar(&o.kernel, "kernel", "shared-tlb", "kernel config: stock, copied, shared, shared-tlb")
+	flag.StringVar(&o.layout, "layout", "original", "library layout: original or 2mb")
+	flag.StringVar(&o.arch, "arch", "armv7", "MMU architecture to simulate: "+strings.Join(arch.Names(), ", "))
+	flag.StringVar(&o.app, "app", "Email", "application to run (see -list), or all for the whole suite")
+	flag.IntVar(&o.runs, "runs", 1, "number of consecutive executions, >= 1 (warm starts after the first)")
+	flag.IntVar(&o.parallel, "parallel", 0, "workers for -app all: 1 = serial, N>1 = N workers, 0 = GOMAXPROCS")
+	flag.BoolVar(&o.json, "json", false, "emit one structured JSON document instead of the text report")
 	storeDir := flag.String("imagestore", imagestore.DefaultDir(), "persist checkpoint images in this directory so later runs warm-start; empty disables the store (output is byte-identical either way)")
 	list := flag.Bool("list", false, "list the application suite and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the scenario to this file")
@@ -87,20 +88,29 @@ func main() {
 		}
 		return
 	}
-	err := runProfiled(os.Stdout, *kernel, *layout, *archName, *app, *runs, *parallel, *jsonOut, *noCheckpoint,
-		*storeDir, prof.Options{CPU: *cpuProfile, Mem: *memProfile, Block: *blockProfile, Mutex: *mutexProfile})
+	err := runProfiled(os.Stdout, o, *storeDir,
+		prof.Options{CPU: *cpuProfile, Mem: *memProfile, Block: *blockProfile, Mutex: *mutexProfile})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "satsim:", err)
 		os.Exit(1)
 	}
 }
 
-// runProfiled wraps run in the pprof capture lifecycle. Validation runs
-// first, so a bad flag never leaves behind a truncated profile of
-// nothing; once profiling starts, teardown is deferred, so the capture
-// is written on every return path — early errors included.
-func runProfiled(w io.Writer, kernelName, layoutName, archName, appName string, runs, parallel int, jsonOut, noCheckpoint bool, storeDir string, po prof.Options) (err error) {
-	if err := validate(kernelName, layoutName, archName, appName, runs, parallel); err != nil {
+// options are the scenario flags, as given on the command line.
+type options struct {
+	kernel, layout, arch, app string
+	runs, parallel            int
+	json                      bool
+}
+
+// runProfiled parses the scenario, then runs it inside the pprof capture
+// lifecycle. Parsing comes first, so a bad flag never leaves behind a
+// truncated profile of nothing; once profiling starts, teardown is
+// deferred, so the capture is written on every return path — early
+// errors included.
+func runProfiled(w io.Writer, o options, storeDir string, po prof.Options) (err error) {
+	cfg, layout, specs, err := o.parse()
+	if err != nil {
 		return err
 	}
 	stopProf, err := prof.Start(po)
@@ -112,39 +122,71 @@ func runProfiled(w io.Writer, kernelName, layoutName, archName, appName string, 
 			err = perr
 		}
 	}()
-	return run(w, kernelName, layoutName, archName, appName, runs, parallel, jsonOut, noCheckpoint, storeDir)
+	u := workload.DefaultUniverse()
+	return run(w, o, cfg, layout, specs, u, openStore(storeDir, u))
 }
 
-// validate rejects bad scenario parameters without side effects; run
-// performs the same checks again as it parses, so callers of run alone
-// (the tests) lose nothing.
-func validate(kernelName, layoutName, archName, appName string, runs, parallel int) error {
-	if runs < 1 {
-		return fmt.Errorf("-runs must be >= 1 (got %d)", runs)
+// parse validates the scenario flags and resolves them to the kernel
+// configuration, the library layout and the applications to run.
+func (o options) parse() (core.Config, android.Layout, []workload.AppSpec, error) {
+	var (
+		cfg    core.Config
+		layout android.Layout
+	)
+	if o.runs < 1 {
+		return cfg, layout, nil, fmt.Errorf("-runs must be >= 1 (got %d)", o.runs)
 	}
-	if parallel < 0 {
-		return fmt.Errorf("-parallel must be >= 0 (got %d)", parallel)
+	if o.parallel < 0 {
+		return cfg, layout, nil, fmt.Errorf("-parallel must be >= 0 (got %d)", o.parallel)
 	}
-	switch kernelName {
-	case "stock", "copied", "shared", "shared-tlb":
+	switch o.kernel {
+	case "stock":
+		cfg = core.Stock()
+	case "copied":
+		cfg = core.CopiedPTEs()
+	case "shared":
+		cfg = core.SharedPTP()
+	case "shared-tlb":
+		cfg = core.SharedPTPTLB()
 	default:
-		return fmt.Errorf("unknown kernel %q", kernelName)
+		return cfg, layout, nil, fmt.Errorf("unknown kernel %q", o.kernel)
 	}
-	switch layoutName {
-	case "original", "2mb":
+	switch o.layout {
+	case "original":
+		layout = android.LayoutOriginal
+	case "2mb":
+		layout = android.Layout2MB
 	default:
-		return fmt.Errorf("unknown layout %q", layoutName)
+		return cfg, layout, nil, fmt.Errorf("unknown layout %q", o.layout)
 	}
-	if _, ok := arch.Lookup(archName); !ok {
-		return fmt.Errorf("unknown architecture %q; valid names:\n  %s",
-			archName, strings.Join(arch.Names(), "\n  "))
+	if _, ok := arch.Lookup(o.arch); !ok {
+		return cfg, layout, nil, fmt.Errorf("unknown architecture %q; valid names:\n  %s",
+			o.arch, strings.Join(arch.Names(), "\n  "))
 	}
-	if appName != "all" {
-		if _, err := workload.SpecByName(appName); err != nil {
-			return err
-		}
+	if o.app == "all" {
+		return cfg, layout, workload.Suite(), nil
 	}
-	return nil
+	spec, err := workload.SpecByName(o.app)
+	if err != nil {
+		return cfg, layout, nil, err
+	}
+	return cfg, layout, []workload.AppSpec{spec}, nil
+}
+
+// openStore opens the persistent image store under dir, or returns nil
+// (every boot cold) when dir is empty or cannot host a store.
+func openStore(dir string, u *workload.Universe) checkpoint.ImageStore {
+	if dir == "" {
+		return nil
+	}
+	store, err := imagestore.Open(dir, u)
+	if err != nil {
+		// The store is an optimization; a directory or platform that
+		// cannot host one just means the boot runs cold.
+		fmt.Fprintf(os.Stderr, "satsim: image store disabled: %v\n", err)
+		return nil
+	}
+	return store
 }
 
 // SchemaID identifies the -json document layout.
@@ -191,59 +233,17 @@ type appReport struct {
 	doc  jsonApp
 }
 
-func run(w io.Writer, kernelName, layoutName, archName, appName string, runs, parallel int, jsonOut, noCheckpoint bool, storeDir string) error {
-	if runs < 1 {
-		return fmt.Errorf("-runs must be >= 1 (got %d)", runs)
-	}
-	if parallel < 0 {
-		return fmt.Errorf("-parallel must be >= 0 (got %d)", parallel)
-	}
-	if _, ok := arch.Lookup(archName); !ok {
-		return fmt.Errorf("unknown architecture %q; valid names:\n  %s",
-			archName, strings.Join(arch.Names(), "\n  "))
-	}
-	var cfg core.Config
-	switch kernelName {
-	case "stock":
-		cfg = core.Stock()
-	case "copied":
-		cfg = core.CopiedPTEs()
-	case "shared":
-		cfg = core.SharedPTP()
-	case "shared-tlb":
-		cfg = core.SharedPTPTLB()
-	default:
-		return fmt.Errorf("unknown kernel %q", kernelName)
-	}
-	var layout android.Layout
-	switch layoutName {
-	case "original":
-		layout = android.LayoutOriginal
-	case "2mb":
-		layout = android.Layout2MB
-	default:
-		return fmt.Errorf("unknown layout %q", layoutName)
-	}
-
-	u := workload.DefaultUniverse()
-	var specs []workload.AppSpec
-	if appName == "all" {
-		specs = workload.Suite()
-	} else {
-		spec, err := workload.SpecByName(appName)
-		if err != nil {
-			return err
-		}
-		specs = []workload.AppSpec{spec}
-	}
-
-	reports, err := runSuite(cfg, layout, archName, u, specs, runs, parallel, noCheckpoint, storeDir)
+// run runs the parsed scenario and writes its report to w. Boots fork
+// one checkpoint image, loaded from store when it holds one (a nil store
+// boots cold).
+func run(w io.Writer, o options, cfg core.Config, layout android.Layout, specs []workload.AppSpec, u *workload.Universe, store checkpoint.ImageStore) error {
+	reports, err := runSuite(cfg, layout, o.arch, u, specs, o.runs, o.parallel, store)
 	if err != nil {
 		return err
 	}
 
-	if jsonOut {
-		doc := jsonDoc{Schema: SchemaID, Kernel: kernelName, Layout: layoutName, Runs: runs}
+	if o.json {
+		doc := jsonDoc{Schema: SchemaID, Kernel: o.kernel, Layout: o.layout, Runs: o.runs}
 		for _, r := range reports {
 			doc.Apps = append(doc.Apps, r.doc)
 		}
@@ -263,24 +263,13 @@ func run(w io.Writer, kernelName, layoutName, archName, appName string, runs, pa
 // runSuite runs every selected application, each in its own freshly
 // booted system, fanned out over the sweep worker pool. Reports come
 // back in suite order whatever the completion order was.
-func runSuite(cfg core.Config, layout android.Layout, archName string, u *workload.Universe, specs []workload.AppSpec, runs, parallel int, noCheckpoint bool, storeDir string) ([]appReport, error) {
+func runSuite(cfg core.Config, layout android.Layout, archName string, u *workload.Universe, specs []workload.AppSpec, runs, parallel int, store checkpoint.ImageStore) ([]appReport, error) {
 	// Every scenario shares one boot prefix, so the whole suite forks a
 	// single checkpoint image; concurrent workers share the one boot.
 	opts := android.Options{Arch: archName}
 	ckpt := checkpoint.NewCache()
-	if storeDir != "" && !noCheckpoint {
-		if store, err := imagestore.Open(storeDir, u); err != nil {
-			// The store is an optimization; a directory or platform that
-			// cannot host one just means the boot runs cold.
-			fmt.Fprintf(os.Stderr, "satsim: image store disabled: %v\n", err)
-		} else {
-			ckpt.SetStore(store)
-		}
-	}
+	ckpt.SetStore(store)
 	boot := func() (*android.System, error) {
-		if noCheckpoint {
-			return android.BootOpts(cfg, layout, u, opts)
-		}
 		img, err := ckpt.Image(checkpoint.Key(cfg, layout, u, opts), func() (*android.System, error) {
 			return android.BootOpts(cfg, layout, u, opts)
 		})

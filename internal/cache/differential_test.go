@@ -13,8 +13,8 @@ import (
 // match: per-set linear scan with one last-use timestamp per way, LRU
 // victim by smallest stamp, first invalid way preferred. It exists only
 // for the differential test below and for the BenchmarkReference*
-// benchmarks, which give a same-machine "before" column for
-// BENCH_hotpath.json.
+// benchmarks, which give a same-machine "before" column for the hot-path
+// figures recorded in CHANGES.md.
 type refCache struct {
 	cfg        Config
 	tags       [][]uint32
@@ -306,8 +306,8 @@ func testAccessRunMatchesAccess(t *testing.T, l1cfg, l2cfg Config, observed bool
 }
 
 // BenchmarkReferenceAccess mirrors BenchmarkCacheAccess over the stamped
-// reference, so the "before" column of BENCH_hotpath.json can be
-// re-measured on the same machine as the "after" column.
+// reference, so the recorded hot-path "before" figures (CHANGES.md) can
+// be re-measured on the same machine as the "after" figures.
 func BenchmarkReferenceAccess(b *testing.B) {
 	cfg := Config{Name: "L1D", Size: 32 << 10, LineSize: 32, Assoc: 4, HitLatency: 1}
 	b.Run("HitMRU", func(b *testing.B) {

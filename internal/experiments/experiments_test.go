@@ -9,8 +9,9 @@ import (
 
 // One session for the whole test binary: the sweeps are cached, so every
 // figure test reuses them (as the paper derives several figures from one
-// measurement campaign).
-var session = New(Quick())
+// measurement campaign). TestMain gives it an image store, and TestGolden
+// then checks it as the armv7 store-cold row at 4 workers.
+var session = &Session{Params: Quick(), Parallel: 4}
 
 func TestTable1(t *testing.T) {
 	r, err := session.Table1()

@@ -1,6 +1,6 @@
-// Tests for the parallel sweep engine's two contracts at the experiment
-// level: worker count must not change any rendered byte, and a cached
-// sweep failure must surface identically in every figure derived from it.
+// Tests for the sweep error contract at the experiment level: a cached
+// sweep failure must surface identically in every figure derived from
+// it. Worker-count byte identity is checked in golden_test.go.
 
 package experiments
 
@@ -8,59 +8,6 @@ import (
 	"strings"
 	"testing"
 )
-
-// renderAll regenerates every registered experiment on s and returns the
-// concatenated rendering.
-func renderAll(t *testing.T, s *Session) string {
-	t.Helper()
-	var b strings.Builder
-	for _, e := range Registry() {
-		r, err := e.Run(s)
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name, err)
-		}
-		b.WriteString(e.Name)
-		b.WriteString("\n")
-		b.WriteString(r.String())
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// TestSerialParallelByteIdentical is the determinism contract: a serial
-// session and a 4-worker session must render every experiment to the
-// same bytes.
-func TestSerialParallelByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two full Quick sessions; skipped in -short mode")
-	}
-	serial := New(Quick())
-	serial.Parallel = 1
-	par := New(Quick())
-	par.Parallel = 4
-
-	a := renderAll(t, serial)
-	b := renderAll(t, par)
-	if a != b {
-		i := 0
-		for i < len(a) && i < len(b) && a[i] == b[i] {
-			i++
-		}
-		lo := i - 200
-		if lo < 0 {
-			lo = 0
-		}
-		t.Fatalf("serial and parallel renderings diverge at byte %d:\nserial: ...%q\nparallel: ...%q",
-			i, a[lo:min(i+200, len(a))], b[lo:min(i+200, len(b))])
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // TestSweepErrorConsistency checks that a failing cached sweep reports
 // the same, named error from every figure that depends on it — the

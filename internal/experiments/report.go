@@ -52,6 +52,12 @@ type JSONReport struct {
 // RunJSON runs the selected experiments (all when selected is empty) on
 // the session and renders the structured report, newline-terminated.
 func RunJSON(s *Session, selected map[string]bool) ([]byte, error) {
+	return runJSON(s, selected, nil)
+}
+
+// runJSON is RunJSON that also hands every result to seen, when non-nil,
+// so one pass over the registry yields the text rendering as well.
+func runJSON(s *Session, selected map[string]bool, seen func(Experiment, fmt.Stringer)) ([]byte, error) {
 	rep := JSONReport{
 		Schema: SchemaID,
 		Params: JSONParams{
@@ -67,6 +73,9 @@ func RunJSON(s *Session, selected map[string]bool) ([]byte, error) {
 		r, err := e.Run(s)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", e.Name, err)
+		}
+		if seen != nil {
+			seen(e, r)
 		}
 		m, ok := r.(Metricser)
 		if !ok {

@@ -84,11 +84,11 @@ func (s *Session) Scalability() (*ScalabilityResult, error) {
 // it is a fork of the depth-n node of the launch chain (see helloImage);
 // the whole 1..32 curve then costs 32 launches instead of 63, and the
 // fork-vs-fresh invariant applied link by link makes the result
-// byte-identical to the NoCheckpoint path, which boots fresh and runs
+// byte-identical to the freshBoot path, which boots fresh and runs
 // all n launches inline.
 func (s *Session) helloSystem(cfg core.Config, n int) (*android.System, error) {
 	prof := workload.BuildProfile(s.Universe(), workload.HelloWorldSpec())
-	if s.NoCheckpoint {
+	if s.freshBoot {
 		sys, err := s.Boot(cfg, android.LayoutOriginal)
 		if err != nil {
 			return nil, err

@@ -74,11 +74,6 @@ type Session struct {
 	// serially, N >= 2 uses N goroutines, and 0 (or negative) selects
 	// GOMAXPROCS. Output is identical for every setting.
 	Parallel int
-	// NoCheckpoint disables boot-prefix checkpoint reuse: every scenario
-	// boots its machine from scratch, as before internal/checkpoint
-	// existed. Escape hatch for A/B timing and the fork-vs-fresh
-	// differential tests; results are byte-identical either way.
-	NoCheckpoint bool
 	// Arch names the MMU architecture every boot simulates, by arch
 	// registry name ("armv7", "sv39"; empty means armv7). Scenario
 	// options that set their own Arch override it.
@@ -87,11 +82,14 @@ type Session struct {
 	// in-memory checkpoint cache (internal/imagestore): boot-prefix and
 	// warmup images missing from memory are loaded from the store, and
 	// cold boots are written back, so later processes warm-start.
-	// Ignored under NoCheckpoint, which bypasses the cache entirely.
 	// Set before the first sweep; results are byte-identical with or
 	// without a store (stored images are fingerprint-verified copies of
 	// the machines they replace).
 	ImageStore checkpoint.ImageStore
+
+	// freshBoot bypasses the checkpoint cache: every scenario boots from
+	// scratch and runs its warmups inline. TestGolden's oracle.
+	freshBoot bool
 
 	universe     *workload.Universe
 	universeOnce sync.Once
@@ -145,10 +143,10 @@ func (s *Session) bootOptions(o android.Options) android.Options {
 
 // Boot brings up a machine for the given kernel configuration and
 // library layout — the common prefix every scenario of every campaign
-// simulates before diverging. Unless NoCheckpoint is set, the prefix is
-// simulated once per distinct parameter set, captured as an immutable
-// checkpoint image, and forked copy-on-write for each caller; forks are
-// byte-identical to fresh boots (pinned by the differential tests).
+// simulates before diverging. The prefix is simulated once per distinct
+// parameter set, captured as an immutable checkpoint image, and forked
+// copy-on-write for each caller; forks are byte-identical to fresh boots
+// (pinned by TestGolden).
 func (s *Session) Boot(cfg core.Config, layout android.Layout) (*android.System, error) {
 	return s.BootOpts(cfg, layout, android.Options{})
 }
@@ -157,7 +155,7 @@ func (s *Session) Boot(cfg core.Config, layout android.Layout) (*android.System,
 func (s *Session) BootOpts(cfg core.Config, layout android.Layout, opts android.Options) (*android.System, error) {
 	opts = s.bootOptions(opts)
 	u := s.Universe()
-	if s.NoCheckpoint {
+	if s.freshBoot {
 		return android.BootOpts(cfg, layout, u, opts)
 	}
 	img, err := s.ckptCache().Image(checkpoint.Key(cfg, layout, u, opts), func() (*android.System, error) {
@@ -177,7 +175,7 @@ func (s *Session) BootOpts(cfg core.Config, layout android.Layout, opts android.
 // tree nodes chained on top — fork the cached image copy-on-write.
 //
 // warmKey must uniquely name warm's effect: equal (boot params, warmKey)
-// pairs must mean identical warmups. Under NoCheckpoint the warmup runs
+// pairs must mean identical warmups. Under freshBoot the warmup runs
 // inline on a fresh boot, byte-identical by the tree invariant.
 func (s *Session) BootWarm(cfg core.Config, layout android.Layout, opts android.Options, warmKey string, warm checkpoint.Warm) (*android.System, error) {
 	opts = s.bootOptions(opts)
@@ -185,7 +183,7 @@ func (s *Session) BootWarm(cfg core.Config, layout android.Layout, opts android.
 	if err != nil {
 		return nil, err
 	}
-	if img == nil { // NoCheckpoint: boot fresh, warm inline.
+	if img == nil { // freshBoot: boot fresh, warm inline.
 		sys, err := android.BootOpts(cfg, layout, s.Universe(), opts)
 		if err != nil {
 			return nil, err
@@ -199,11 +197,11 @@ func (s *Session) BootWarm(cfg core.Config, layout android.Layout, opts android.
 }
 
 // warmImage resolves the fork-tree node for boot + warm, or nil under
-// NoCheckpoint. Split from BootWarm so chain builders (scalability) can
+// freshBoot. Split from BootWarm so chain builders (scalability) can
 // stack Derived calls without forking the interior nodes.
 func (s *Session) warmImage(cfg core.Config, layout android.Layout, opts android.Options, warmKey string, warm checkpoint.Warm) (*checkpoint.Image, error) {
 	opts = s.bootOptions(opts)
-	if s.NoCheckpoint {
+	if s.freshBoot {
 		return nil, nil
 	}
 	ckpt := s.ckptCache()

@@ -6,8 +6,8 @@
 // digest + streamed write of a whole image file), and
 // BenchmarkFingerprintDigest isolates the digest that both save and
 // load compute. perfbench's imagestore.save_ms and imagestore.load_ms
-// attribute the same layers end to end; BENCH_imagestore.json keeps the
-// load/boot figures measured when the store was introduced.
+// attribute the same layers end to end; CHANGES.md keeps the load/boot
+// figures measured when the store was introduced.
 
 package imagestore
 

@@ -132,8 +132,8 @@ func BenchmarkTLBLookupASIDAlias(b *testing.B) {
 }
 
 // The BenchmarkReference* group mirrors the benchmarks above over the
-// linear reference implementation, so BENCH_hotpath.json's before/after
-// columns can be re-measured on one machine in one run.
+// linear reference implementation, so the hot-path before/after figures
+// recorded in CHANGES.md can be re-measured on one machine in one run.
 
 func refBenchFill(tb *linearTLB, n int) {
 	for i := 0; i < n; i++ {
