@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/arch"
@@ -40,6 +41,29 @@ func BenchmarkCacheAccess(b *testing.B) {
 			// Eight tags cycling through a 4-way set: every access misses
 			// and displaces the LRU way.
 			c.Access(0x1000 + arch.PhysAddr(i&7)*setStride)
+		}
+	})
+	b.Run("L2Sets", func(b *testing.B) {
+		// Data references through DefaultHierarchy to 12 lines per L2
+		// set, over all 4096 sets, in one fixed pseudo-random order: the
+		// 1.5MB working set misses the L1D on nearly every reference and
+		// spreads L2 probes, hits, fills and evictions over the whole
+		// set array, so the layout of the per-set state shows here where
+		// the single-set cases above fit in any host L1.
+		const l2Sets, perSet = 4096, 12
+		h := DefaultHierarchy()
+		order := rand.New(rand.NewSource(1)).Perm(l2Sets * perSet)
+		pas := make([]arch.PhysAddr, len(order))
+		for i, line := range order {
+			pas[i] = arch.PhysAddr(line) * 32
+		}
+		for _, pa := range pas { // warm: every set full
+			h.Data(pa)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h.Data(pas[i%len(pas)])
 		}
 	})
 }

@@ -54,23 +54,71 @@ const tagInvalid = ^uint32(0)
 const colOnes = uint64(0x0101010101010101)
 
 // mruReg is one set's two-entry MRU register: the last two tags that hit
-// or filled, with the ways they reside in. 16 bytes, so both slots load
-// together on the hit path.
+// or filled, with the ways they reside in.
 type mruReg struct {
 	tag  uint32
 	tag2 uint32
-	way  int32
-	way2 int32
+	way  uint8
+	way2 uint8
+}
+
+// cset is one set's complete state, laid out to fill one 64-byte host
+// cache line so a probe, a fill and a register hit each touch exactly
+// one line of host memory.
+type cset struct {
+	// tags holds the resident tags, tagInvalid for empty ways. Ways at
+	// and beyond assoc stay tagInvalid.
+	tags [8]uint32
+	// age is the set's LRU age matrix: bit j of byte i set means way i
+	// was used more recently than way j. Rows and columns beyond assoc
+	// stay zero. First-slot MRU hits deliberately skip the update — the
+	// MRU way's row is already full — so the word is only touched when
+	// recency actually changes.
+	age uint64
+	// fp packs one 8-bit fingerprint per way (byte w for way w), derived
+	// from the tag bits above the set index (see fingerprint). A probe
+	// compares all of them at once and confirms only the candidates
+	// against their full tags. Bytes of empty ways are zero; their
+	// tagInvalid tags reject any candidate there.
+	fp uint64
+	// mru holds the set's two most-recent tags and the ways they live in.
+	// Sequential kernel-text fetch alternates exactly two tags per set
+	// (text twice the L1I's per-way capacity), so a single MRU register
+	// misses every time; the two-entry register catches that pattern
+	// without probing the set. Unlike a first-slot hit, a second-slot hit
+	// must refresh its way's age row — hence the way indices. Invariant:
+	// a valid tag in either slot is resident in its set at the recorded
+	// way, so a match is a hit with no probe; the first slot's way is
+	// additionally the set's most recent, which is what lets a
+	// first-slot hit skip the age update entirely.
+	mru mruReg
+	// skip counts the set's consecutive MRU-register misses, saturating
+	// at mruSkipThreshold, where the register goes dead (see the const).
+	// Not serialized: like the register contents it is transparent
+	// acceleration state, and a restored machine starting from a zero
+	// streak is behaviour-identical to the captured one.
+	skip uint8
+	// used counts the valid ways, which always form the prefix
+	// [0, used): a fill takes the first empty way, and the only
+	// invalidation (FlushAll) empties every way at once. A fill into a
+	// set that is not full therefore needs no search.
+	used uint8
+}
+
+// emptySet is the state of a set with no valid line.
+var emptySet = cset{
+	tags: [8]uint32{tagInvalid, tagInvalid, tagInvalid, tagInvalid, tagInvalid, tagInvalid, tagInvalid, tagInvalid},
+	mru:  mruReg{tag: tagInvalid, tag2: tagInvalid},
 }
 
 // Adaptive MRU promotion. A cycle over three or more tags in one set
 // defeats both register slots, and every access then pays a pointless
-// 16-byte rotate on top of the scan; after mruSkipThreshold consecutive
+// rotate on top of the probe; after mruSkipThreshold consecutive
 // register misses the register is invalidated and probe hits stop
 // rotating into it. Deadness must not be permanent, though: a set whose
 // reference pattern turns register-friendly again (the two-tag
 // alternation of resident kernel text, most importantly) would otherwise
-// scan forever, since only a fill — which resident lines never cause —
+// probe forever, since only a fill — which resident lines never cause —
 // also revives the register. So a dead register retries promotion every
 // mruRetryPeriod probe hits; one retried rotate re-enters the steady
 // register-hit path within a couple of visits when the pattern fits,
@@ -86,16 +134,21 @@ const (
 // Cache is one level of a physically indexed, physically tagged cache
 // with LRU replacement within each set.
 //
-// Three hot-path refinements over the obvious probe (behaviour-identical,
-// since a tag is resident in at most one way of its set): the last two
-// tags that hit in each set (mru) are compared first — one independent
-// 16-byte load — catching both consecutive same-line references and the
-// two-tags-per-set alternation of sequential kernel-text fetch; a
-// first-slot MRU hit skips the recency update, because that way already
-// holds its set's maximum stamp and re-stamping the maximum cannot
-// change any within-set order; and the probe loop compares tags only —
-// four or eight contiguous words — deferring victim selection (first
-// invalid way, else the LRU way) to a miss.
+// Each set is one 64-byte record (cset) holding its tags, its age
+// matrix, its tag fingerprints, its two-entry MRU register, its
+// register-miss streak and its valid-way count, so every path through
+// one set touches one host cache line. Three hot-path refinements over
+// the obvious probe (behaviour-identical, since a tag is resident in at
+// most one way of its set): the last two tags that hit in the set (mru)
+// are compared first, catching both consecutive same-line references
+// and the two-tags-per-set alternation of sequential kernel-text fetch;
+// a first-slot MRU hit skips the recency update, because that way
+// already is its set's most recent and re-recording it cannot change
+// any within-set order; and the probe compares the query's 8-bit
+// fingerprint against all ways' fingerprints in one word operation,
+// confirming only the candidate ways against their full tags, so a miss
+// usually reads no tag at all. Victim selection (the first empty way,
+// which is way used, else the LRU way) is deferred to a miss.
 //
 // Within-set recency is the hardware age-matrix LRU scheme: one 64-bit
 // word per set holds an 8x8 bit matrix where bit j of byte i means "way
@@ -107,48 +160,24 @@ const (
 // would (bit[i][j] records every pairwise "later than"), so victim
 // choice is identical to the stamped reference implementation — the
 // differential test pins this — at one word per set instead of a word
-// per way, which keeps the recency state resident in the host cache
-// (a per-way stamp array for the simulated L2 alone is 256KB and
-// measurably thrashes it).
+// per way.
 type Cache struct {
 	cfg Config
-	// tags is the flat backing store: set si occupies
-	// [si*assoc : (si+1)*assoc]. Flat indexing saves the dependent
+	// sets holds one record per set. Flat indexing saves the dependent
 	// slice-header load a [][]way layout pays on every access, and
 	// cloning is one flat copy.
-	tags  []uint32
+	sets  []cset
 	assoc int
-	// mru holds each set's two most-recent tags and the ways they live
-	// in. Sequential kernel-text fetch alternates exactly two tags per
-	// set (text twice the L1I's per-way capacity), so a single MRU
-	// register misses every time; the two-entry register catches that
-	// pattern without scanning the set. Unlike a first-slot hit, a
-	// second-slot hit must refresh its way's stamp — hence the way
-	// indices. Invariant: a valid tag in either slot is resident in its
-	// set at the recorded way, so a match is a hit with no probe; the
-	// first slot's way additionally holds the set's maximum stamp, which
-	// is what lets a first-slot hit skip the stamp store entirely.
-	mru []mruReg
-	// age holds each set's LRU age matrix: bit j of byte i set means way
-	// i was used more recently than way j. Rows and columns beyond assoc
-	// stay zero. First-slot MRU hits deliberately skip the update — the
-	// MRU way's row is already full — so the word is only touched when
-	// recency actually changes.
-	age []uint64
-	// skip counts each set's consecutive MRU-register misses, saturating
-	// at mruSkipThreshold, where the register goes dead (see the const).
-	// Not serialized: like the register contents it is transparent
-	// acceleration state, and a restored machine starting from a zero
-	// streak is behaviour-identical to the captured one.
-	skip []uint8
 	// dirty is the fused-run memo bitmap: while runN != 0, a clear bit si
 	// asserts that set si is at the fixed point of the run described by
 	// (runTag0, runN) — re-running its lines would mutate nothing (see
 	// accessRunFused). Every mutation of per-set state funnels through
 	// probe or hit2 (a first-slot register hit touches nothing), each of
 	// which sets the bit; the fused engine re-verifies dirty sets and
-	// clears the bits that check out. Like skip, this is transparent
-	// acceleration state and is not serialized.
+	// clears the bits that check out. It stays outside the set records
+	// so the fused engine skips 64 clean sets per bitmap word. Like the
+	// register's skip streak, this is transparent acceleration state and
+	// is not serialized.
 	dirty   []uint64
 	runTag0 uint32
 	runN    uint32
@@ -156,6 +185,12 @@ type Cache struct {
 	// an age word, so the victim search compares ways only against the
 	// ways that exist.
 	colsAll uint64
+	// waysHigh has the high bit of each byte below assoc set: it keeps
+	// the fingerprint match to the ways that exist.
+	waysHigh uint64
+	// fpShift is the number of set-index bits: tag>>fpShift are the tag
+	// bits the set index does not already fix, the fingerprint's source.
+	fpShift uint
 	// hitLat duplicates cfg.HitLatency as a flat field so the hit paths
 	// never load through the wide Config struct.
 	hitLat     int
@@ -183,33 +218,45 @@ func New(cfg Config, next *Cache, memLatency int) *Cache {
 	if nSets <= 0 || nSets&(nSets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d not a positive power of two", cfg.Name, nSets))
 	}
-	tags := make([]uint32, nSets*cfg.Assoc)
-	for i := range tags {
-		tags[i] = tagInvalid
-	}
-	mru := make([]mruReg, nSets)
-	for i := range mru {
-		mru[i].tag = tagInvalid
-		mru[i].tag2 = tagInvalid
-	}
 	if cfg.Assoc > 8 {
-		panic(fmt.Sprintf("cache %s: associativity %d exceeds the 8 ways one age-matrix word holds", cfg.Name, cfg.Assoc))
+		panic(fmt.Sprintf("cache %s: associativity %d exceeds the 8 ways one set record holds", cfg.Name, cfg.Assoc))
 	}
-	return &Cache{
+	ways := uint64(1)<<(8*uint(cfg.Assoc)) - 1 // low assoc bytes; 0 - 1 for 8 ways
+	c := &Cache{
 		cfg:        cfg,
-		tags:       tags,
+		sets:       make([]cset, nSets),
 		assoc:      cfg.Assoc,
-		mru:        mru,
-		age:        make([]uint64, nSets),
-		skip:       make([]uint8, nSets),
 		dirty:      make([]uint64, (nSets+63)/64),
 		colsAll:    (uint64(1)<<uint(cfg.Assoc) - 1) * colOnes,
+		waysHigh:   ways & 0x8080808080808080,
+		fpShift:    uint(bits.TrailingZeros(uint(nSets))),
 		hitLat:     cfg.HitLatency,
 		setShift:   uint(bits.TrailingZeros(uint(cfg.LineSize))),
 		setMask:    uint32(nSets - 1),
 		next:       next,
 		memLatency: memLatency,
 	}
+	for i := range c.sets {
+		c.sets[i] = emptySet
+	}
+	return c
+}
+
+// fingerprint returns tag's 8-bit fingerprint, replicated into every
+// byte of the result: the 16 tag bits above the set index, folded.
+func (c *Cache) fingerprint(tag uint32) uint64 {
+	t := tag >> c.fpShift
+	return uint64(uint8(t)^uint8(t>>8)) * colOnes
+}
+
+// candidates returns the high bit of every byte of set s's fingerprint
+// word that may hold the tag whose replicated fingerprint is f: every
+// way whose fingerprint equals f is reported, and a few others may be
+// (the zero-byte trick's borrow can flag a byte above a true match), so
+// each candidate must be confirmed against its full tag.
+func (c *Cache) candidates(s *cset, f uint64) uint64 {
+	x := s.fp ^ f
+	return (x - colOnes) &^ x & c.waysHigh
 }
 
 // Name returns the configured name.
@@ -243,45 +290,47 @@ func (c *Cache) Reset() { c.ResetStats() }
 // returns the total latency in cycles including any lower-level accesses.
 //
 // Both register-hit paths live in this frame, so the hits that dominate
-// real streams cost exactly one call from the fetch loops; the way scan
-// and the miss path live in probe and fill.
+// real streams cost exactly one call from the fetch loops; the
+// fingerprint match and the miss path live in probe and fill.
 func (c *Cache) Access(pa arch.PhysAddr) int {
 	c.stats.Accesses++
 	tag := uint32(pa) >> c.setShift
 	si := tag & c.setMask
-	m := &c.mru[si]
-	if m.tag == tag {
+	s := &c.sets[si]
+	if s.mru.tag == tag {
 		c.stats.Hits++
 		return c.hitLat
 	}
-	if m.tag2 == tag {
-		return c.hit2(tag, si, m)
+	if s.mru.tag2 == tag {
+		return c.hit2(tag, si, s)
 	}
-	return c.probe(pa, tag, si, m)
+	return c.probe(pa, tag, si, s)
 }
 
-// probe scans the ways of set si after both register slots have missed:
-// a hit touches the way's age row and — while the set's register-miss
-// streak is below mruSkipThreshold — rotates the register, a miss falls
-// through to fill. Callers have already counted the access.
-func (c *Cache) probe(pa arch.PhysAddr, tag, si uint32, m *mruReg) int {
+// probe resolves a reference to set si after both register slots have
+// missed: the fingerprint match names the candidate ways and each is
+// confirmed against its full tag. A hit touches the way's age row and —
+// while the set's register-miss streak is below mruSkipThreshold —
+// rotates the register, a miss falls through to fill. Callers have
+// already counted the access.
+func (c *Cache) probe(pa arch.PhysAddr, tag, si uint32, s *cset) int {
 	// Invalidate the fused-run memo for this set. While runN == 0 no memo
 	// exists to protect — the first AccessRun rebuilds the bitmap all-dirty
 	// — so pure-scalar paths skip the bookkeeping entirely.
 	if c.runN != 0 {
 		c.dirty[si>>6] |= 1 << (si & 63)
 	}
-	base := int(si) * c.assoc
-	set := c.tags[base : base+c.assoc]
-	for i, tg := range set {
-		if tg == tag {
-			c.touch(si, uint(i))
+	f := c.fingerprint(tag)
+	for cand := c.candidates(s, f); cand != 0; cand &= cand - 1 {
+		w := uint(bits.TrailingZeros64(cand)) >> 3
+		if s.tags[w&7] == tag {
+			c.touch(s, w)
 			c.stats.Hits++
-			c.promote(si, tag, int32(i), m)
+			c.promote(s, tag, uint8(w))
 			return c.hitLat
 		}
 	}
-	return c.fill(pa, tag, si, base, set, m)
+	return c.fill(pa, tag, f, s)
 }
 
 // promote applies the adaptive MRU-promotion policy to a probe hit:
@@ -291,71 +340,73 @@ func (c *Cache) probe(pa arch.PhysAddr, tag, si uint32, m *mruReg) int {
 // defeating both slots), skip the rotate while dead, and retry promotion
 // every mruRetryPeriod hits so a pattern that turns register-friendly
 // again recovers the fast paths.
-func (c *Cache) promote(si, tag uint32, way int32, m *mruReg) {
-	s := &c.skip[si]
+func (c *Cache) promote(s *cset, tag uint32, way uint8) {
 	switch {
-	case *s < mruSkipThreshold-1: // live: rotate, lengthen the streak
-		*s++
-		*m = mruReg{tag: tag, way: way, tag2: m.tag, way2: m.way}
-	case *s == mruSkipThreshold-1: // streak reached the threshold: go dead
-		*s++
-		m.tag, m.tag2 = tagInvalid, tagInvalid
-	case *s < mruSkipThreshold+mruRetryPeriod-1: // dead: skip the rotate
-		*s++
+	case s.skip < mruSkipThreshold-1: // live: rotate, lengthen the streak
+		s.skip++
+		s.mru.rotate(tag, way)
+	case s.skip == mruSkipThreshold-1: // streak reached the threshold: go dead
+		s.skip++
+		s.mru.tag, s.mru.tag2 = tagInvalid, tagInvalid
+	case s.skip < mruSkipThreshold+mruRetryPeriod-1: // dead: skip the rotate
+		s.skip++
 	default: // retry promotion with this hit
-		*s = 0
-		*m = mruReg{tag: tag, way: way, tag2: m.tag, way2: m.way}
+		s.skip = 0
+		s.mru.rotate(tag, way)
 	}
 }
 
-// touch records a use of way w in set si's age matrix: way w becomes
+// rotate makes (tag, way) the register's first slot and demotes the
+// previous first slot to the second.
+func (m *mruReg) rotate(tag uint32, way uint8) {
+	m.tag2, m.way2 = m.tag, m.way
+	m.tag, m.way = tag, way
+}
+
+// touch records a use of way w in set s's age matrix: way w becomes
 // more recent than every other way (set row w), and no way remains more
 // recent than w (clear column w). Setting the row also sets bit [w][w];
 // clearing the column clears it again, keeping the diagonal zero.
-func (c *Cache) touch(si uint32, w uint) {
+func (c *Cache) touch(s *cset, w uint) {
 	w &= 7 // proves both shifts < 64, so no oversized-shift guards
-	a := &c.age[si]
-	*a = (*a | 0xFF<<(8*w)) &^ (colOnes << w)
+	s.age = (s.age | 0xFF<<(8*w)) &^ (colOnes << w)
 }
 
 // hit2 completes a second-slot MRU hit: the resident way is known, so
-// this is a probe hit minus the scan. It is small enough to inline into
+// this is a probe hit minus the match. It is small enough to inline into
 // AccessRun's per-line loop, which matters because two-tag alternation
 // is the dominant pattern of sequential fetch over loops of code.
-func (c *Cache) hit2(tag, si uint32, m *mruReg) int {
+func (c *Cache) hit2(tag, si uint32, s *cset) int {
 	if c.runN != 0 { // see probe: no memo to protect before the first run
 		c.dirty[si>>6] |= 1 << (si & 63)
 	}
-	c.touch(si, uint(m.way2))
+	m := &s.mru
+	c.touch(s, uint(m.way2))
 	c.stats.Hits++
-	*m = mruReg{tag: tag, way: m.way2, tag2: m.tag, way2: m.way}
-	if c.skip[si] != 0 {
-		c.skip[si] = 0
-	}
+	// tag is the second slot's: the rotate is a swap of the slots.
+	m.tag, m.tag2 = tag, m.tag
+	m.way, m.way2 = m.way2, m.way
+	s.skip = 0 // same host line as the register: no store to avoid
 	return c.hitLat
 }
 
-// fill handles a miss: pick the victim, fetch the line from the next
-// level, and install it.
-func (c *Cache) fill(pa arch.PhysAddr, tag, si uint32, base int, set []uint32, m *mruReg) int {
-	// The first invalid way wins — the tags the probe just scanned are
-	// still hot — otherwise the set is full and the victim is the way at
-	// the back of the recency order.
-	victim := -1
-	for i, tg := range set {
-		if tg == tagInvalid {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
+// fill handles a miss on set s: pick the victim, fetch the line from the
+// next level, and install tag with its replicated fingerprint f.
+func (c *Cache) fill(pa arch.PhysAddr, tag uint32, f uint64, s *cset) int {
+	// The first empty way wins — the valid ways are the prefix [0, used)
+	// — otherwise the set is full and the victim is the way at the back
+	// of the recency order.
+	victim := uint(s.used)
+	full := victim >= uint(c.assoc)
+	if full {
 		// Full set: the LRU way is the unique valid way whose age-matrix
 		// row is all zero. The zero-byte trick marks the high bit of the
 		// lowest zero byte of y; any parked all-zero rows above assoc sit
 		// in higher bytes, so TrailingZeros lands on the real victim.
-		y := c.age[si] & c.colsAll
-		victim = bits.TrailingZeros64((y-colOnes)&^y&0x8080808080808080) >> 3
+		y := s.age & c.colsAll
+		victim = uint(bits.TrailingZeros64((y-colOnes)&^y&0x8080808080808080)) >> 3
 	}
+	victim &= 7
 	c.stats.Misses++
 	latency := c.hitLat
 	if c.next != nil {
@@ -363,24 +414,27 @@ func (c *Cache) fill(pa arch.PhysAddr, tag, si uint32, base int, set []uint32, m
 	} else {
 		latency += c.memLatency
 	}
-	evicted := set[victim]
-	if evicted != tagInvalid {
+	evicted := s.tags[victim]
+	if full {
 		c.stats.Evictions++
 		if c.bus.Wants(obs.EvCacheEvict) {
 			c.bus.Publish(obs.Event{Kind: obs.EvCacheEvict, Source: c.cfg.Name, Addr: uint64(pa)})
 		}
+	} else {
+		s.used++
 	}
-	set[victim] = tag
-	c.touch(si, uint(victim))
+	s.tags[victim] = tag
+	s.fp = s.fp&^(0xFF<<(8*victim)) | f&(0xFF<<(8*victim))
+	c.touch(s, victim)
 	// A fill always revives the register — the just-installed line is the
 	// best possible first slot — and resets the adaptive miss streak.
-	c.skip[si] = 0
-	*m = mruReg{tag: tag, way: int32(victim), tag2: m.tag, way2: m.way}
+	s.skip = 0
+	s.mru.rotate(tag, uint8(victim))
 	// The eviction may have displaced the tag now sitting in the second
 	// MRU slot (the old MRU itself when assoc is 1); drop it so the
 	// register never claims residency for an evicted line.
-	if evicted != tagInvalid && m.tag2 == evicted {
-		m.tag2 = tagInvalid
+	if full && s.mru.tag2 == evicted {
+		s.mru.tag2 = tagInvalid
 	}
 	if c.bus.Wants(obs.EvCacheFill) {
 		c.bus.Publish(obs.Event{Kind: obs.EvCacheFill, Source: c.cfg.Name, Addr: uint64(pa)})
@@ -424,16 +478,16 @@ func (c *Cache) accessRunScalar(pa arch.PhysAddr, n int) int {
 	for i := 0; i < n; i++ {
 		si := tag & c.setMask
 		var lat int
-		if m := &c.mru[si]; m.tag == tag {
+		if s := &c.sets[si]; s.mru.tag == tag {
 			c.stats.Accesses++
 			c.stats.Hits++
 			lat = c.hitLat
-		} else if m.tag2 == tag {
+		} else if s.mru.tag2 == tag {
 			c.stats.Accesses++
-			lat = c.hit2(tag, si, m)
+			lat = c.hit2(tag, si, s)
 		} else {
 			c.stats.Accesses++
-			lat = c.probe(pa, tag, si, m)
+			lat = c.probe(pa, tag, si, s)
 		}
 		if lat > 1 {
 			stall += lat - 1
@@ -578,24 +632,24 @@ func (c *Cache) sweepDirty(pa arch.PhysAddr, tag, lo, hi, k, lastTag uint32) (st
 			si := w<<6 + b
 			d := si - lo
 			t := tag + d
-			m := &c.mru[si]
+			s := &c.sets[si]
 			var lat int
-			if m.tag == t {
+			if s.mru.tag == t {
 				c.stats.Accesses++
 				c.stats.Hits++
 				lat = hitLat
-			} else if m.tag2 == t {
+			} else if s.mru.tag2 == t {
 				c.stats.Accesses++
-				lat = c.hit2(t, si, m)
+				lat = c.hit2(t, si, s)
 			} else {
 				c.stats.Accesses++
-				lat = c.probe(pa+arch.PhysAddr(d)<<c.setShift, t, si, m)
+				lat = c.probe(pa+arch.PhysAddr(d)<<c.setShift, t, si, s)
 			}
 			if lat > 1 {
 				stall += lat - 1
 			}
 			lines++
-			if t-lastTag <= c.setMask && (k == 1 && m.tag == t || k == 2 && c.atFixedPoint2(si, t, m)) {
+			if t-lastTag <= c.setMask && (k == 1 && s.mru.tag == t || k == 2 && c.atFixedPoint2(t, s)) {
 				c.dirty[w] &^= 1 << b
 			}
 		}
@@ -603,17 +657,17 @@ func (c *Cache) sweepDirty(pa arch.PhysAddr, tag, lo, hi, k, lastTag uint32) (st
 	return stall, lines
 }
 
-// atFixedPoint2 reports whether set si, which has just received the
+// atFixedPoint2 reports whether set s, which has just received the
 // second and last line t of a run that gives it two lines, is at that
 // run's fixed point (see accessRunFused): register {t, t-nSets}, streak
 // zero, and an age word idempotent under the two lines' touches. Small
 // enough to inline into sweepDirty.
-func (c *Cache) atFixedPoint2(si, t uint32, m *mruReg) bool {
-	if m.tag != t || m.tag2 != t-(c.setMask+1) || c.skip[si] != 0 {
+func (c *Cache) atFixedPoint2(t uint32, s *cset) bool {
+	if s.mru.tag != t || s.mru.tag2 != t-(c.setMask+1) || s.skip != 0 {
 		return false
 	}
-	wA, wB := uint(m.way2)&7, uint(m.way)&7
-	la := c.age[si]
+	wA, wB := uint(s.mru.way2)&7, uint(s.mru.way)&7
+	la := s.age
 	a := (la | 0xFF<<(8*wA)) &^ (colOnes << wA)
 	return (a|0xFF<<(8*wB))&^(colOnes<<wB) == la
 }
@@ -622,11 +676,9 @@ func (c *Cache) atFixedPoint2(si, t uint32, m *mruReg) bool {
 // without touching LRU state or counters.
 func (c *Cache) Contains(pa arch.PhysAddr) bool {
 	tag := uint32(pa) >> c.setShift
-	si := tag & c.setMask
-	base := int(si) * c.assoc
-	set := c.tags[base : base+c.assoc]
-	for _, tg := range set {
-		if tg == tag {
+	s := &c.sets[tag&c.setMask]
+	for cand := c.candidates(s, c.fingerprint(tag)); cand != 0; cand &= cand - 1 {
+		if s.tags[(bits.TrailingZeros64(cand)>>3)&7] == tag {
 			return true
 		}
 	}
@@ -635,18 +687,8 @@ func (c *Cache) Contains(pa arch.PhysAddr) bool {
 
 // FlushAll invalidates every line at this level only.
 func (c *Cache) FlushAll() {
-	for i := range c.tags {
-		c.tags[i] = tagInvalid
-	}
-	for i := range c.mru {
-		c.mru[i].tag = tagInvalid
-		c.mru[i].tag2 = tagInvalid
-	}
-	for i := range c.age {
-		c.age[i] = 0
-	}
-	for i := range c.skip {
-		c.skip[i] = 0
+	for i := range c.sets {
+		c.sets[i] = emptySet
 	}
 	c.runN = 0 // every fused-run fixed point is gone with the lines
 }
@@ -654,19 +696,18 @@ func (c *Cache) FlushAll() {
 // Occupancy returns the number of valid lines.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, tg := range c.tags {
-		if tg != tagInvalid {
-			n++
-		}
+	for i := range c.sets {
+		n += int(c.sets[i].used)
 	}
 	return n
 }
 
 // Clone returns a deep copy of this level for a checkpoint fork, wired
-// to the given lower level and event bus. The line array is one flat
-// copy; nothing is allocated per line or per set. The header struct
-// comes from a when one is supplied (the per-machine clone arena); nil
-// allocates it directly.
+// to the given lower level and event bus. The set records are one flat
+// copy and the memo bitmap another; nothing is allocated per line or
+// per set. The
+// header struct comes from a when one is supplied (the per-machine
+// clone arena); nil allocates it directly.
 func (c *Cache) Clone(next *Cache, bus *obs.Bus, a *alloc.Arena[Cache]) *Cache {
 	var d *Cache
 	if a != nil {
@@ -675,10 +716,7 @@ func (c *Cache) Clone(next *Cache, bus *obs.Bus, a *alloc.Arena[Cache]) *Cache {
 		d = new(Cache)
 	}
 	*d = *c
-	d.tags = append([]uint32(nil), c.tags...)
-	d.mru = append([]mruReg(nil), c.mru...)
-	d.age = append([]uint64(nil), c.age...)
-	d.skip = append([]uint8(nil), c.skip...)
+	d.sets = append([]cset(nil), c.sets...)
 	d.dirty = append([]uint64(nil), c.dirty...)
 	d.next = next
 	d.bus = bus

@@ -1,5 +1,5 @@
 // Clone must copy the whole line state in a fixed handful of
-// allocations — one flat line-array copy, never per set or per line.
+// allocations — one flat set-record copy, never per set or per line.
 
 package cache
 
@@ -37,9 +37,9 @@ func TestCloneAllocationBounded(t *testing.T) {
 		sink = a.Clone(nil, nil, nil)
 	})
 	_ = sink
-	// Header, tags, mru, age, skip, dirty: six flat allocations regardless
-	// of line count.
-	if max := 6.0; allocs > max {
+	// Header, set records, dirty bitmap: three flat allocations
+	// regardless of line count.
+	if max := 3.0; allocs > max {
 		t.Errorf("Clone() = %.0f allocs for a 32768-line cache, want <= %.0f", allocs, max)
 	}
 }

@@ -1,9 +1,11 @@
 package cache
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/arch"
 	"repro/internal/obs"
@@ -116,6 +118,12 @@ func (r *refCache) Contains(pa arch.PhysAddr) bool {
 // residency. Victim choice is where the implementations could silently
 // diverge (move-to-front order vs explicit stamps), and a wrong victim
 // shows up here as a latency or residency mismatch a few accesses later.
+//
+// The fingerprint mode draws its addresses so that many tags of one set
+// share an 8-bit fingerprint (or differ from one only in its low bit,
+// which the zero-byte trick can flag through a borrow) while differing
+// in the full tag: the probe's candidate-confirm loop then meets false
+// candidates on most probes, and the mode fails unless it did.
 func TestCacheMatchesReference(t *testing.T) {
 	geometries := []struct {
 		name string
@@ -126,35 +134,88 @@ func TestCacheMatchesReference(t *testing.T) {
 		{"direct", Config{Name: "DM", Size: 1 << 10, LineSize: 32, Assoc: 1, HitLatency: 1}},
 	}
 	for _, g := range geometries {
-		t.Run(g.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(7))
-			got := New(g.cfg, nil, 50)
-			want := newRef(g.cfg, nil, 50)
-			// Address pool a few times the cache capacity so sets see
-			// hits, misses, evictions, and re-references of evicted lines.
-			pool := 4 * g.cfg.Size
-			for i := 0; i < 200000; i++ {
-				var pa arch.PhysAddr
-				if rng.Intn(4) == 0 {
-					// Burst: revisit a recent line to exercise MRU paths.
-					pa = arch.PhysAddr(rng.Intn(pool/16)) * 32
-				} else {
-					pa = arch.PhysAddr(rng.Intn(pool))
-				}
-				gl, wl := got.Access(pa), want.Access(pa)
-				if gl != wl {
-					t.Fatalf("access %d (pa=%#x): latency %d, reference %d", i, pa, gl, wl)
-				}
-				if got.stats != want.stats {
-					t.Fatalf("access %d (pa=%#x): stats %+v, reference %+v", i, pa, got.stats, want.stats)
+		for _, fpMode := range []bool{false, true} {
+			name := g.name
+			if fpMode {
+				name += "/fingerprint"
+			}
+			t.Run(name, func(t *testing.T) {
+				testCacheMatchesReference(t, g.cfg, fpMode)
+			})
+		}
+	}
+}
+
+func testCacheMatchesReference(t *testing.T, cfg Config, fpMode bool) {
+	rng := rand.New(rand.NewSource(7))
+	got := New(cfg, nil, 50)
+	want := newRef(cfg, nil, 50)
+	// Address pool a few times the cache capacity so sets see hits,
+	// misses, evictions, and re-references of evicted lines.
+	pool := 4 * cfg.Size
+	nSets := uint32(got.setMask) + 1
+	var pas []arch.PhysAddr
+	if fpMode {
+		// Per set, 64 tags with 4 fingerprints: t0 ^ x*0x101 keeps the
+		// fingerprint of t0 for every byte x, and t0 in 0..3 gives
+		// fingerprints one bit apart.
+		for si := uint32(0); si < nSets; si++ {
+			for t0 := uint32(0); t0 < 4; t0++ {
+				for _, x := range []uint32{0, 1, 2, 3, 0x10, 0x55, 0x80, 0xFF, 7, 9, 0x40, 0x7F, 0x11, 0x22, 0x33, 0x44} {
+					tag := (t0^x*0x101)<<got.fpShift | si
+					pas = append(pas, arch.PhysAddr(tag)<<got.setShift)
 				}
 			}
-			for pa := arch.PhysAddr(0); pa < arch.PhysAddr(pool); pa += 32 {
-				if g, w := got.Contains(pa), want.Contains(pa); g != w {
-					t.Fatalf("Contains(%#x) = %v, reference %v", pa, g, w)
-				}
+		}
+	}
+	falseCands := 0
+	for i := 0; i < 200000; i++ {
+		var pa arch.PhysAddr
+		switch {
+		case fpMode:
+			pa = pas[rng.Intn(len(pas))] | arch.PhysAddr(rng.Intn(cfg.LineSize))
+		case rng.Intn(4) == 0:
+			// Burst: revisit a recent line to exercise MRU paths.
+			pa = arch.PhysAddr(rng.Intn(pool/16)) * 32
+		default:
+			pa = arch.PhysAddr(rng.Intn(pool))
+		}
+		tag := uint32(pa) >> got.setShift
+		s := &got.sets[tag&got.setMask]
+		for cand := got.candidates(s, got.fingerprint(tag)); cand != 0; cand &= cand - 1 {
+			if s.tags[bits.TrailingZeros64(cand)>>3] != tag {
+				falseCands++
 			}
-		})
+		}
+		gl, wl := got.Access(pa), want.Access(pa)
+		if gl != wl {
+			t.Fatalf("access %d (pa=%#x): latency %d, reference %d", i, pa, gl, wl)
+		}
+		if got.stats != want.stats {
+			t.Fatalf("access %d (pa=%#x): stats %+v, reference %+v", i, pa, got.stats, want.stats)
+		}
+	}
+	for pa := arch.PhysAddr(0); pa < arch.PhysAddr(pool); pa += 32 {
+		if g, w := got.Contains(pa), want.Contains(pa); g != w {
+			t.Fatalf("Contains(%#x) = %v, reference %v", pa, g, w)
+		}
+	}
+	for _, pa := range pas {
+		if g, w := got.Contains(pa), want.Contains(pa); g != w {
+			t.Fatalf("Contains(%#x) = %v, reference %v", pa, g, w)
+		}
+	}
+	if fpMode && falseCands < 10000 {
+		t.Fatalf("fingerprint mode met only %d false candidates; the confirm loop is not exercised", falseCands)
+	}
+}
+
+// TestSetRecordIsOneHostLine pins the set record to one 64-byte host
+// cache line: a field added or widened would silently split every
+// probe across two lines.
+func TestSetRecordIsOneHostLine(t *testing.T) {
+	if got := unsafe.Sizeof(cset{}); got != 64 {
+		t.Fatalf("unsafe.Sizeof(cset{}) = %d, want 64", got)
 	}
 }
 
@@ -185,8 +246,9 @@ func TestHierarchyMatchesReference(t *testing.T) {
 // long enough to wrap the L1 set-index space (exercising the fused
 // stream-order engine and its fixed-point memo, including repeats of the
 // previous run), and demands identical stall totals and identical
-// complete state — tags, age matrices, MRU registers, adaptive skip
-// streaks, and counters at both levels. This is the pin for the claim
+// complete state — every set record (tags, fingerprints, valid-way
+// counts, age matrices, MRU registers, adaptive skip streaks) and the
+// counters at both levels. This is the pin for the claim
 // that the fused path is bit-exact against the scalar path, including
 // the transparent acceleration state. The observed variants also record
 // the fill/evict events of both levels and demand identical streams; the
@@ -246,15 +308,9 @@ func testAccessRunMatchesAccess(t *testing.T, l1cfg, l2cfg Config, observed bool
 		}
 		for _, pair := range [][2]*Cache{{got, want}, {got.next, want.next}} {
 			g, w := pair[0], pair[1]
-			for si := range g.age {
-				if g.age[si] != w.age[si] || g.mru[si] != w.mru[si] || g.skip[si] != w.skip[si] {
-					t.Fatalf("op %d: %s set %d diverged: age %x/%x mru %+v/%+v skip %d/%d",
-						i, g.cfg.Name, si, g.age[si], w.age[si], g.mru[si], w.mru[si], g.skip[si], w.skip[si])
-				}
-			}
-			for j := range g.tags {
-				if g.tags[j] != w.tags[j] {
-					t.Fatalf("op %d: %s tags[%d] = %#x, scalar %#x", i, g.cfg.Name, j, g.tags[j], w.tags[j])
+			for si := range g.sets {
+				if g.sets[si] != w.sets[si] {
+					t.Fatalf("op %d: %s set %d diverged:\n  run    %+v\n  scalar %+v", i, g.cfg.Name, si, g.sets[si], w.sets[si])
 				}
 			}
 		}

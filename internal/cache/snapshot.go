@@ -1,10 +1,13 @@
 // Persistent-image support: serializable snapshots (internal/imagestore).
-// A cache's state is its tag array, its per-set MRU registers, its age
+// A cache's state is its tags, its per-set MRU registers, its age
 // matrices, and its counters; everything else is derived from the Config
-// at construction. The MRU registers must be stored, not rebuilt: a
-// first-slot register hit deliberately skips the age-matrix touch, so a
-// restored machine with cleared registers would diverge from the
-// captured one on its first access.
+// at construction or, like the valid-way counts and fingerprints, from
+// the tags. Snapshots keep the column form (one array per field) the
+// image format stores, so the set-record layout never reaches a file.
+// The MRU registers must be stored, not rebuilt: a first-slot register
+// hit deliberately skips the age-matrix touch, so a restored machine
+// with cleared registers would diverge from the captured one on its
+// first access.
 
 package cache
 
@@ -28,43 +31,83 @@ type Snapshot struct {
 	Age        []uint64
 }
 
-// SnapshotState captures the level's state. The returned Tags and Age
-// slices are copies; the snapshot is independent of the live cache.
+// SnapshotState captures the level's state in column form: Tags holds
+// assoc tags per set in set order, MRU and Age one element per set. The
+// slices are fresh; the snapshot is independent of the live cache.
 func (c *Cache) SnapshotState() Snapshot {
-	s := Snapshot{
-		Config:     c.cfg,
-		MemLatency: c.memLatency,
-		Stats:      c.stats,
-		Tags:       append([]uint32(nil), c.tags...),
-		MRU:        make([]MRUSnapshot, len(c.mru)),
-		Age:        append([]uint64(nil), c.age...),
-	}
-	for i, m := range c.mru {
-		s.MRU[i] = MRUSnapshot{Tag: m.tag, Tag2: m.tag2, Way: m.way, Way2: m.way2}
+	s := Snapshot{Config: c.cfg, MemLatency: c.memLatency, Stats: c.stats}
+	s.Tags = make([]uint32, 0, len(c.sets)*c.assoc)
+	s.MRU = make([]MRUSnapshot, len(c.sets))
+	s.Age = make([]uint64, len(c.sets))
+	for i := range c.sets {
+		set := &c.sets[i]
+		s.Tags = append(s.Tags, set.tags[:c.assoc]...)
+		m := set.mru
+		s.MRU[i] = MRUSnapshot{Tag: m.tag, Tag2: m.tag2, Way: int32(m.way), Way2: int32(m.way2)}
+		s.Age[i] = set.age
 	}
 	return s
 }
 
-// Restore rebuilds a cache level over the given lower level. The Tags
-// and Age slices are adopted without copying — they may point into a
-// memory-mapped image, because a restored image is only ever forked
-// (Clone copies the arrays) or read, never accessed directly.
+// Restore rebuilds a cache level over the given lower level from the
+// column-form snapshot, building each set's record from its columns and
+// deriving the valid-way count and fingerprints from its tags. The
+// snapshot's slices are only read, so they may point into a
+// memory-mapped image.
+//
+// Restore rejects with an error any snapshot the set records cannot
+// represent: a valid way after an empty one (the valid ways must form a
+// prefix), a register slot whose way is outside the set, or a valid
+// register tag that is not resident at its recorded way (the residency
+// invariant documented on cset.mru).
 func Restore(s Snapshot, next *Cache) (*Cache, error) {
 	c := New(s.Config, next, s.MemLatency)
-	if len(s.Tags) != len(c.tags) {
-		return nil, fmt.Errorf("cache %s: snapshot has %d tags, geometry wants %d", s.Config.Name, len(s.Tags), len(c.tags))
+	nSets, assoc := len(c.sets), c.assoc
+	if len(s.Tags) != nSets*assoc {
+		return nil, fmt.Errorf("cache %s: snapshot has %d tags, geometry wants %d", s.Config.Name, len(s.Tags), nSets*assoc)
 	}
-	if len(s.MRU) != len(c.mru) {
-		return nil, fmt.Errorf("cache %s: snapshot has %d MRU registers, geometry wants %d", s.Config.Name, len(s.MRU), len(c.mru))
+	if len(s.MRU) != nSets {
+		return nil, fmt.Errorf("cache %s: snapshot has %d MRU registers, geometry wants %d", s.Config.Name, len(s.MRU), nSets)
 	}
-	if len(s.Age) != len(c.age) {
-		return nil, fmt.Errorf("cache %s: snapshot has %d age words, geometry wants %d", s.Config.Name, len(s.Age), len(c.age))
+	if len(s.Age) != nSets {
+		return nil, fmt.Errorf("cache %s: snapshot has %d age words, geometry wants %d", s.Config.Name, len(s.Age), nSets)
 	}
-	c.tags = s.Tags
-	c.age = s.Age
-	for i, m := range s.MRU {
-		c.mru[i] = mruReg{tag: m.Tag, tag2: m.Tag2, way: m.Way, way2: m.Way2}
+	for i := range c.sets {
+		if err := c.loadSet(i, s.Tags[i*assoc:(i+1)*assoc], s.MRU[i], s.Age[i]); err != nil {
+			return nil, err
+		}
 	}
 	c.stats = s.Stats
 	return c, nil
+}
+
+// loadSet fills set i's record, empty on entry, from its columns, and
+// reports what the record cannot represent (see Restore).
+func (c *Cache) loadSet(i int, tags []uint32, m MRUSnapshot, age uint64) error {
+	set := &c.sets[i]
+	for w, tag := range tags {
+		if tag == tagInvalid {
+			continue
+		}
+		if w != int(set.used) {
+			return fmt.Errorf("cache %s: set %d way %d is valid after an empty way", c.cfg.Name, i, w)
+		}
+		set.tags[w&7] = tag
+		set.fp |= c.fingerprint(tag) & (0xFF << (8 * w))
+		set.used++
+	}
+	for _, slot := range [2]struct {
+		tag uint32
+		way int32
+	}{{m.Tag, m.Way}, {m.Tag2, m.Way2}} {
+		if slot.way < 0 || int(slot.way) >= c.assoc {
+			return fmt.Errorf("cache %s: set %d MRU way %d outside %d ways", c.cfg.Name, i, slot.way, c.assoc)
+		}
+		if slot.tag != tagInvalid && set.tags[slot.way] != slot.tag {
+			return fmt.Errorf("cache %s: set %d MRU tag %#x not resident at way %d", c.cfg.Name, i, slot.tag, slot.way)
+		}
+	}
+	set.mru = mruReg{tag: m.Tag, tag2: m.Tag2, way: uint8(m.Way), way2: uint8(m.Way2)}
+	set.age = age
+	return nil
 }

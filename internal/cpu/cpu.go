@@ -303,10 +303,11 @@ func (c *CPU) fetchBlock(va arch.VirtAddr, n int) error {
 	// costs are charged in one update.
 	if n > 1 && !c.sampling() {
 		if e, slot, r := c.MicroI.Peek(va, ctx.ASID, ctx.DACR, arch.AccessFetch); r == tlb.Hit {
+			pa := c.physAddr(e.Frame(), e.Flags(), va) // e is valid until the commit
 			c.MicroI.CommitRunHits(slot, 2, va, ctx.ASID, ctx.DACR)
 			c.lastFetchVA = va
 			ctx.Stats.Instructions += uint64(n)
-			stall := c.fetchLines(c.physAddr(e.Frame(), e.Flags(), va), lines)
+			stall := c.fetchLines(pa, lines)
 			ctx.Stats.ICacheStallCycles += uint64(stall)
 			c.charge(n*c.Costs.BaseInstr + stall)
 			return nil

@@ -38,11 +38,23 @@ func diffDACRs() []arch.DACR {
 	}
 }
 
+// entryVal is the value an entry result stands for: the entry a
+// Lookup, Peek or LookupRun pointer points at, and Entry{} for nil, the
+// reference's Miss value. Comparing by value keeps the tests checking
+// entry contents rather than pointer identity.
+func entryVal(e *Entry) Entry {
+	if e == nil {
+		return Entry{}
+	}
+	return *e
+}
+
 // diffLookup applies one Lookup to both implementations and fails the
 // test unless entry, slot and result agree.
 func diffLookup(t *testing.T, indexed *TLB, ref *linearTLB, va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) {
 	t.Helper()
-	ge, gs, gr := indexed.Lookup(va, asid, dacr, kind)
+	gp, gs, gr := indexed.Lookup(va, asid, dacr, kind)
+	ge := entryVal(gp)
 	we, ws, wr := ref.Lookup(va, asid, dacr, kind)
 	if ge != we || gs != ws || gr != wr {
 		t.Fatalf("Lookup(%#x, asid %d, dacr %#x, %v) diverged:\n  indexed (%+v, %d, %v)\n  reference (%+v, %d, %v)",
@@ -54,7 +66,8 @@ func diffLookup(t *testing.T, indexed *TLB, ref *linearTLB, va arch.VirtAddr, as
 // reports what a reference Lookup would, without mutating anything.
 func diffPeek(t *testing.T, indexed *TLB, ref *linearTLB, va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (int32, Result) {
 	t.Helper()
-	ge, gs, gr := indexed.Peek(va, asid, dacr, kind)
+	gp, gs, gr := indexed.Peek(va, asid, dacr, kind)
+	ge := entryVal(gp)
 	we, ws, wr := ref.peek(va, asid, dacr, kind)
 	if ge != we || gs != ws || gr != wr {
 		t.Fatalf("Peek(%#x, asid %d, dacr %#x, %v) diverged:\n  indexed (%+v, %d, %v)\n  reference (%+v, %d, %v)",
@@ -104,10 +117,11 @@ func diffOp(t *testing.T, rng *rand.Rand, indexed *TLB, ref *linearTLB, dacrs []
 		page := arch.VirtAddr(arch.PageSize)
 		stride := []arch.VirtAddr{0, 4, page, -page, 16 * page}[rng.Intn(5)]
 		_, _, want := ref.peek(va, asid, dacr, kind)
-		n, e := indexed.LookupRun(va, stride, 1+rng.Intn(32), asid, dacr, kind)
-		if (n > 0) != (want == Hit) {
-			t.Fatalf("LookupRun(%#x) committed %d, reference first lookup %v", va, n, want)
+		n, ep := indexed.LookupRun(va, stride, 1+rng.Intn(32), asid, dacr, kind)
+		if (n > 0) != (want == Hit) || (n > 0) != (ep != nil) {
+			t.Fatalf("LookupRun(%#x) committed %d with entry %v, reference first lookup %v", va, n, ep, want)
 		}
+		e := entryVal(ep)
 		for i := 0; i < n; i++ {
 			wva := va + arch.VirtAddr(i)*stride
 			if we, _, wr := ref.Lookup(wva, asid, dacr, kind); wr != Hit || we.frame != e.frame {

@@ -18,11 +18,14 @@ import "repro/internal/arch"
 // Peek resolves va under (asid, dacr, kind) without mutating any TLB
 // state: no clock advance, no counters, no LRU movement, no MRU update.
 // On a Hit it returns the matching entry and its slot; the slot is the
-// handle CommitRunHits and ResolvesVPN take. Peek returns exactly the
-// Result a Lookup at this moment would return: it replays the index
-// probe, and the MRU-register fast path Lookup would use is guaranteed
-// to resolve at the same slot as the probe (see mruReg).
-func (t *TLB) Peek(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (Entry, int32, Result) {
+// handle CommitRunHits and ResolvesVPN take. A fault returns the
+// matching entry too, a Miss nil and -1. As with Lookup, the entry
+// points into the TLB's own array and is valid until its next mutation.
+// Peek returns exactly the Result a Lookup at this moment would return:
+// it replays the index probe, and the MRU-register fast path Lookup
+// would use is guaranteed to resolve at the same slot as the probe (see
+// mruReg).
+func (t *TLB) Peek(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (*Entry, int32, Result) {
 	vpn := arch.VPN(va)
 
 	// MRU register, mirroring Lookup's fast path without its bookkeeping:
@@ -36,9 +39,9 @@ func (t *TLB) Peek(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.A
 		e := &t.entries[slot]
 		if acc := dacr.Access(e.domain); acc != arch.DomainNoAccess {
 			if acc == arch.DomainManager || e.permit(kind) {
-				return *e, slot, Hit
+				return e, slot, Hit
 			}
-			return *e, slot, PermFault
+			return e, slot, PermFault
 		}
 	}
 
@@ -50,10 +53,10 @@ func (t *TLB) Peek(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.A
 	for a >= 0 || b >= 0 {
 		slot := t.pop(&a, &b)
 		if r, done := t.peekProbe(slot, vpn, asid, dacr, kind); done {
-			return t.entries[slot], slot, r
+			return &t.entries[slot], slot, r
 		}
 	}
-	return Entry{}, -1, Miss
+	return nil, -1, Miss
 }
 
 // peekProbe is probe without the Hit/fault bookkeeping: the same match,
@@ -86,11 +89,10 @@ func (t *TLB) peekProbe(slot int32, vpn uint32, asid arch.ASID, dacr arch.DACR, 
 // have hit this entry, and must not have mutated the TLB in between.
 func (t *TLB) CommitRunHits(slot int32, n uint64, va arch.VirtAddr, asid arch.ASID, dacr arch.DACR) {
 	t.clock += n
-	e := &t.entries[slot]
-	e.lastUse = t.clock
+	t.entries[slot].lastUse = t.clock
 	t.lruMoveBack(slot)
 	t.stats.Hits += n
-	t.mru = mruReg{ok: true, hw: t.DomainMatchInHW, slot: slot, vpn: arch.VPN(va), asid: asid, dacr: dacr}
+	t.setMRU(slot, arch.VPN(va), asid, dacr)
 }
 
 // ResolvesVPN reports whether a Lookup of vpn would hit the entry at
@@ -118,17 +120,18 @@ func (t *TLB) ResolvesVPN(slot int32, vpn uint32, asid arch.ASID) bool {
 // reports how many stayed resolved by the single entry the first
 // reference hit: n consecutive hit iterations are committed with one
 // CommitRunHits (large pages amortize thousands of iterations per
-// probe), and the entry is returned for address computation. n = 0
-// means the first reference does not hit — nothing was committed, and
-// the scalar path must take over at va to count the miss or deliver
-// the fault exactly as before.
-func (t *TLB) LookupRun(va, stride arch.VirtAddr, max int, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (int, Entry) {
+// probe), and the entry is returned for address computation, a pointer
+// into the TLB's own array valid until its next mutation. n = 0 (with a
+// nil entry) means the first reference does not hit — nothing was
+// committed, and the scalar path must take over at va to count the miss
+// or deliver the fault exactly as before.
+func (t *TLB) LookupRun(va, stride arch.VirtAddr, max int, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (int, *Entry) {
 	if max <= 0 {
-		return 0, Entry{}
+		return 0, nil
 	}
 	e, slot, r := t.Peek(va, asid, dacr, kind)
 	if r != Hit {
-		return 0, Entry{}
+		return 0, nil
 	}
 	n := 1
 	vpn := arch.VPN(va)

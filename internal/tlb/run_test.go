@@ -98,13 +98,16 @@ func TestLookupRunMatchesScalarLookups(t *testing.T) {
 					kind := kinds[rng.Intn(len(kinds))]
 					asid := arch.ASID(rng.Intn(3))
 					max := 1 + rng.Intn(64)
-					n, e := run.LookupRun(va, stride, max, asid, dacr, kind)
+					n, ep := run.LookupRun(va, stride, max, asid, dacr, kind)
+					e := entryVal(ep)
 					if n == 0 {
 						// First reference does not hit: the scalar path takes
 						// over on both TLBs, counting the miss or fault once.
-						re, rs, rr := ref.Lookup(va, asid, dacr, kind)
-						ge, gs, gr := run.Lookup(va, asid, dacr, kind)
-						if gr != rr || ge != re || gs != rs {
+						rp, rs, rr := ref.Lookup(va, asid, dacr, kind)
+						re := entryVal(rp)
+						gp, gs, gr := run.Lookup(va, asid, dacr, kind)
+						ge := entryVal(gp)
+						if ep != nil || gr != rr || ge != re || gs != rs {
 							t.Fatalf("op %d: fallback Lookup(%#x) = (%+v, %d, %v), scalar (%+v, %d, %v)", op, va, ge, gs, gr, re, rs, rr)
 						}
 					} else {

@@ -421,47 +421,58 @@ func (t *TLB) removeEntry(slot int32) {
 
 // hitAt applies the Hit bookkeeping for the entry at slot and records it
 // in the MRU register.
-func (t *TLB) hitAt(slot int32, vpn uint32, asid arch.ASID, dacr arch.DACR) Entry {
-	e := &t.entries[slot]
-	e.lastUse = t.clock
+func (t *TLB) hitAt(slot int32, vpn uint32, asid arch.ASID, dacr arch.DACR) {
+	t.entries[slot].lastUse = t.clock
 	t.lruMoveBack(slot)
 	t.stats.Hits++
-	t.mru = mruReg{ok: true, hw: t.DomainMatchInHW, slot: slot, vpn: vpn, asid: asid, dacr: dacr}
-	return *e
+	t.setMRU(slot, vpn, asid, dacr)
+}
+
+// setMRU records a hit on slot for the query (vpn, asid, dacr) in the
+// MRU register, field by field in place.
+func (t *TLB) setMRU(slot int32, vpn uint32, asid arch.ASID, dacr arch.DACR) {
+	m := &t.mru
+	m.ok, m.hw, m.slot = true, t.DomainMatchInHW, slot
+	m.vpn, m.asid, m.dacr = vpn, asid, dacr
 }
 
 // probe applies the lookup logic of one scan step to the entry at slot.
 // done=false means the scan continues (no match, or domain-denied under
 // hardware domain matching).
-func (t *TLB) probe(slot int32, vpn uint32, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (e Entry, r Result, done bool) {
+func (t *TLB) probe(slot int32, vpn uint32, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (r Result, done bool) {
 	ent := &t.entries[slot]
 	if !ent.match(vpn, asid, t.largeMask) {
-		return Entry{}, Miss, false
+		return Miss, false
 	}
 	switch dacr.Access(ent.domain) {
 	case arch.DomainNoAccess:
 		if t.DomainMatchInHW {
-			return Entry{}, Miss, false // hardware requires a domain match for a hit
+			return Miss, false // hardware requires a domain match for a hit
 		}
 		t.stats.DomainFaults++
-		return *ent, DomainFault, true
+		return DomainFault, true
 	case arch.DomainManager:
-		return t.hitAt(slot, vpn, asid, dacr), Hit, true
+		t.hitAt(slot, vpn, asid, dacr)
+		return Hit, true
 	default: // client: check PTE permission bits
 		if !ent.permit(kind) {
 			t.stats.PermFaults++
-			return *ent, PermFault, true
+			return PermFault, true
 		}
-		return t.hitAt(slot, vpn, asid, dacr), Hit, true
+		t.hitAt(slot, vpn, asid, dacr)
+		return Hit, true
 	}
 }
 
 // Lookup searches for a translation of va under the current ASID and DACR.
 // On a Hit the matching entry is returned and its LRU state refreshed. A
 // DomainFault or PermFault also returns the matching entry, so the
-// exception handler can inspect it. The slot is the matching entry's
-// (the handle CommitRunHits takes), or -1 on a Miss.
-func (t *TLB) Lookup(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (Entry, int32, Result) {
+// exception handler can inspect it; a Miss returns nil. The entry is a
+// pointer into the TLB's own array, valid until the TLB's next mutation
+// (Lookup, CommitRunHits, LookupRun, Insert or a flush); callers read it
+// at once and never keep it. The slot is the matching entry's (the
+// handle CommitRunHits takes), or -1 on a Miss.
+func (t *TLB) Lookup(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (*Entry, int32, Result) {
 	t.clock++
 	vpn := arch.VPN(va)
 
@@ -474,10 +485,11 @@ func (t *TLB) Lookup(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch
 		e := &t.entries[slot]
 		if acc := dacr.Access(e.domain); acc != arch.DomainNoAccess {
 			if acc == arch.DomainManager || e.permit(kind) {
-				return t.hitAt(slot, vpn, asid, dacr), slot, Hit
+				t.hitAt(slot, vpn, asid, dacr)
+				return e, slot, Hit
 			}
 			t.stats.PermFaults++
-			return *e, slot, PermFault
+			return e, slot, PermFault
 		}
 	}
 
@@ -489,12 +501,12 @@ func (t *TLB) Lookup(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch
 	}
 	for a >= 0 || b >= 0 {
 		slot := t.pop(&a, &b)
-		if e, r, done := t.probe(slot, vpn, asid, dacr, kind); done {
-			return e, slot, r
+		if r, done := t.probe(slot, vpn, asid, dacr, kind); done {
+			return &t.entries[slot], slot, r
 		}
 	}
 	t.stats.Misses++
-	return Entry{}, -1, Miss
+	return nil, -1, Miss
 }
 
 // findMatch returns the first slot (in slot order) whose entry matches
@@ -565,17 +577,12 @@ func (t *TLB) Insert(va arch.VirtAddr, asid arch.ASID, frame arch.FrameNum, flag
 	if large {
 		vpn &^= t.largeMask
 	}
-	t.entries[victim] = Entry{
-		valid:   true,
-		vpn:     vpn,
-		asid:    asid,
-		global:  flags&arch.PTEGlobal != 0,
-		large:   large,
-		domain:  domain,
-		frame:   frame,
-		flags:   flags,
-		lastUse: t.clock,
-	}
+	// Field stores into the slot, rather than one composite-literal
+	// store, keep the entry out of a stack temporary.
+	e := &t.entries[victim]
+	e.valid, e.vpn, e.asid = true, vpn, asid
+	e.global, e.large, e.domain = newGlobal, large, domain
+	e.frame, e.flags, e.lastUse = frame, flags, t.clock
 	t.idxAdd(victim)
 	t.setValid(victim)
 	t.lruPushBack(victim)
