@@ -17,21 +17,19 @@
 //
 // captureimmut and detflow are fact-based: properties proven in one
 // package (a type is frozen, a function's result reads the clock) are
-// serialized as facts and re-imported when dependent packages are
-// analyzed, so violations are reported across package boundaries. In
-// vet mode facts ride the unitchecker vetx files; in standalone mode
-// dependencies are analyzed first in import order.
+// recorded as facts, held in memory for the run, and imported when
+// dependent packages are analyzed, so violations are reported across
+// package boundaries. Dependencies are analyzed first, in import order.
 //
 // Usage:
 //
 //	satlint [-list] [-json] [package ...]
-//	go vet -vettool=$(command -v satlint) ./...
 //
-// Standalone mode type-checks the module from source and analyzes the
-// named packages ("./..." for everything, the default). The tool also
-// speaks the go vet -vettool unitchecker protocol, which is how CI runs
-// it: the go command supplies compiler export data per package, making
-// the sweep incremental and build-cached.
+// satlint type-checks the module from source and analyzes the named
+// package directories; "dir/..." names every package under dir, and
+// "./..." (the default) everything under the working directory. Like
+// the go tool, "/..." skips testdata, hidden and underscore directories
+// and stops at nested modules (directories with their own go.mod).
 //
 // -json replaces the text output with a JSON array of diagnostics
 // {file, line, col, analyzer, message, ignored}; suppressed findings
@@ -49,7 +47,6 @@
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -67,49 +64,18 @@ func main() {
 }
 
 func run(argv []string, stdout, stderr io.Writer) int {
-	args := argv[1:]
-	// The go vet -vettool handshake probes the tool's identity and flag
-	// set before handing it per-package work.
-	if len(args) == 1 && args[0] == "-V=full" {
-		printVersion(argv[0], stdout)
-		return 0
-	}
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Fprintln(stdout, "[]")
-		return 0
-	}
-
 	fs := flag.NewFlagSet("satlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "print analyzer names and docs, then exit")
 	asJSON := fs.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(argv[1:]); err != nil {
 		return 1
 	}
 	if *list {
 		printList(stdout)
 		return 0
 	}
-
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return framework.RunVet(rest[0], satlint.Analyzers(), stderr)
-	}
-	return standalone(rest, *asJSON, stdout, stderr)
-}
-
-// printVersion implements -V=full in the form the go command's build
-// cache requires: "name version devel ... buildID=<content hash>".
-func printVersion(arg0 string, w io.Writer) {
-	h := sha256.New()
-	if self, err := os.Executable(); err == nil {
-		if f, err := os.Open(self); err == nil {
-			_, _ = io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Fprintf(w, "%s version devel comments-go-here buildID=%x\n",
-		filepath.Base(arg0), h.Sum(nil))
+	return lint(fs.Args(), *asJSON, stdout, stderr)
 }
 
 // printList implements -list: one line per analyzer plus its doc.
@@ -130,11 +96,12 @@ type jsonDiagnostic struct {
 	Ignored  bool   `json:"ignored"`
 }
 
-// standalone loads the module from source and analyzes the requested
-// packages: "./..." (default) for the whole module, or directory paths.
+// lint loads the module from source and analyzes the requested
+// packages (see load; "./..." by default).
 // Dependency facts are computed in import order by the framework
-// driver, so cross-package analyzers see the same facts as in vet mode.
-func standalone(patterns []string, asJSON bool, stdout, stderr io.Writer) int {
+// driver, so cross-package analyzers see every fact their imports
+// export.
+func lint(patterns []string, asJSON bool, stdout, stderr io.Writer) int {
 	root, err := framework.FindModuleRoot(".")
 	if err != nil {
 		fmt.Fprintln(stderr, "satlint:", err)
@@ -150,7 +117,7 @@ func standalone(patterns []string, asJSON bool, stdout, stderr io.Writer) int {
 	}
 	var units []*framework.Unit
 	for _, pat := range patterns {
-		us, err := load(loader, root, pat)
+		us, err := load(loader, pat)
 		if err != nil {
 			fmt.Fprintln(stderr, "satlint:", err)
 			return 1
@@ -199,21 +166,24 @@ func standalone(patterns []string, asJSON bool, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func load(loader *framework.Loader, root, pattern string) ([]*framework.Unit, error) {
-	if pattern == "./..." || pattern == "..." {
-		return loader.LoadAll()
+// load resolves one pattern relative to the working directory: a
+// package directory, or a directory followed by "/..." for every package
+// under it ("./..." for the whole module when run from its root).
+func load(loader *framework.Loader, pattern string) ([]*framework.Unit, error) {
+	dir, tree := strings.CutSuffix(pattern, "/...")
+	if pattern == "..." {
+		dir, tree = ".", true
 	}
-	dir, err := filepath.Abs(strings.TrimSuffix(pattern, "/..."))
+	dir, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
-	rel, err := filepath.Rel(root, dir)
-	if err != nil || strings.HasPrefix(rel, "..") {
-		return nil, fmt.Errorf("package %q is outside the module at %s", pattern, root)
+	importPath, err := loader.ImportPathOf(dir)
+	if err != nil {
+		return nil, fmt.Errorf("package %q: %v", pattern, err)
 	}
-	importPath := loader.ModulePath()
-	if rel != "." {
-		importPath += "/" + filepath.ToSlash(rel)
+	if tree {
+		return loader.LoadTree(dir)
 	}
 	return loader.LoadDir(dir, importPath)
 }

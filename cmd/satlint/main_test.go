@@ -49,7 +49,7 @@ func TestListFlagPrintsEveryAnalyzer(t *testing.T) {
 	}
 }
 
-// TestJSONOutput runs the standalone driver over a throwaway module
+// TestJSONOutput runs the driver over a throwaway module
 // with one real finding and one suppressed finding, and checks the -json
 // contract: both appear in the array (the suppressed one with
 // ignored=true), only the real one drives the exit code, and text mode
@@ -132,26 +132,5 @@ func Excused() time.Time {
 	}
 	if got := strings.TrimSpace(stdout.String()); got != "[]" {
 		t.Errorf("clean -json run printed %q, want []", got)
-	}
-}
-
-func TestVetHandshake(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"satlint", "-V=full"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-V=full exited %d", code)
-	}
-	// The go command parses this line to cache vet results: the last
-	// space-separated field must be a buildID=<hex> token.
-	fields := strings.Fields(strings.TrimSpace(stdout.String()))
-	if len(fields) < 3 || !strings.HasPrefix(fields[len(fields)-1], "buildID=") {
-		t.Errorf("malformed -V=full output: %q", stdout.String())
-	}
-
-	stdout.Reset()
-	if code := run([]string{"satlint", "-flags"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-flags exited %d", code)
-	}
-	if got := strings.TrimSpace(stdout.String()); got != "[]" {
-		t.Errorf("-flags printed %q, want []", got)
 	}
 }

@@ -20,9 +20,8 @@
 // rendered form `<ObjectKey>: <fact struct>` matches the regexp. Facts
 // are matched globally after all packages run, so a fact exported by
 // one fixture package and asserted in another proves cross-package
-// propagation (packages are analyzed with the framework Driver, which
-// also round-trips every fact through the JSON codec at each package
-// boundary).
+// propagation (packages are analyzed with the framework Driver, the same
+// driver `satlint ./...` uses).
 //
 // Every directory under testdata/src is registered as an importable
 // package (its path relative to src), and module-internal imports like

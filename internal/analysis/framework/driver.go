@@ -5,16 +5,15 @@ import (
 	"go/types"
 )
 
-// Driver runs analyzers over units in standalone (non-vet) mode with
-// cross-package fact propagation: before a unit is analyzed, the
-// fact-exporting analyzers are run over every module-local dependency
-// (in dependency order, each package once), so imported facts are
-// present exactly as they would be under the unitchecker protocol.
+// Driver runs analyzers over units with cross-package fact propagation:
+// before a unit is analyzed, the fact-exporting analyzers are run over
+// every module-local dependency (in dependency order, each package
+// once), so the facts the unit imports are already in the store.
 //
-// After each dependency's facts are computed the whole store is
-// round-tripped through the JSON codec — the standalone mode thereby
-// continuously proves that every exported fact survives serialization,
-// instead of only exercising that path under `go vet`.
+// The store lives in memory for the driver's whole run. Facts stay keyed
+// by (package path, object key) rather than by types.Object, because a
+// package's test unit and the test-free unit its importers see are
+// type-checked separately.
 type Driver struct {
 	Loader    *Loader
 	Analyzers []*Analyzer
@@ -72,29 +71,8 @@ func (d *Driver) ensureFacts(pkg *types.Package) error {
 	// Diagnostics of dependency passes are discarded; each package's
 	// findings are reported when it is analyzed as a unit in its own
 	// right.
-	if _, err := RunAnalyzers(unit, fas, d.facts); err != nil {
-		return err
-	}
-	return d.roundTrip()
-}
-
-// roundTrip replaces the store with the result of encoding and decoding
-// it, so any non-serializable fact fails loudly at the package boundary
-// where it was exported.
-func (d *Driver) roundTrip() error {
-	data, err := d.facts.Encode()
-	if err != nil {
-		return err
-	}
-	fresh := NewFactStore()
-	if err := DecodeFacts(data, d.Analyzers, fresh); err != nil {
-		return err
-	}
-	if fresh.Len() != d.facts.Len() {
-		return fmt.Errorf("fact store round-trip lost facts: %d -> %d", d.facts.Len(), fresh.Len())
-	}
-	d.facts = fresh
-	return nil
+	_, err = RunAnalyzers(unit, fas, d.facts)
+	return err
 }
 
 // Run analyzes one unit: dependency facts are computed first, then

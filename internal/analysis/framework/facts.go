@@ -1,8 +1,6 @@
 package framework
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"go/types"
 	"reflect"
@@ -10,12 +8,14 @@ import (
 	"strings"
 )
 
-// A Fact is a serializable claim an analyzer attaches to an object or a
-// package so that properties proven while analyzing one package flow to
-// the packages that import it — the same contract as
-// golang.org/x/tools/go/analysis facts, restricted to what JSON can
-// carry. A fact type must be a pointer to a struct with exported fields;
-// AFact is the marker that keeps arbitrary values out of the store.
+// A Fact is a claim an analyzer attaches to an object or a package so
+// that properties proven while analyzing one package flow to the
+// packages that import it — the same contract as
+// golang.org/x/tools/go/analysis facts. A fact type must be a pointer to
+// a struct; AFact is the marker that keeps arbitrary values out of the
+// store. Facts live in memory for one run and are copied out on every
+// import, so keep them small: a few scalar fields, never syntax or
+// types.Object values.
 //
 // Facts are private to the analyzer that declares them (in
 // Analyzer.FactTypes): two analyzers never observe each other's facts,
@@ -24,7 +24,7 @@ type Fact interface {
 	AFact()
 }
 
-// factTypeName names a fact's concrete type for (de)serialization.
+// factTypeName names a fact's concrete type, for store keys.
 func factTypeName(f Fact) string {
 	t := reflect.TypeOf(f)
 	for t.Kind() == reflect.Pointer {
@@ -40,10 +40,10 @@ type factKey struct {
 	pkg, analyzer, object, typ string
 }
 
-// FactStore holds every fact visible to one analysis run: the facts of
-// the unit being analyzed plus everything imported from (or destined
-// for) dependency fact files. One object carries at most one fact per
-// (analyzer, fact type); a re-export overwrites.
+// FactStore holds every fact of one analysis run, in memory: the facts
+// of every package analyzed so far, dependencies included. One object
+// carries at most one fact per (analyzer, fact type); a re-export
+// overwrites.
 type FactStore struct {
 	m map[factKey]Fact
 }
@@ -98,84 +98,11 @@ func (s *FactStore) Entries() []FactEntry {
 	return out
 }
 
-// Len returns the number of facts held.
-func (s *FactStore) Len() int { return len(s.m) }
-
-// factBlob is the serialized form of one fact: the wire format written
-// to unitchecker vetx files and round-tripped by the standalone driver.
-// The file is a JSON array of blobs; an empty file means no facts (the
-// format older satlint versions wrote).
-type factBlob struct {
-	Pkg      string          `json:"pkg"`
-	Analyzer string          `json:"analyzer"`
-	Object   string          `json:"object,omitempty"`
-	Type     string          `json:"type"`
-	Data     json.RawMessage `json:"data"`
-}
-
-// Encode serializes the store: a deterministic JSON array sorted by
-// (pkg, analyzer, object, type).
-func (s *FactStore) Encode() ([]byte, error) {
-	entries := s.Entries()
-	blobs := make([]factBlob, 0, len(entries))
-	for _, e := range entries {
-		data, err := json.Marshal(e.Fact)
-		if err != nil {
-			return nil, fmt.Errorf("encoding %s fact %T on %s.%s: %v", e.Analyzer, e.Fact, e.Pkg, e.Object, err)
-		}
-		blobs = append(blobs, factBlob{
-			Pkg: e.Pkg, Analyzer: e.Analyzer, Object: e.Object,
-			Type: factTypeName(e.Fact), Data: data,
-		})
-	}
-	return json.Marshal(blobs)
-}
-
-// DecodeFacts merges a serialized fact file into the store. Fact types
-// are resolved against the FactTypes the given analyzers declare; blobs
-// from unknown analyzers or undeclared types are skipped, so readers
-// tolerate files written by a satlint with a different analyzer set.
-func DecodeFacts(data []byte, analyzers []*Analyzer, into *FactStore) error {
-	if len(bytes.TrimSpace(data)) == 0 {
-		return nil // the pre-facts format: an empty file
-	}
-	reg := map[string]map[string]reflect.Type{}
-	for _, a := range analyzers {
-		for _, f := range a.FactTypes {
-			t := reflect.TypeOf(f)
-			for t.Kind() == reflect.Pointer {
-				t = t.Elem()
-			}
-			if reg[a.Name] == nil {
-				reg[a.Name] = map[string]reflect.Type{}
-			}
-			reg[a.Name][t.Name()] = t
-		}
-	}
-	var blobs []factBlob
-	if err := json.Unmarshal(data, &blobs); err != nil {
-		return fmt.Errorf("parsing fact file: %v", err)
-	}
-	for _, b := range blobs {
-		typ, ok := reg[b.Analyzer][b.Type]
-		if !ok {
-			continue
-		}
-		f, ok := reflect.New(typ).Interface().(Fact)
-		if !ok {
-			continue
-		}
-		if err := json.Unmarshal(b.Data, f); err != nil {
-			return fmt.Errorf("decoding %s fact %s on %s.%s: %v", b.Analyzer, b.Type, b.Pkg, b.Object, err)
-		}
-		into.put(b.Pkg, b.Analyzer, b.Object, f)
-	}
-	return nil
-}
-
 // objectKey names obj within its package, or reports that the object is
 // not keyable. Facts attach only to objects an importer can find again
-// through export data:
+// by name in its own type-checked copy of the package (a package's test
+// unit and the test-free unit its importers see are checked
+// separately, so object identity does not carry across):
 //
 //	"Name"        a package-level func, type, var, or const
 //	"Type.Method" a method (value or pointer receiver) of a named type
@@ -202,8 +129,8 @@ func objectKey(obj types.Object) (string, bool) {
 	return "", false
 }
 
-// LookupObjectKey resolves a key produced by objectKey against pkg
-// (source-checked or loaded from export data), or nil.
+// LookupObjectKey resolves a key produced by objectKey against pkg, or
+// nil.
 func LookupObjectKey(pkg *types.Package, key string) types.Object {
 	typeName, method, isMethod := strings.Cut(key, ".")
 	if !isMethod {
@@ -226,8 +153,10 @@ func LookupObjectKey(pkg *types.Package, key string) types.Object {
 }
 
 // checkFactType panics unless the analyzer declared fact's type in
-// FactTypes — an undeclared type would export fine but silently fail to
-// decode on the importing side, which is a far worse failure mode.
+// FactTypes. The driver runs only fact-declaring analyzers over
+// dependencies, so an analyzer whose facts went undeclared would export
+// them fine within one unit yet never deliver them to an importer;
+// requiring each type in the declaration keeps it honest.
 func (p *Pass) checkFactType(fact Fact) {
 	want := factTypeName(fact)
 	for _, f := range p.Analyzer.FactTypes {

@@ -1,7 +1,6 @@
 package framework
 
 import (
-	"bytes"
 	"go/ast"
 	"go/types"
 	"os"
@@ -10,8 +9,7 @@ import (
 	"testing"
 )
 
-// markFact is the test fact vocabulary: one exported string field, so it
-// round-trips through JSON losslessly.
+// markFact is the test fact vocabulary: one string field.
 type markFact struct{ Note string }
 
 func (*markFact) AFact() {}
@@ -52,84 +50,6 @@ var markAnalyzer = &Analyzer{
 		}
 		return nil
 	},
-}
-
-func TestFactStoreCodecRoundTrip(t *testing.T) {
-	s := NewFactStore()
-	s.put("m/a", "marktest", "F", &markFact{Note: "object fact"})
-	s.put("m/a", "marktest", "", &markFact{Note: "package fact"})
-	s.put("m/b", "marktest", "T.M", &markFact{Note: "method fact"})
-
-	data, err := s.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := s.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, again) {
-		t.Error("Encode is not deterministic across calls on the same store")
-	}
-
-	fresh := NewFactStore()
-	if err := DecodeFacts(data, []*Analyzer{markAnalyzer}, fresh); err != nil {
-		t.Fatal(err)
-	}
-	if fresh.Len() != s.Len() {
-		t.Fatalf("round trip kept %d of %d facts", fresh.Len(), s.Len())
-	}
-	want := s.Entries()
-	got := fresh.Entries()
-	for i := range want {
-		w, g := want[i], got[i]
-		if w.Pkg != g.Pkg || w.Analyzer != g.Analyzer || w.Object != g.Object {
-			t.Errorf("entry %d: got (%s, %s, %q), want (%s, %s, %q)",
-				i, g.Pkg, g.Analyzer, g.Object, w.Pkg, w.Analyzer, w.Object)
-		}
-		wf, gf := w.Fact.(*markFact), g.Fact.(*markFact)
-		if wf.Note != gf.Note {
-			t.Errorf("entry %d: note %q, want %q", i, gf.Note, wf.Note)
-		}
-	}
-}
-
-func TestDecodeFactsTolerance(t *testing.T) {
-	// The pre-facts format: an empty (or whitespace-only) file.
-	for _, data := range [][]byte{nil, []byte(""), []byte("\n")} {
-		s := NewFactStore()
-		if err := DecodeFacts(data, []*Analyzer{markAnalyzer}, s); err != nil {
-			t.Errorf("empty fact file: %v", err)
-		}
-		if s.Len() != 0 {
-			t.Errorf("empty fact file decoded %d facts", s.Len())
-		}
-	}
-
-	// Blobs from analyzers not in the run set, or with fact types the
-	// analyzer no longer declares, are skipped — not errors — so fact
-	// files written by a different satlint build stay readable.
-	foreign := []byte(`[
-		{"pkg":"m/a","analyzer":"elsewhere","object":"F","type":"markFact","data":{"Note":"x"}},
-		{"pkg":"m/a","analyzer":"marktest","object":"F","type":"retiredFact","data":{"Gone":1}},
-		{"pkg":"m/a","analyzer":"marktest","object":"G","type":"markFact","data":{"Note":"kept"}}
-	]`)
-	s := NewFactStore()
-	if err := DecodeFacts(foreign, []*Analyzer{markAnalyzer}, s); err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 1 {
-		t.Fatalf("decoded %d facts, want 1 (unknown analyzer and type skipped)", s.Len())
-	}
-	var mf markFact
-	if !s.get("m/a", "marktest", "G", &mf) || mf.Note != "kept" {
-		t.Errorf("surviving fact = %+v, want Note=kept on m/a.G", mf)
-	}
-
-	// Actual corruption is an error, not a silent empty store.
-	if err := DecodeFacts([]byte("{not json"), []*Analyzer{markAnalyzer}, NewFactStore()); err == nil {
-		t.Error("malformed fact file decoded without error")
-	}
 }
 
 // writeTree materializes a file tree under a temp dir and returns its
@@ -193,8 +113,7 @@ func Top() int { return 0 }
 
 // TestDriverCrossPackageFacts is the framework-level seeded regression:
 // a fact proven in package a must reach the analysis of package b, which
-// imports it — and the whole store must survive the JSON round trip the
-// driver forces after every dependency.
+// imports it.
 func TestDriverCrossPackageFacts(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"go.mod": "module tmod\n",
@@ -256,8 +175,7 @@ func Use() int {
 		t.Errorf("got %d unused-directive findings, want 1 (the stale directive in b)", unused)
 	}
 
-	// The fact store must hold a's export, proven serializable by the
-	// driver's round trip.
+	// The fact store must hold a's export.
 	var found bool
 	for _, e := range driver.Facts().Entries() {
 		if e.Pkg == "tmod/a" && e.Object == "MarkedSource" {

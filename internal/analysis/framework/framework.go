@@ -6,16 +6,12 @@
 // match x/tools closely enough that migrating the analyzers onto the
 // real framework is mechanical should the dependency ever be added.
 //
-// The package also provides the two ways analyses are driven:
-//
-//   - Loader type-checks module packages straight from source (used by
-//     the standalone `satlint ./...` mode and by analysistest), and
-//   - RunVet speaks the `go vet -vettool` unitchecker protocol, reading
-//     the vet config and compiler export data the go command hands it.
-//
-// Both drivers funnel through RunAnalyzers, which applies the
-// `//satlint:ignore <analyzers> <reason>` suppression contract before
-// diagnostics are reported.
+// The package also provides the one way analyses are driven: Loader
+// type-checks module packages straight from source, and Driver runs the
+// analyzers over them with cross-package facts held in memory. Both
+// `satlint ./...` and analysistest use them. Every run funnels through
+// RunAnalyzers, which applies the `//satlint:ignore <analyzers> <reason>`
+// suppression contract before diagnostics are reported.
 package framework
 
 import (
@@ -33,8 +29,9 @@ import (
 //
 // FactTypes declares the Fact types the analyzer exports or imports —
 // each element a pointer to the zero value, e.g. `[]Fact{new(FooFact)}`.
-// An analyzer with a non-empty FactTypes runs even in fact-only passes
-// (unitchecker VetxOnly) so its facts reach dependent packages.
+// An analyzer with a non-empty FactTypes is also run over the
+// dependencies of each analyzed unit, so its facts reach dependent
+// packages.
 type Analyzer struct {
 	Name      string
 	Doc       string

@@ -29,9 +29,9 @@ type Unit struct {
 
 // Loader type-checks packages of this module straight from source,
 // resolving module-internal imports to their directories and everything
-// else through the standard library's source importer. It exists so the
-// standalone `satlint ./...` mode and analysistest need no compiler
-// export data and no dependencies outside the standard library.
+// else through the standard library's source importer, so satlint and
+// analysistest need no compiler export data and no dependencies outside
+// the standard library.
 type Loader struct {
 	Fset    *token.FileSet
 	root    string // module root directory (holds go.mod)
@@ -59,9 +59,6 @@ func NewLoader(root string) (*Loader, error) {
 		std:     importer.ForCompiler(fset, "source", nil),
 	}, nil
 }
-
-// ModulePath returns the module's import path (the go.mod module line).
-func (l *Loader) ModulePath() string { return l.modpath }
 
 // AddPath registers an extra import path resolving to dir, used by
 // analysistest to make fixture packages importable from one another.
@@ -116,8 +113,8 @@ func (l *Loader) dirFor(path string) (string, bool) {
 // Import implements types.Importer: module-internal packages are
 // type-checked from source (without test files), everything else comes
 // from the standard library source importer. The checked unit — syntax
-// and type info included — is cached so the standalone Driver can run
-// fact-exporting analyzers over dependencies without re-checking them.
+// and type info included — is cached so the Driver can run fact-exporting
+// analyzers over dependencies without re-checking them.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
@@ -289,12 +286,26 @@ func (l *Loader) LoadDir(dir, importPath string) ([]*Unit, error) {
 	return units, nil
 }
 
-// LoadAll walks the module tree and loads every package directory,
-// skipping testdata, hidden, and underscore directories — the same
-// pruning the go tool applies to "./...".
-func (l *Loader) LoadAll() ([]*Unit, error) {
+// ImportPathOf returns the import path of dir, a directory inside the
+// module.
+func (l *Loader) ImportPathOf(dir string) (string, error) {
+	rel, err := filepath.Rel(l.root, dir)
+	if err != nil || rel == ".." || strings.HasPrefix(rel, ".."+string(filepath.Separator)) {
+		return "", fmt.Errorf("%s is outside the module at %s", dir, l.root)
+	}
+	if rel == "." {
+		return l.modpath, nil
+	}
+	return l.modpath + "/" + filepath.ToSlash(rel), nil
+}
+
+// LoadTree walks the module tree under dir and loads every package
+// directory, skipping testdata, hidden, and underscore directories and
+// stopping at nested modules (a subdirectory with its own go.mod) — the
+// same pruning the go tool applies to "dir/...".
+func (l *Loader) LoadTree(dir string) ([]*Unit, error) {
 	var units []*Unit
-	err := filepath.WalkDir(l.root, func(path string, d os.DirEntry, err error) error {
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -302,9 +313,13 @@ func (l *Loader) LoadAll() ([]*Unit, error) {
 			return nil
 		}
 		name := d.Name()
-		if path != l.root &&
-			(name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
+		if path != dir {
+			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		hasGo, err := dirHasGoFiles(path)
 		if err != nil {
@@ -313,13 +328,9 @@ func (l *Loader) LoadAll() ([]*Unit, error) {
 		if !hasGo {
 			return nil
 		}
-		rel, err := filepath.Rel(l.root, path)
+		importPath, err := l.ImportPathOf(path)
 		if err != nil {
 			return err
-		}
-		importPath := l.modpath
-		if rel != "." {
-			importPath = l.modpath + "/" + filepath.ToSlash(rel)
 		}
 		us, err := l.LoadDir(path, importPath)
 		if err != nil {

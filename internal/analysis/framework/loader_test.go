@@ -52,3 +52,37 @@ func TestLoaderAppliesBuildConstraints(t *testing.T) {
 		t.Errorf("LoadDir loaded %d units, want 1 unit with 1 file", len(units))
 	}
 }
+
+// TestLoadTreeStopsAtNestedModules is the regression for LoadTree walking
+// into a subdirectory with its own go.mod: the go tool's "./..." stops
+// there, since that directory belongs to another module, so the loader
+// must too. Otherwise `satlint ./...` reports findings in code that
+// `go build ./...` and `go vet ./...` never see.
+func TestLoadTreeStopsAtNestedModules(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"go.mod":             "module tmod\n",
+		"p/p.go":             "package p\n\nconst P = 1\n",
+		"bench/go.mod":       "module tmod/bench\n",
+		"bench/bench.go":     "package bench\n\nconst B = 1\n",
+		"bench/sub/sub.go":   "package sub\n\nconst S = 1\n",
+		"p/deeper/go.mod":    "module other\n",
+		"p/deeper/deeper.go": "package deeper\n\nconst D = 1\n",
+	})
+	loader, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, start := range []string{root, filepath.Join(root, "p")} {
+		units, err := loader.LoadTree(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, u := range units {
+			got = append(got, u.ImportPath)
+		}
+		if len(got) != 1 || got[0] != "tmod/p" {
+			t.Errorf("LoadTree(%s) loaded %v, want only [tmod/p] (nested modules skipped)", start, got)
+		}
+	}
+}

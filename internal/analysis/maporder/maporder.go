@@ -77,59 +77,81 @@ var sortFuncs = map[string]bool{
 	"slices.Sort": true, "slices.SortFunc": true, "slices.SortStableFunc": true,
 }
 
-// sortedAfter collects the (textual) expressions that are sorted by a
-// statement following the range loop in its enclosing statement list:
-// appending map entries to such a slice is the canonical deterministic
-// idiom, not a finding.
-func sortedAfter(pass *framework.Pass, rng *ast.RangeStmt, stack []ast.Node) map[string]bool {
-	out := map[string]bool{}
-	if len(stack) == 0 {
-		return out
-	}
-	var stmts []ast.Stmt
-	switch parent := stack[len(stack)-1].(type) {
-	case *ast.BlockStmt:
-		stmts = parent.List
-	case *ast.CaseClause:
-		stmts = parent.Body
-	case *ast.CommClause:
-		stmts = parent.Body
-	default:
-		return out
-	}
-	past := false
-	for _, s := range stmts {
-		if s == ast.Stmt(rng) {
-			past = true
-			continue
+// sortedAfter collects the (textual) expressions sorted by a statement
+// that follows the range loop, or follows a statement enclosing it, in
+// any statement list between the loop and its function. Each maps to
+// the start of the innermost such list: an append is the canonical
+// collect-then-sort idiom, not a finding, when that list lies inside
+// the scope declaring the slice (see sortedLater).
+func sortedAfter(pass *framework.Pass, rng *ast.RangeStmt, stack []ast.Node) map[string]token.Pos {
+	out := map[string]token.Pos{}
+	var child ast.Node = rng
+	for i := len(stack) - 1; i >= 0; i-- {
+		var stmts []ast.Stmt
+		switch parent := stack[i].(type) {
+		case *ast.FuncDecl, *ast.FuncLit:
+			return out
+		case *ast.BlockStmt:
+			stmts = parent.List
+		case *ast.CaseClause:
+			stmts = parent.Body
+		case *ast.CommClause:
+			stmts = parent.Body
 		}
-		if !past {
-			continue
+		past := false
+		for _, s := range stmts {
+			if s == child {
+				past = true
+				continue
+			}
+			if !past {
+				continue
+			}
+			ast.Inspect(s, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				fn := framework.CalledFunc(pass.TypesInfo, call)
+				if fn == nil || fn.Pkg() == nil || len(call.Args) == 0 {
+					return true
+				}
+				key := types.ExprString(call.Args[0])
+				if _, inner := out[key]; !inner && sortFuncs[fn.Pkg().Name()+"."+fn.Name()] &&
+					(fn.Pkg().Path() == "sort" || fn.Pkg().Path() == "slices") {
+					out[key] = stack[i].Pos()
+				}
+				return true
+			})
 		}
-		ast.Inspect(s, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := framework.CalledFunc(pass.TypesInfo, call)
-			if fn == nil || fn.Pkg() == nil || len(call.Args) == 0 {
-				return true
-			}
-			if sortFuncs[fn.Pkg().Name()+"."+fn.Name()] &&
-				(fn.Pkg().Path() == "sort" || fn.Pkg().Path() == "slices") {
-				out[types.ExprString(call.Args[0])] = true
-			}
-			return true
-		})
+		child = stack[i]
 	}
 	return out
+}
+
+// sortedLater reports whether slice is sorted after the loop in a
+// statement list inside the scope that declares it, so the sort reaches
+// the same variable the loop appends to.
+func sortedLater(pass *framework.Pass, slice ast.Expr, sorted map[string]token.Pos) bool {
+	block, ok := sorted[types.ExprString(slice)]
+	if !ok {
+		return false
+	}
+	root := framework.RootIdent(slice)
+	if root == nil {
+		return false
+	}
+	// A package-level slice's scope has no position: any later sort in
+	// the function counts.
+	obj := pass.TypesInfo.Uses[root]
+	return obj != nil && obj.Parent() != nil && block >= obj.Parent().Pos()
 }
 
 // findSink scans the body of a map-range for an order-sensitive sink and
 // returns its position and a description, or token.NoPos. sorted holds
 // expressions canonicalized by a sort after the loop; appends to those
 // are the accepted collect-then-sort idiom.
-func findSink(pass *framework.Pass, rng *ast.RangeStmt, sorted map[string]bool) (token.Pos, string) {
+func findSink(pass *framework.Pass, rng *ast.RangeStmt, sorted map[string]token.Pos) (token.Pos, string) {
 	var pos token.Pos
 	var what string
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
@@ -155,12 +177,12 @@ func findSink(pass *framework.Pass, rng *ast.RangeStmt, sorted map[string]bool) 
 	return pos, what
 }
 
-func callSink(pass *framework.Pass, rng *ast.RangeStmt, call *ast.CallExpr, sorted map[string]bool) (token.Pos, string) {
+func callSink(pass *framework.Pass, rng *ast.RangeStmt, call *ast.CallExpr, sorted map[string]token.Pos) (token.Pos, string) {
 	// append to a slice declared outside the loop — unless that slice is
 	// sorted after the loop, the canonical deterministic idiom.
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "append" {
 		if _, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin && len(call.Args) > 0 {
-			if declaredOutside(pass, rng, call.Args[0]) && !sorted[types.ExprString(call.Args[0])] {
+			if declaredOutside(pass, rng, call.Args[0]) && !sortedLater(pass, call.Args[0], sorted) {
 				return call.Pos(), "appends to a slice declared outside the loop"
 			}
 		}

@@ -65,6 +65,56 @@ func collectThenSortSlice(m map[int]uint64) []int {
 	return pids
 }
 
+// nestedCollectThenSort collects inside an outer loop and sorts once
+// after that loop, in the block that declares the slice. Not a finding.
+func nestedCollectThenSort(ms []map[string]int) []string {
+	var lines []string
+	for _, m := range ms {
+		for k := range m {
+			lines = append(lines, k)
+		}
+	}
+	sort.Strings(lines)
+	return lines
+}
+
+// nestedUnsorted collects inside an outer loop and never sorts.
+func nestedUnsorted(ms []map[string]int) []string {
+	var lines []string
+	for _, m := range ms {
+		for k := range m { // want `appends to a slice declared outside the loop`
+			lines = append(lines, k)
+		}
+	}
+	return lines
+}
+
+// nestedSortFirst sorts before the outer loop, so the appends that
+// follow stay in map order.
+func nestedSortFirst(ms []map[string]int, lines []string) []string {
+	sort.Strings(lines)
+	for _, m := range ms {
+		for k := range m { // want `appends to a slice declared outside the loop`
+			lines = append(lines, k)
+		}
+	}
+	return lines
+}
+
+// shadowedSort sorts an outer slice after the outer loop, but the loop
+// appends to an inner slice of the same name that the sort never sees.
+func shadowedSort(ms []map[string]int) (lines []string) {
+	for _, m := range ms {
+		var lines []string
+		for k := range m { // want `appends to a slice declared outside the loop`
+			lines = append(lines, k)
+		}
+		fmt.Println(len(lines))
+	}
+	sort.Strings(lines)
+	return lines
+}
+
 // commutativeFold accumulates with +=, which is order-insensitive.
 func commutativeFold(m map[string]int) int {
 	total := 0

@@ -93,7 +93,7 @@ func (s *Session) runMotivationApp(spec workload.AppSpec, u *workload.Universe) 
 	}
 	ft := &trace.FaultTrace{}
 	ft.Attach(sys.Kernel)
-	defer ft.Detach(sys.Kernel)
+	defer ft.Detach()
 
 	prof := workload.BuildProfile(u, spec)
 	sampler := trace.NewPCSampler()

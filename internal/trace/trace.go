@@ -41,7 +41,7 @@ type FaultTrace struct {
 // are unaffected; a second Attach (to the same or another kernel) first
 // detaches.
 func (t *FaultTrace) Attach(k *core.Kernel) {
-	t.Detach(k)
+	t.Detach()
 	t.cancel = k.Subscribe(obs.ObserverFunc(func(ev obs.Event) {
 		t.Events = append(t.Events, FaultEvent{
 			PID:  ev.PID,
@@ -51,9 +51,8 @@ func (t *FaultTrace) Attach(k *core.Kernel) {
 	}), obs.EvPageFault)
 }
 
-// Detach stops recording. The kernel argument is kept for compatibility
-// and may be nil; the subscription itself knows which bus it is on.
-func (t *FaultTrace) Detach(*core.Kernel) {
+// Detach stops recording; the subscription knows which bus it is on.
+func (t *FaultTrace) Detach() {
 	if t.cancel != nil {
 		t.cancel()
 		t.cancel = nil

@@ -56,7 +56,7 @@ func TestFaultTraceCollects(t *testing.T) {
 	if len(pages) != 2 || pages[0] != 0x10000 || pages[1] != 0x11000 {
 		t.Errorf("ExecPages = %v", pages)
 	}
-	tr.Detach(k)
+	tr.Detach()
 	if err := k.Run(p, func() error { return ref(k.CPU, 0x12000, arch.AccessFetch) }); err != nil {
 		t.Fatal(err)
 	}
