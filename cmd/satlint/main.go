@@ -5,15 +5,13 @@
 // which golden tests can only probe and review can only hope to
 // remember.
 //
-// It is a multichecker over seven project-specific analyzers:
+// It is a multichecker over five project-specific analyzers:
 //
-//	captureimmut   forbid writes to frozen-after-capture checkpoint state
-//	detflow        forbid nondeterministic values flowing into observable output
-//	maporder       forbid map iteration that feeds ordered output
-//	nondet         forbid wall-clock time and globally-seeded randomness
-//	obsguard       require Bus.Wants (or a nil-bus check) around event publication
-//	snapshotfresh  require Snapshot() to return a freshly allocated map
-//	unsafecast     require bounds and alignment checks before unsafe casts
+//	captureimmut  forbid writes to frozen-after-capture checkpoint state
+//	detflow       forbid nondeterministic values flowing into observable output
+//	maporder      forbid map iteration that feeds ordered output
+//	nondet        forbid wall-clock time and globally-seeded randomness
+//	obsguard      require Bus.Wants (or a nil-bus check) around event publication
 //
 // captureimmut and detflow are fact-based: properties proven in one
 // package (a type is frozen, a function's result reads the clock) are
@@ -43,7 +41,8 @@
 //
 // The reason is mandatory; a reasonless directive suppresses nothing and
 // is itself a finding — as is a directive that suppresses nothing at
-// all. Exit status: 0 clean, 1 driver error, 2 findings.
+// all, or that names an analyzer outside the suite. Exit status: 0
+// clean, 1 driver error, 2 findings.
 package main
 
 import (
@@ -124,7 +123,12 @@ func lint(patterns []string, asJSON bool, stdout, stderr io.Writer) int {
 		}
 		units = append(units, us...)
 	}
-	driver := framework.NewDriver(loader, satlint.Analyzers())
+	analyzers := satlint.Analyzers()
+	known := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		known[a.Name] = true
+	}
+	driver := framework.NewDriver(loader, analyzers)
 	findings := 0
 	var all []jsonDiagnostic
 	for _, unit := range units {
@@ -133,6 +137,10 @@ func lint(patterns []string, asJSON bool, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "satlint:", err)
 			return 1
 		}
+		// Only the whole suite can tell a misspelt or retired analyzer
+		// name in an ignore directive from one that is not running.
+		diags = append(diags, framework.ParseIgnores(unit.Fset, unit.Files).Unknown(known)...)
+		framework.SortDiagnostics(unit.Fset, diags)
 		for _, d := range diags {
 			pos := loader.Fset.Position(d.Pos)
 			if asJSON {

@@ -12,10 +12,9 @@ import (
 )
 
 // wantAnalyzers is the contract: the suite registers exactly these
-// seven, alphabetically.
+// five, alphabetically.
 var wantAnalyzers = []string{
-	"captureimmut", "detflow", "maporder", "nondet",
-	"obsguard", "snapshotfresh", "unsafecast",
+	"captureimmut", "detflow", "maporder", "nondet", "obsguard",
 }
 
 func TestSuiteRegistersAllAnalyzers(t *testing.T) {
@@ -55,18 +54,7 @@ func TestListFlagPrintsEveryAnalyzer(t *testing.T) {
 // ignored=true), only the real one drives the exit code, and text mode
 // stays silent about the suppressed one.
 func TestJSONOutput(t *testing.T) {
-	root := t.TempDir()
-	write := func(name, src string) {
-		t.Helper()
-		path := filepath.Join(root, filepath.FromSlash(name))
-		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o666); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module tmod\n\ngo 1.22\n")
+	write := chdirModule(t)
 	write("p/p.go", `package p
 
 import "time"
@@ -80,14 +68,6 @@ func Excused() time.Time {
 	return time.Now()
 }
 `)
-	cwd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(root); err != nil {
-		t.Fatal(err)
-	}
-	defer os.Chdir(cwd)
 
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"satlint", "-json", "./p"}, &stdout, &stderr)
@@ -133,4 +113,59 @@ func Excused() time.Time {
 	if got := strings.TrimSpace(stdout.String()); got != "[]" {
 		t.Errorf("clean -json run printed %q, want []", got)
 	}
+}
+
+// TestUnknownAnalyzerInIgnoreDirective checks that a whole-suite run
+// reports a directive naming an analyzer outside the suite: such a
+// directive suppresses nothing, so a misspelt or retired name must not
+// pass silently. The misspelt directive leaves its nondet finding live.
+func TestUnknownAnalyzerInIgnoreDirective(t *testing.T) {
+	write := chdirModule(t)
+	write("p/p.go", `package p
+
+import "time"
+
+func Misspelt() time.Time {
+	//satlint:ignore nondett fixture: the name has a typo
+	return time.Now()
+}
+`)
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"satlint", "./p"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("satlint exited %d, want 2; stderr: %s", code, stderr.String())
+	}
+	out := stdout.String()
+	if !strings.Contains(out, "p.go:6:2: [satlint] //satlint:ignore names unknown analyzer(s) nondett") {
+		t.Errorf("no [satlint] finding for the unknown analyzer name:\n%s", out)
+	}
+	if n := strings.Count(out, "[nondet]"); n != 1 {
+		t.Errorf("got %d nondet findings, want 1 (the directive suppresses nothing):\n%s", n, out)
+	}
+}
+
+// chdirModule makes the working directory a fresh module "tmod" for the
+// rest of the test and returns a function writing one file into it.
+func chdirModule(t *testing.T) func(name, src string) {
+	t.Helper()
+	root := t.TempDir()
+	write := func(name, src string) {
+		t.Helper()
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module tmod\n\ngo 1.22\n")
+	cwd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(root); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(cwd) })
+	return write
 }

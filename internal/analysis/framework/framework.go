@@ -127,13 +127,13 @@ func RunAnalyzers(unit *Unit, analyzers []*Analyzer, facts *FactStore) ([]Diagno
 		active[a.Name] = true
 	}
 	diags = append(diags, ign.Unused(active)...)
-	sortDiagnostics(unit.Fset, diags)
+	SortDiagnostics(unit.Fset, diags)
 	return diags, nil
 }
 
-// sortDiagnostics orders by file, line, column, then analyzer name, so
+// SortDiagnostics orders by file, line, column, then analyzer name, so
 // output is stable whatever order analyzers visited the AST in.
-func sortDiagnostics(fset *token.FileSet, ds []Diagnostic) {
+func SortDiagnostics(fset *token.FileSet, ds []Diagnostic) {
 	sort.SliceStable(ds, func(i, j int) bool {
 		pi, pj := fset.Position(ds[i].Pos), fset.Position(ds[j].Pos)
 		if pi.Filename != pj.Filename {

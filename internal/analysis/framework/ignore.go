@@ -128,3 +128,31 @@ func (s *IgnoreSet) Unused(active map[string]bool) []Diagnostic {
 	}
 	return out
 }
+
+// Unknown returns one diagnostic (analyzer "satlint") per directive that
+// names an analyzer outside known. Such a directive suppresses nothing
+// under that name, so a misspelt or retired name would otherwise hide
+// silently. Only a run of the whole suite can tell an unknown name from
+// one that merely is not running, so only cmd/satlint asks; a
+// single-analyzer analysistest run stays silent.
+func (s *IgnoreSet) Unknown(known map[string]bool) []Diagnostic {
+	var out []Diagnostic
+	for _, dir := range s.directives {
+		var names []string
+		for n := range dir.analyzers {
+			if !known[n] {
+				names = append(names, n)
+			}
+		}
+		if len(names) == 0 {
+			continue
+		}
+		sort.Strings(names)
+		out = append(out, Diagnostic{
+			Pos:      dir.pos,
+			Analyzer: "satlint",
+			Message:  "//satlint:ignore names unknown analyzer(s) " + strings.Join(names, ", ") + ": nothing is suppressed under that name",
+		})
+	}
+	return out
+}

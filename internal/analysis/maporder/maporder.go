@@ -79,10 +79,12 @@ var sortFuncs = map[string]bool{
 
 // sortedAfter collects the (textual) expressions sorted by a statement
 // that follows the range loop, or follows a statement enclosing it, in
-// any statement list between the loop and its function. Each maps to
-// the start of the innermost such list: an append is the canonical
-// collect-then-sort idiom, not a finding, when that list lies inside
-// the scope declaring the slice (see sortedLater).
+// any statement list between the loop and its function. Only a sort
+// call that is itself such a statement counts: a sort nested in a later
+// if, loop or closure may not run. Each expression maps to the start of
+// the innermost such list: an append is the canonical collect-then-sort
+// idiom, not a finding, when that list lies inside the scope declaring
+// the slice (see sortedLater).
 func sortedAfter(pass *framework.Pass, rng *ast.RangeStmt, stack []ast.Node) map[string]token.Pos {
 	out := map[string]token.Pos{}
 	var child ast.Node = rng
@@ -107,22 +109,23 @@ func sortedAfter(pass *framework.Pass, rng *ast.RangeStmt, stack []ast.Node) map
 			if !past {
 				continue
 			}
-			ast.Inspect(s, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				fn := framework.CalledFunc(pass.TypesInfo, call)
-				if fn == nil || fn.Pkg() == nil || len(call.Args) == 0 {
-					return true
-				}
-				key := types.ExprString(call.Args[0])
-				if _, inner := out[key]; !inner && sortFuncs[fn.Pkg().Name()+"."+fn.Name()] &&
-					(fn.Pkg().Path() == "sort" || fn.Pkg().Path() == "slices") {
-					out[key] = stack[i].Pos()
-				}
-				return true
-			})
+			es, ok := s.(*ast.ExprStmt)
+			if !ok {
+				continue
+			}
+			call, ok := ast.Unparen(es.X).(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				continue
+			}
+			fn := framework.CalledFunc(pass.TypesInfo, call)
+			if fn == nil || fn.Pkg() == nil {
+				continue
+			}
+			key := types.ExprString(call.Args[0])
+			if _, inner := out[key]; !inner && sortFuncs[fn.Pkg().Name()+"."+fn.Name()] &&
+				(fn.Pkg().Path() == "sort" || fn.Pkg().Path() == "slices") {
+				out[key] = stack[i].Pos()
+			}
 		}
 		child = stack[i]
 	}

@@ -115,6 +115,19 @@ func shadowedSort(ms []map[string]int) (lines []string) {
 	return lines
 }
 
+// conditionalSort sorts only when tidy is set, so the slice it returns
+// otherwise stays in map order.
+func conditionalSort(m map[string]int, tidy bool) []string {
+	var out []string
+	for k := range m { // want `appends to a slice declared outside the loop`
+		out = append(out, k)
+	}
+	if tidy {
+		sort.Strings(out)
+	}
+	return out
+}
+
 // commutativeFold accumulates with +=, which is order-insensitive.
 func commutativeFold(m map[string]int) int {
 	total := 0

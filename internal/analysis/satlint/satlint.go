@@ -1,4 +1,4 @@
-// Package satlint assembles the project's analyzer suite: the seven
+// Package satlint assembles the project's analyzer suite: the five
 // invariant checks cmd/satlint runs as a multichecker. The set is
 // defined here, away from the command, so tests can assert registration
 // and future analyzers have one place to plug in.
@@ -11,8 +11,6 @@ import (
 	"repro/internal/analysis/maporder"
 	"repro/internal/analysis/nondet"
 	"repro/internal/analysis/obsguard"
-	"repro/internal/analysis/snapshotfresh"
-	"repro/internal/analysis/unsafecast"
 )
 
 // Analyzers returns the full suite in stable (alphabetical) order.
@@ -23,7 +21,5 @@ func Analyzers() []*framework.Analyzer {
 		maporder.Analyzer,
 		nondet.Analyzer,
 		obsguard.Analyzer,
-		snapshotfresh.Analyzer,
-		unsafecast.Analyzer,
 	}
 }

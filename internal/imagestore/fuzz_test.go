@@ -18,11 +18,11 @@ import (
 // header's checksum to the structural checks and the digest check.
 //
 // The seeds are built here rather than committed (an image is ~4.5 MiB):
-// a valid image, truncations at every section boundary, bit flips in
-// the header, the metadata and every binary section, each flip both
-// with the stale checksum and with a recomputed one, and cache-section
-// edits that the set records cannot represent (see cacheSeeds). Plain
-// go test replays them; go test -fuzz=FuzzImageLoad explores from them.
+// a valid image, edits that must fail a named decoder check (see
+// addRejectSeeds), truncations at every section boundary, and bit flips
+// in the header, the metadata and every binary section, each flip both
+// with the stale checksum and with a recomputed one. Plain go test
+// replays them; go test -fuzz=FuzzImageLoad explores from them.
 func FuzzImageLoad(f *testing.F) {
 	u := workload.DefaultUniverse()
 	img := checkpoint.Capture(bootSys(f, android.Options{}))
@@ -34,6 +34,7 @@ func FuzzImageLoad(f *testing.F) {
 	}
 
 	f.Add(good, false)
+	addRejectSeeds(f, good, dir, u)
 	cuts := []int{0, 8, 24, headerSize - 1}
 	for _, r := range dir {
 		cuts = append(cuts, int(r.Off), int(r.Off+r.Len/2), int(r.Off+r.Len))
@@ -60,9 +61,6 @@ func FuzzImageLoad(f *testing.F) {
 		f.Add(mutated, false)
 		f.Add(mutated, true)
 	}
-	for _, mutated := range cacheSeeds(f, good, dir, u) {
-		f.Add(mutated, true)
-	}
 
 	f.Fuzz(func(t *testing.T, data []byte, fixCRC bool) {
 		buf := alignedCopy(data)
@@ -79,33 +77,36 @@ func FuzzImageLoad(f *testing.F) {
 	})
 }
 
-// cacheSeeds returns copies of the valid image good whose cache
-// sections break an invariant of cache.Restore: the first L2 set's
-// way 0 emptied while its other ways stay valid, and the first L2
-// register's way set to the associativity. The checksum is recomputed,
-// and the decoder reaches cache.Restore before its fingerprint check,
-// so each seed must fail there, with Restore's own error; this checks
-// that it does.
-func cacheSeeds(f *testing.F, good []byte, dir [numSections]sectionRange, u *workload.Universe) [][]byte {
+// addRejectSeeds adds copies of the valid image good, each with its
+// checksum recomputed, that the decoder must reject in one named check;
+// this checks that it does. Two break an invariant of cache.Restore,
+// which the decoder reaches before its fingerprint check: the first L2
+// set's way 0 emptied while its other ways stay valid, and the first L2
+// register's way set to the associativity. One cuts the frame
+// section's length to a non-multiple of the frame size, which castSlice
+// rejects. One moves the frame section's offset 4 bytes off 8-alignment,
+// which parseHeader rejects before any cast (a misaligned section base
+// can only come from a misaligned buffer; TestCastSliceRejectsBadSections
+// covers that branch).
+func addRejectSeeds(f *testing.F, good []byte, dir [numSections]sectionRange, u *workload.Universe) {
 	f.Helper()
 	le := binary.LittleEndian
 	edits := []struct {
-		off  uint64
-		val  uint32
+		edit func(b []byte)
 		want string
 	}{
-		{dir[secCacheTags].Off, ^uint32(0), "valid after an empty way"},
-		{dir[secCacheMRU].Off + 8, 8, "outside 8 ways"},
+		{func(b []byte) { le.PutUint32(b[dir[secCacheTags].Off:], ^uint32(0)) }, "valid after an empty way"},
+		{func(b []byte) { le.PutUint32(b[dir[secCacheMRU].Off+8:], 8) }, "outside 8 ways"},
+		{func(b []byte) { le.PutUint64(b[32+secFrames*16+8:], dir[secFrames].Len-8) }, "not a multiple of"},
+		{func(b []byte) { le.PutUint64(b[32+secFrames*16:], dir[secFrames].Off+4) }, "misaligned at"},
 	}
-	var seeds [][]byte
-	for _, e := range edits {
+	for i, e := range edits {
 		mutated := alignedCopy(good)
-		le.PutUint32(mutated[e.off:], e.val)
+		e.edit(mutated)
 		le.PutUint64(mutated[16:24], uint64(crc32.Checksum(mutated[24:], crcTable)))
 		if _, _, err := decodeImage(mutated, u); err == nil || !strings.Contains(err.Error(), e.want) {
-			f.Fatalf("cache seed at offset %d: decode error %v, want one containing %q", e.off, err, e.want)
+			f.Fatalf("reject seed %d: decode error %v, want one containing %q", i, err, e.want)
 		}
-		seeds = append(seeds, mutated)
+		f.Add(mutated, true)
 	}
-	return seeds
 }

@@ -142,8 +142,12 @@ func encodeBytes(t testing.TB, key string, img *checkpoint.Image) []byte {
 }
 
 // alignedCopy copies data into a buffer backed by []uint64.
-func alignedCopy(data []byte) []byte {
-	buf := bytesOf(make([]uint64, (len(data)+7)/8))[:len(data)]
+func alignedCopy(data []byte) []byte { return shiftedCopy(data, 0) }
+
+// shiftedCopy copies data to shift%8 bytes past an 8-aligned address.
+func shiftedCopy(data []byte, shift uint8) []byte {
+	s := int(shift % 8)
+	buf := bytesOf(make([]uint64, (s+len(data)+7)/8))[s : s+len(data)]
 	copy(buf, data)
 	return buf
 }

@@ -153,9 +153,6 @@ func (m *PhysMem) Fork() *PhysMem {
 	return f
 }
 
-// NumFrames returns the total number of frames in this physical memory.
-func (m *PhysMem) NumFrames() int { return m.nframes }
-
 // writableLocked returns the metadata for frame n from a chunk this
 // PhysMem owns, copying the chunk first if it is still shared with a
 // fork ancestor or descendant.

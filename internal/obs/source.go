@@ -16,6 +16,8 @@ type Source interface {
 	// Snapshot returns the current counter values keyed by metric name.
 	// The map is freshly allocated on every call: callers may mutate or
 	// retain it without affecting the source or later snapshots.
+	// core's TestSourceSnapshotContract checks this on every source of a
+	// running machine.
 	Snapshot() map[string]uint64
 	// Reset zeroes all counters.
 	Reset()

@@ -284,9 +284,6 @@ func (pt *PageTable) Geometry() arch.Geometry { return pt.geo }
 // NumSlots returns the number of leaf-table slots.
 func (pt *PageTable) NumSlots() int { return len(pt.slots) }
 
-// SlotIndex returns the slot index covering va.
-func (pt *PageTable) SlotIndex(va arch.VirtAddr) int { return pt.geo.Slot(va) }
-
 // RootEntryPhysAddr returns the physical address of the hardware word of
 // the root-table entry above slot idx, used to model the first page-walk
 // access.

@@ -18,7 +18,7 @@ import "repro/internal/arch"
 // Peek resolves va under (asid, dacr, kind) without mutating any TLB
 // state: no clock advance, no counters, no LRU movement, no MRU update.
 // On a Hit it returns the matching entry and its slot; the slot is the
-// handle CommitRunHits and ResolvesVPN take. A fault returns the
+// handle CommitRunHits and resolvesVPN take. A fault returns the
 // matching entry too, a Miss nil and -1. As with Lookup, the entry
 // points into the TLB's own array and is valid until its next mutation.
 // Peek returns exactly the Result a Lookup at this moment would return:
@@ -85,7 +85,7 @@ func (t *TLB) peekProbe(slot int32, vpn uint32, asid arch.ASID, dacr arch.DACR, 
 // CommitRunHits applies the bookkeeping of n consecutive scalar Lookup
 // hits on the entry at slot, the last of which queried va under
 // (asid, dacr). The caller must have established — via Peek, and
-// ResolvesVPN for every page crossed — that each of the n lookups would
+// resolvesVPN for every page crossed — that each of the n lookups would
 // have hit this entry, and must not have mutated the TLB in between.
 func (t *TLB) CommitRunHits(slot int32, n uint64, va arch.VirtAddr, asid arch.ASID, dacr arch.DACR) {
 	t.clock += n
@@ -95,7 +95,7 @@ func (t *TLB) CommitRunHits(slot int32, n uint64, va arch.VirtAddr, asid arch.AS
 	t.setMRU(slot, arch.VPN(va), asid, dacr)
 }
 
-// ResolvesVPN reports whether a Lookup of vpn would hit the entry at
+// resolvesVPN reports whether a Lookup of vpn would hit the entry at
 // slot with the same outcome the entry already produced for an earlier
 // page, letting a run advance across page boundaries inside a
 // large-page entry without re-probing. For a 4KB entry this is simply
@@ -105,7 +105,7 @@ func (t *TLB) CommitRunHits(slot int32, n uint64, va arch.VirtAddr, asid arch.AS
 // re-Peek, which decides the new page exactly. Domain and permission
 // outcomes carry over because they depend only on the entry, the DACR,
 // and the access kind, all fixed across a run.
-func (t *TLB) ResolvesVPN(slot int32, vpn uint32, asid arch.ASID) bool {
+func (t *TLB) resolvesVPN(slot int32, vpn uint32, asid arch.ASID) bool {
 	e := &t.entries[slot]
 	if !e.match(vpn, asid, t.largeMask) {
 		return false
@@ -139,7 +139,7 @@ func (t *TLB) LookupRun(va, stride arch.VirtAddr, max int, asid arch.ASID, dacr 
 	for n < max {
 		nva := last + stride
 		if nvpn := arch.VPN(nva); nvpn != vpn {
-			if !t.ResolvesVPN(slot, nvpn, asid) {
+			if !t.resolvesVPN(slot, nvpn, asid) {
 				break
 			}
 			vpn = nvpn
