@@ -1,13 +1,12 @@
 // TestGolden is the determinism contract of the whole campaign: every
 // execution mode — fresh boots, forks of a cold image store, forks of a
 // warm one, serial and parallel sweeps, on every architecture — must emit
-// the committed golden document byte for byte, and the same text
-// rendering. TestSerialParallelByteIdentical,
+// the committed golden document and the committed text rendering byte
+// for byte. TestSerialParallelByteIdentical,
 // TestJSONFullByteIdenticalAndGoldenSchema and TestForkVsFreshByteIdentical
 // read the same rows, each for its own pair of modes.
 //
-// Regenerate the four root goldens (both architectures, both commands)
-// with:
+// Regenerate the root goldens (both architectures, both commands) with:
 //
 //	go test -run '^TestGolden$' ./internal/experiments ./cmd/satsim -update-golden
 
@@ -32,7 +31,7 @@ import (
 	"repro/internal/imagestore"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite ../../testdata/experiments_quick*.golden.json from the current output")
+var updateGolden = flag.Bool("update-golden", false, "rewrite ../../testdata/experiments_quick*.golden.{json,txt} from the current output")
 
 // diffParams sizes the -short rows: small enough to race every mode
 // under -race, still crossing kernel configs, zygote forks, app
@@ -223,7 +222,7 @@ func TestGolden(t *testing.T) {
 		t.Fatal("-update-golden needs the Quick rows; drop -short")
 	}
 	res := goldenMatrix()
-	refs := &references{json: map[string][]byte{}, text: map[string]string{}}
+	refs := references{}
 	for i, row := range goldenRows {
 		t.Run(row.String(), func(t *testing.T) {
 			r := res[i]
@@ -232,17 +231,20 @@ func TestGolden(t *testing.T) {
 			}
 			checkStoreTraffic(t, row, r)
 
-			golden := filepath.Join("..", "..", "testdata", "experiments_quick"+archSuffix(row.arch)+".golden.json")
-			wantJSON, wantText, err := refs.get(row.arch, golden, r.doc, r.text)
+			golden := filepath.Join("..", "..", "testdata", "experiments_quick"+archSuffix(row.arch)+".golden")
+			wantJSON, err := refs.get(golden+".json", r.doc)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(r.doc, wantJSON) {
-				t.Errorf("JSON document differs from %s:\n%s", golden, firstDiff(r.doc, wantJSON))
+				t.Errorf("JSON document differs from %s.json:\n%s", golden, firstDiff(r.doc, wantJSON))
 			}
-			if r.text != wantText {
-				t.Errorf("text rendering differs from the %s reference row:\n%s",
-					row.arch, firstDiff([]byte(r.text), []byte(wantText)))
+			wantText, err := refs.get(golden+".txt", []byte(r.text))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal([]byte(r.text), wantText) {
+				t.Errorf("text rendering differs from %s.txt:\n%s", golden, firstDiff([]byte(r.text), wantText))
 			}
 		})
 	}
@@ -373,33 +375,30 @@ func TestJSONSubsetDeterministic(t *testing.T) {
 	}
 }
 
-// references holds each arch's reference renderings, fixed by the
-// arch's first row: its text, and for JSON the golden file — or the
-// row's own document under -short, and under -update-golden that
-// document written as the new golden.
-type references struct {
-	json map[string][]byte
-	text map[string]string
-}
+// references holds the reference renderings, keyed by golden
+// file: the committed file — or, under -short, the arch's first row's
+// own output, and under -update-golden that output written as the new
+// golden.
+type references map[string][]byte
 
-func (r *references) get(arch, golden string, doc []byte, text string) ([]byte, string, error) {
-	if want, ok := r.json[arch]; ok {
-		return want, r.text[arch], nil
+func (r references) get(golden string, got []byte) ([]byte, error) {
+	if want, ok := r[golden]; ok {
+		return want, nil
 	}
-	want := doc
+	want := got
 	switch {
 	case *updateGolden:
-		if err := os.WriteFile(golden, doc, 0o644); err != nil {
-			return nil, "", err
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			return nil, err
 		}
 	case !testing.Short():
 		var err error
 		if want, err = os.ReadFile(golden); err != nil {
-			return nil, "", err
+			return nil, err
 		}
 	}
-	r.json[arch], r.text[arch] = want, text
-	return want, text, nil
+	r[golden] = want
+	return want, nil
 }
 
 // archSuffix names an architecture's golden files.
