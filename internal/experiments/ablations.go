@@ -6,12 +6,9 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/android"
 	"repro/internal/arch"
 	"repro/internal/core"
-	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/workload"
 )
@@ -159,17 +156,18 @@ func mustSpecP(s *Session, name string) workload.AppSpec {
 	return spec
 }
 
-// String renders the ablation.
-func (r *AblationResult) String() string {
-	t := stats.NewTable("Ablation: "+r.Name, "Metric", "Baseline", "Variant", "Delta")
+// Table renders the ablation.
+func (r *AblationResult) Table() *Table {
+	t := newTable("Ablation: "+r.Name, "Metric", "Baseline", "Variant", "Delta")
 	for _, row := range r.Rows {
-		delta := "n/a"
+		delta := text("n/a")
 		if row.Baseline != 0 {
-			delta = fmt.Sprintf("%+.1f%%", 100*(row.Variant-row.Baseline)/row.Baseline)
+			delta = cell("%+.1f%%", Val{V: 100 * (row.Variant - row.Baseline) / row.Baseline})
 		}
-		t.AddRow(row.Metric, stats.F(row.Baseline), stats.F(row.Variant), delta)
+		t.row(text(row.Metric), numCell(row.Baseline, "baseline."+row.Metric), numCell(row.Variant, "variant."+row.Metric), delta)
 	}
-	return t.String() + r.Footnote + "\n"
+	t.note(r.Footnote)
+	return t
 }
 
 // LargePageStudy quantifies Section 2.3.3's tradeoff on the live system:

@@ -30,7 +30,7 @@ func TestTable1(t *testing.T) {
 			t.Errorf("%s: measured %v vs paper %v", row.App, row.UserPct, row.PaperUser)
 		}
 	}
-	if !strings.Contains(r.String(), "Table 1") {
+	if !strings.Contains(r.Table().String(), "Table 1") {
 		t.Error("rendering")
 	}
 }
@@ -433,30 +433,30 @@ func TestRenderings(t *testing.T) {
 	// Every driver renders without panicking and mentions its subject.
 	checks := []struct {
 		name string
-		fn   func() (interface{ String() string }, error)
+		fn   func() (interface{ Table() *Table }, error)
 	}{
-		{"Table 1", func() (interface{ String() string }, error) { return session.Table1() }},
-		{"Figure 2", func() (interface{ String() string }, error) { return session.Figure2() }},
-		{"Figure 3", func() (interface{ String() string }, error) { return session.Figure3() }},
-		{"Table 2", func() (interface{ String() string }, error) { return session.Table2() }},
-		{"Figure 4", func() (interface{ String() string }, error) { return session.Figure4() }},
-		{"Table 3", func() (interface{ String() string }, error) { return session.Table3() }},
-		{"Table 4", func() (interface{ String() string }, error) { return session.Table4() }},
-		{"Figure 7", func() (interface{ String() string }, error) { return session.Figure7() }},
-		{"Figure 8", func() (interface{ String() string }, error) { return session.Figure8() }},
-		{"Figure 9", func() (interface{ String() string }, error) { return session.Figure9() }},
-		{"Figure 10", func() (interface{ String() string }, error) { return session.Figure10() }},
-		{"Figure 11", func() (interface{ String() string }, error) { return session.Figure11() }},
-		{"Figure 12", func() (interface{ String() string }, error) { return session.Figure12() }},
-		{"Figure 13", func() (interface{ String() string }, error) { return session.Figure13() }},
+		{"Table 1", func() (interface{ Table() *Table }, error) { return session.Table1() }},
+		{"Figure 2", func() (interface{ Table() *Table }, error) { return session.Figure2() }},
+		{"Figure 3", func() (interface{ Table() *Table }, error) { return session.Figure3() }},
+		{"Table 2", func() (interface{ Table() *Table }, error) { return session.Table2() }},
+		{"Figure 4", func() (interface{ Table() *Table }, error) { return session.Figure4() }},
+		{"Table 3", func() (interface{ Table() *Table }, error) { return session.Table3() }},
+		{"Table 4", func() (interface{ Table() *Table }, error) { return session.Table4() }},
+		{"Figure 7", func() (interface{ Table() *Table }, error) { return session.Figure7() }},
+		{"Figure 8", func() (interface{ Table() *Table }, error) { return session.Figure8() }},
+		{"Figure 9", func() (interface{ Table() *Table }, error) { return session.Figure9() }},
+		{"Figure 10", func() (interface{ Table() *Table }, error) { return session.Figure10() }},
+		{"Figure 11", func() (interface{ Table() *Table }, error) { return session.Figure11() }},
+		{"Figure 12", func() (interface{ Table() *Table }, error) { return session.Figure12() }},
+		{"Figure 13", func() (interface{ Table() *Table }, error) { return session.Figure13() }},
 	}
 	for _, c := range checks {
 		r, err := c.fn()
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if !strings.Contains(r.String(), c.name) {
-			t.Errorf("%s rendering does not mention itself:\n%s", c.name, r.String())
+		if text := r.Table().String(); !strings.Contains(text, c.name) {
+			t.Errorf("%s rendering does not mention itself:\n%s", c.name, text)
 		}
 	}
 }

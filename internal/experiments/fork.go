@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/android"
 	"repro/internal/core"
-	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/workload"
 )
@@ -99,18 +98,16 @@ func countInherited(sys *android.System, prof *workload.Profile) (int, error) {
 	return n, nil
 }
 
-// String renders the table, in the paper's x100 units.
-func (r *Table3Result) String() string {
-	t := stats.NewTable("Table 3: # instruction PTEs inherited from the zygote (x100)",
+// Table renders the table, in the paper's x100 units.
+func (r *Table3Result) Table() *Table {
+	t := newTable("Table 3: # instruction PTEs inherited from the zygote (x100)",
 		"Benchmark", "Cold", "Warm", "Paper cold", "Paper warm")
 	for _, row := range r.Rows {
-		t.AddRow(row.App,
-			stats.F(float64(row.Cold)/100),
-			stats.F(float64(row.Warm)/100),
-			stats.F(float64(row.PaperCold)/100),
-			stats.F(float64(row.PaperWarm)/100))
+		cold := Val{V: float64(row.Cold), Key: "cold_ptes." + row.App, Unit: hundreds}.withPaper(float64(row.PaperCold))
+		warm := Val{V: float64(row.Warm), Key: "warm_ptes." + row.App, Unit: hundreds}.withPaper(float64(row.PaperWarm))
+		t.row(text(row.App), cell("%v", cold), cell("%v", warm), cell("%v", paperOf(cold)), cell("%v", paperOf(warm)))
 	}
-	return t.String()
+	return t
 }
 
 // Table4Result is the zygote fork comparison.
@@ -182,17 +179,20 @@ func (s *Session) Table4() (*Table4Result, error) {
 	return r, nil
 }
 
-// String renders the table.
-func (r *Table4Result) String() string {
-	t := stats.NewTable("Table 4: zygote fork performance (min over 40 rounds)",
+// Table renders the table.
+func (r *Table4Result) Table() *Table {
+	t := newTable("Table 4: zygote fork performance (min over 40 rounds)",
 		"Kernel", "Cycles (x10^6)", "PTPs allocated", "Shared PTPs", "PTEs copied")
 	for _, row := range r.Rows {
-		t.AddRow(row.Kernel,
-			stats.F(float64(row.Cycles)/1e6),
-			fmt.Sprintf("%d", row.PTPsAllocated),
-			fmt.Sprintf("%d", row.SharedPTPs),
-			fmt.Sprintf("%d", row.PTEsCopied))
+		t.row(text(row.Kernel),
+			cell("%v", Val{V: float64(row.Cycles), Key: "fork_cycles." + row.Kernel, Unit: mega}),
+			countCell(row.PTPsAllocated, "ptps_allocated."+row.Kernel),
+			countCell(row.SharedPTPs, "shared_ptps."+row.Kernel),
+			countCell(row.PTEsCopied, "ptes_copied."+row.Kernel))
 	}
-	return t.String() + fmt.Sprintf("shared-PTP fork speedup over stock: %.2fx (paper: 2.1x); Copied PTEs: +%.1f%% over stock (paper: +58.6%%)\n",
-		r.Speedup, r.CopiedSlowdownPct)
+	speedup := Val{V: r.Speedup, Key: "fork_speedup"}.withPaper(2.1)
+	copied := Val{V: r.CopiedSlowdownPct, Key: "copied_slowdown_pct"}.withPaper(58.6)
+	t.note("shared-PTP fork speedup over stock: %.2fx (paper: %gx); Copied PTEs: +%.1f%% over stock (paper: +%g%%)",
+		speedup, paperOf(speedup), copied, paperOf(copied))
+	return t
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/android"
 	"repro/internal/arch"
 	"repro/internal/core"
-	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/vm"
 )
@@ -255,11 +254,12 @@ func procByName(k *core.Kernel, name string) (*core.Process, error) {
 	return nil, fmt.Errorf("experiments: no live process %q in forked machine", name)
 }
 
-// String renders the study.
-func (r *SchedulerGroupingResult) String() string {
-	t := stats.NewTable("Scheduler grouping without a domain model (Section 3.2.3)",
+// Table renders the study.
+func (r *SchedulerGroupingResult) Table() *Table {
+	t := newTable("Scheduler grouping without a domain model (Section 3.2.3)",
 		"Schedule", "App ITLB stall cycles", "Protective full flushes")
-	t.AddRow("interleaved", fmt.Sprintf("%d", r.Interleaved), fmt.Sprintf("%d", r.FlushesInterleaved))
-	t.AddRow("grouped", fmt.Sprintf("%d", r.Grouped), fmt.Sprintf("%d", r.FlushesGrouped))
-	return t.String() + "grouping zygote-like processes cuts the flushes a domain-less architecture needs\n"
+	t.row(text("interleaved"), countCell(r.Interleaved, "itlb_stalls.interleaved"), countCell(r.FlushesInterleaved, "full_flushes.interleaved"))
+	t.row(text("grouped"), countCell(r.Grouped, "itlb_stalls.grouped"), countCell(r.FlushesGrouped, "full_flushes.grouped"))
+	t.note("grouping zygote-like processes cuts the flushes a domain-less architecture needs")
+	return t
 }

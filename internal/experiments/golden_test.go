@@ -190,8 +190,8 @@ func runRow(row goldenRow, params Params, stores map[string]string) rowResult {
 		return rowResult{err: err}
 	}
 	var text strings.Builder
-	doc, err := runJSON(s, nil, func(e Experiment, r fmt.Stringer) {
-		fmt.Fprintf(&text, "%s\n%s\n", e.Name, r)
+	doc, err := runJSON(s, nil, func(e Experiment, t *Table) {
+		fmt.Fprintf(&text, "%s\n%s\n", e.Name, t)
 	})
 	r := rowResult{doc: doc, text: text.String(), err: err}
 	if store != nil {

@@ -99,19 +99,23 @@ func (s *Session) Figure13() (*Figure13Result, error) {
 	return r, nil
 }
 
-// String renders the figure.
-func (r *Figure13Result) String() string {
-	t := stats.NewTable("Figure 13: Binder IPC instruction main-TLB stall cycles",
+// Table renders the figure.
+func (r *Figure13Result) Table() *Table {
+	t := newTable("Figure 13: Binder IPC instruction main-TLB stall cycles",
 		"ASID", "Kernel", "Client stalls", "Server stalls", "Client (% of stock)", "Server (% of stock)")
 	for _, row := range r.Rows {
-		mode := "disabled"
+		label, mode := "disabled", "asid_off"
 		if row.ASID {
-			mode = "enabled"
+			label, mode = "enabled", "asid_on"
 		}
-		t.AddRow(mode, row.Kernel,
-			fmt.Sprintf("%d", row.ClientStalls), fmt.Sprintf("%d", row.ServerStalls),
-			stats.Pct(row.ClientNormPct), stats.Pct(row.ServerNormPct))
+		key := mode + "." + row.Kernel
+		t.row(text(label), text(row.Kernel),
+			countCell(row.ClientStalls, "client_stalls."+key), countCell(row.ServerStalls, "server_stalls."+key),
+			pctCell(row.ClientNormPct, "client_norm_pct."+key), pctCell(row.ServerNormPct, "server_norm_pct."+key))
 	}
-	return t.String() + fmt.Sprintf("TLB sharing improvement with ASIDs: client %.1f%%, server %.1f%% (paper: up to 36%% / 19%%)\n",
-		r.ClientImprovementPct, r.ServerImprovementPct)
+	client := Val{V: r.ClientImprovementPct, Key: "client_improvement_pct"}.withPaper(36)
+	server := Val{V: r.ServerImprovementPct, Key: "server_improvement_pct"}.withPaper(19)
+	t.note("TLB sharing improvement with ASIDs: client %.1f%%, server %.1f%% (paper: up to %g%% / %g%%)",
+		client, server, paperOf(client), paperOf(server))
+	return t
 }

@@ -152,17 +152,26 @@ func (s *Session) Figure7() (*Figure7Result, error) {
 	return r, nil
 }
 
-// String renders the box plots.
-func (r *Figure7Result) String() string {
-	t := stats.NewTable("Figure 7: application launch execution time (cycles x10^6)",
-		"Config", "Min", "Q1", "Median", "Q3", "Max")
-	for _, row := range r.Rows {
-		f := row.Summary
-		t.AddRow(row.Config, stats.F(f.Min/1e6), stats.F(f.Q1/1e6),
-			stats.F(f.Median/1e6), stats.F(f.Q3/1e6), stats.F(f.Max/1e6))
+// Table renders the box plots.
+func (r *Figure7Result) Table() *Table {
+	t := distributionTable("Figure 7: application launch execution time (cycles x10^6)", "cycles", r.Rows)
+	orig := Val{V: r.SpeedupPctOriginal, Key: "speedup_pct_original"}.withPaper(7)
+	mb := Val{V: r.SpeedupPct2MB, Key: "speedup_pct_2mb"}.withPaper(10)
+	t.note("median launch speedup: %.1f%% original (paper: %g%%), %.1f%% 2MB (paper: %g%%)",
+		orig, paperOf(orig), mb, paperOf(mb))
+	return t
+}
+
+// distributionTable renders five-number summaries in millions, keyed
+// "<quartile>_<prefix>.<config>".
+func distributionTable(title, prefix string, rows []DistributionRow) *Table {
+	t := newTable(title, "Config", "Min", "Q1", "Median", "Q3", "Max")
+	for _, row := range rows {
+		f, key := row.Summary, prefix+"."+row.Config
+		mega := func(q string, v float64) Cell { return cell("%v", Val{V: v, Key: q + "_" + key, Unit: mega}) }
+		t.row(text(row.Config), mega("min", f.Min), mega("q1", f.Q1), mega("median", f.Median), mega("q3", f.Q3), mega("max", f.Max))
 	}
-	return t.String() + fmt.Sprintf("median launch speedup: %.1f%% original (paper: 7%%), %.1f%% 2MB (paper: 10%%)\n",
-		r.SpeedupPctOriginal, r.SpeedupPct2MB)
+	return t
 }
 
 // Figure8Result is the launch L1 I-cache stall box plot.
@@ -192,17 +201,14 @@ func (s *Session) Figure8() (*Figure8Result, error) {
 	return r, nil
 }
 
-// String renders the box plots.
-func (r *Figure8Result) String() string {
-	t := stats.NewTable("Figure 8: application launch L1 instruction cache stall cycles (x10^6)",
-		"Config", "Min", "Q1", "Median", "Q3", "Max")
-	for _, row := range r.Rows {
-		f := row.Summary
-		t.AddRow(row.Config, stats.F(f.Min/1e6), stats.F(f.Q1/1e6),
-			stats.F(f.Median/1e6), stats.F(f.Q3/1e6), stats.F(f.Max/1e6))
-	}
-	return t.String() + fmt.Sprintf("median I-cache stall reduction: %.1f%% original (paper: 15%%), %.1f%% 2MB (paper: 24%%)\n",
-		r.ReductionPctOriginal, r.ReductionPct2MB)
+// Table renders the box plots.
+func (r *Figure8Result) Table() *Table {
+	t := distributionTable("Figure 8: application launch L1 instruction cache stall cycles (x10^6)", "icache_stalls", r.Rows)
+	orig := Val{V: r.ReductionPctOriginal, Key: "reduction_pct_original"}.withPaper(15)
+	mb := Val{V: r.ReductionPct2MB, Key: "reduction_pct_2mb"}.withPaper(24)
+	t.note("median I-cache stall reduction: %.1f%% original (paper: %g%%), %.1f%% 2MB (paper: %g%%)",
+		orig, paperOf(orig), mb, paperOf(mb))
+	return t
 }
 
 // Figure9Result is the launch PTP-allocation and file-fault comparison.
@@ -244,13 +250,13 @@ func (s *Session) Figure9() (*Figure9Result, error) {
 	return r, nil
 }
 
-// String renders the figure.
-func (r *Figure9Result) String() string {
-	t := stats.NewTable("Figure 9: PTPs allocated and file-backed-mapping page faults during launch",
+// Table renders the figure.
+func (r *Figure9Result) Table() *Table {
+	t := newTable("Figure 9: PTPs allocated and file-backed-mapping page faults during launch",
 		"Config", "PTPs", "PTPs (% of stock)", "File faults", "Faults (% of stock)")
 	for _, row := range r.Rows {
-		t.AddRow(row.Config, stats.F(row.PTPs), stats.Pct(row.PTPsNormPct),
-			stats.F(row.FileFaults), stats.Pct(row.FaultsNormPct))
+		t.row(text(row.Config), numCell(row.PTPs, "ptps."+row.Config), pctCell(row.PTPsNormPct, "ptps_norm_pct."+row.Config),
+			numCell(row.FileFaults, "file_faults."+row.Config), pctCell(row.FaultsNormPct, "faults_norm_pct."+row.Config))
 	}
-	return t.String()
+	return t
 }

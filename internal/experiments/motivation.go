@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 
 	"repro/internal/android"
 	"repro/internal/arch"
@@ -157,14 +156,15 @@ func (s *Session) Table1() (*Table1Result, error) {
 	return r, nil
 }
 
-// String renders the table.
-func (r *Table1Result) String() string {
-	t := stats.NewTable("Table 1: % of instructions fetched (user vs kernel space)",
+// Table renders the result.
+func (r *Table1Result) Table() *Table {
+	t := newTable("Table 1: % of instructions fetched (user vs kernel space)",
 		"Benchmark", "User (%)", "Kernel (%)", "Paper user (%)")
 	for _, row := range r.Rows {
-		t.AddRow(row.App, stats.F(row.UserPct), stats.F(row.KernelPct), stats.F(row.PaperUser))
+		user := Val{V: row.UserPct, Key: "user_pct." + row.App}.withPaper(row.PaperUser)
+		t.row(text(row.App), cell("%v", user), numCell(row.KernelPct, "kernel_pct."+row.App), cell("%v", paperOf(user)))
 	}
-	return t.String()
+	return t
 }
 
 // Figure2Result is the breakdown of accessed instruction pages.
@@ -210,19 +210,39 @@ var figureCategories = []vm.Category{
 	vm.CatZygoteBinary, vm.CatOtherDynLib, vm.CatOther,
 }
 
-// String renders the figure as a table of page counts.
-func (r *Figure2Result) String() string {
-	t := stats.NewTable("Figure 2: breakdown of instruction pages accessed",
+// categorySlug gives the short, stable metric-key names of the footprint
+// categories (the table headers of Figures 2 and 3).
+func categorySlug(c vm.Category) string {
+	switch c {
+	case vm.CatPrivateCode:
+		return "private"
+	case vm.CatZygoteDynLib:
+		return "zyg_dynlib"
+	case vm.CatZygoteJavaLib:
+		return "zyg_java"
+	case vm.CatZygoteBinary:
+		return "app_process"
+	case vm.CatOtherDynLib:
+		return "other_dynlib"
+	default:
+		return "other"
+	}
+}
+
+// Table renders the figure as a table of page counts.
+func (r *Figure2Result) Table() *Table {
+	t := newTable("Figure 2: breakdown of instruction pages accessed",
 		"Benchmark", "private", "zyg dynlib", "zyg java", "app_process", "other dynlib", "other", "total")
 	for _, row := range r.Rows {
-		cells := []string{row.App}
+		cells := []Cell{text(row.App)}
 		for _, c := range figureCategories {
-			cells = append(cells, fmt.Sprintf("%d", row.Pages[c]))
+			cells = append(cells, countCell(row.Pages[c], "pages."+categorySlug(c)+"."+row.App))
 		}
-		cells = append(cells, fmt.Sprintf("%d", row.Total))
-		t.AddRow(cells...)
+		t.row(append(cells, countCell(row.Total, "total_pages."+row.App))...)
 	}
-	return t.String() + fmt.Sprintf("average shared-code share of footprint: %.1f%% (paper: 92.8%%)\n", r.AvgSharedPct)
+	avg := Val{V: r.AvgSharedPct, Key: "avg_shared_pct"}.withPaper(92.8)
+	t.note("average shared-code share of footprint: %.1f%% (paper: %g%%)", avg, paperOf(avg))
+	return t
 }
 
 // Figure3Result is the dynamic fetch breakdown.
@@ -278,18 +298,20 @@ func (s *Session) Figure3() (*Figure3Result, error) {
 	return r, nil
 }
 
-// String renders the figure.
-func (r *Figure3Result) String() string {
-	t := stats.NewTable("Figure 3: breakdown of % of instructions fetched (user space)",
+// Table renders the figure.
+func (r *Figure3Result) Table() *Table {
+	t := newTable("Figure 3: breakdown of % of instructions fetched (user space)",
 		"Benchmark", "private", "zyg dynlib", "zyg java", "app_process", "other dynlib", "other")
 	for _, row := range r.Rows {
-		cells := []string{row.App}
+		cells := []Cell{text(row.App)}
 		for _, c := range figureCategories {
-			cells = append(cells, stats.Pct(row.Shares[c]))
+			cells = append(cells, pctCell(row.Shares[c], "fetch_pct."+categorySlug(c)+"."+row.App))
 		}
-		t.AddRow(cells...)
+		t.row(cells...)
 	}
-	return t.String() + fmt.Sprintf("average shared-code share of fetches: %.1f%% (paper: 98%%)\n", r.AvgSharedPct)
+	avg := Val{V: r.AvgSharedPct, Key: "avg_shared_pct"}.withPaper(98)
+	t.note("average shared-code share of fetches: %.1f%% (paper: %g%%)", avg, paperOf(avg))
+	return t
 }
 
 // Table2Result is the shared-code commonality matrix.
@@ -357,23 +379,28 @@ func (s *Session) Table2() (*Table2Result, error) {
 	return r, nil
 }
 
-// String renders the matrix.
-func (r *Table2Result) String() string {
-	t := stats.NewTable("Table 2: % of row app's instruction footprint intersecting column app's: zygote-preloaded (all shared code)",
+// Table renders the matrix.
+func (r *Table2Result) Table() *Table {
+	t := newTable("Table 2: % of row app's instruction footprint intersecting column app's: zygote-preloaded (all shared code)",
 		append([]string{"App"}, r.Apps...)...)
 	for i, an := range r.Apps {
-		cells := []string{an}
-		for j := range r.Apps {
+		cells := []Cell{text(an)}
+		for j, bn := range r.Apps {
 			if i == j {
-				cells = append(cells, "-")
-			} else {
-				cells = append(cells, fmt.Sprintf("%.1f (%.1f)", r.ZygotePct[i][j], r.AllPct[i][j]))
+				cells = append(cells, text("-"))
+				continue
 			}
+			pair := an + "|" + bn
+			cells = append(cells, cell("%.1f (%.1f)",
+				Val{V: r.ZygotePct[i][j], Key: "zygote_pct." + pair}, Val{V: r.AllPct[i][j], Key: "all_pct." + pair}))
 		}
-		t.AddRow(cells...)
+		t.row(cells...)
 	}
-	return t.String() + fmt.Sprintf("all-pairs average: %.1f%% zygote-preloaded, %.1f%% all shared (paper: 37.9%% / 45.7%%)\n",
-		r.AvgZygote, r.AvgAll)
+	zyg := Val{V: r.AvgZygote, Key: "avg_zygote_pct"}.withPaper(37.9)
+	all := Val{V: r.AvgAll, Key: "avg_all_pct"}.withPaper(45.7)
+	t.note("all-pairs average: %.1f%% zygote-preloaded, %.1f%% all shared (paper: %g%% / %g%%)",
+		zyg, all, paperOf(zyg), paperOf(all))
+	return t
 }
 
 // Figure4Result is the large-page sparsity study.
@@ -435,20 +462,18 @@ func figure4Row(name string, sp trace.SparsityResult) Figure4Row {
 	}
 }
 
-// String renders the figure.
-func (r *Figure4Result) String() string {
-	t := stats.NewTable("Figure 4: sparsity of 64KB pages for zygote-preloaded shared code",
+// Table renders the figure.
+func (r *Figure4Result) Table() *Table {
+	t := newTable("Figure 4: sparsity of 64KB pages for zygote-preloaded shared code",
 		"App", ">9 of 16 pages untouched", "4KB mem (MB)", "64KB mem (MB)", "64KB/4KB")
-	rows := append(append([]Figure4Row(nil), r.Rows...), r.Union)
-	for _, row := range rows {
-		t.AddRow(row.App,
-			stats.Pct(100*row.TailAt9),
-			stats.F(float64(row.Mem4KB)/(1<<20)),
-			stats.F(float64(row.Mem64KB)/(1<<20)),
-			fmt.Sprintf("%.2fx", row.Waste))
+	for _, row := range append(append([]Figure4Row(nil), r.Rows...), r.Union) {
+		t.row(text(row.App),
+			cell("%.1f%%", Val{V: row.TailAt9, Key: "tail_at_9." + row.App, Unit: percent}),
+			cell("%v", Val{V: float64(row.Mem4KB), Key: "mem_4kb_bytes." + row.App, Unit: mib}),
+			cell("%v", Val{V: float64(row.Mem64KB), Key: "mem_64kb_bytes." + row.App, Unit: mib}),
+			cell("%.2fx", Val{V: row.Waste, Key: "waste_factor." + row.App}))
 	}
-	var b strings.Builder
-	b.WriteString(t.String())
-	fmt.Fprintf(&b, "average 64KB/4KB memory factor: %.2fx (paper: 2.6x)\n", r.AvgWasteFactor)
-	return b.String()
+	avg := Val{V: r.AvgWasteFactor, Key: "avg_waste_factor"}.withPaper(2.6)
+	t.note("average 64KB/4KB memory factor: %.2fx (paper: %gx)", avg, paperOf(avg))
+	return t
 }

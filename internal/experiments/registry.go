@@ -5,14 +5,12 @@
 
 package experiments
 
-import "fmt"
-
 // Experiment is one runnable table or figure.
 type Experiment struct {
 	// Name is the identifier accepted by cmd/experiments -only.
 	Name string
 	// Run regenerates the result on the given session.
-	Run func(*Session) (fmt.Stringer, error)
+	Run func(*Session) (*Table, error)
 }
 
 // Registry lists every experiment in presentation order (the order the
@@ -20,31 +18,42 @@ type Experiment struct {
 // future-direction studies).
 func Registry() []Experiment {
 	return []Experiment{
-		{"table1", func(s *Session) (fmt.Stringer, error) { return s.Table1() }},
-		{"figure2", func(s *Session) (fmt.Stringer, error) { return s.Figure2() }},
-		{"figure3", func(s *Session) (fmt.Stringer, error) { return s.Figure3() }},
-		{"table2", func(s *Session) (fmt.Stringer, error) { return s.Table2() }},
-		{"figure4", func(s *Session) (fmt.Stringer, error) { return s.Figure4() }},
-		{"table3", func(s *Session) (fmt.Stringer, error) { return s.Table3() }},
-		{"table4", func(s *Session) (fmt.Stringer, error) { return s.Table4() }},
-		{"figure7", func(s *Session) (fmt.Stringer, error) { return s.Figure7() }},
-		{"figure8", func(s *Session) (fmt.Stringer, error) { return s.Figure8() }},
-		{"figure9", func(s *Session) (fmt.Stringer, error) { return s.Figure9() }},
-		{"figure10", func(s *Session) (fmt.Stringer, error) { return s.Figure10() }},
-		{"figure11", func(s *Session) (fmt.Stringer, error) { return s.Figure11() }},
-		{"figure12", func(s *Session) (fmt.Stringer, error) { return s.Figure12() }},
-		{"ptecopies", func(s *Session) (fmt.Stringer, error) { return s.PTECopies() }},
-		{"figure13", func(s *Session) (fmt.Stringer, error) { return s.Figure13() }},
-		{"ablation-stack", func(s *Session) (fmt.Stringer, error) { return s.StackSharingAblation() }},
-		{"ablation-refcopy", func(s *Session) (fmt.Stringer, error) { return s.CopyReferencedAblation() }},
-		{"ablation-l1wp", func(s *Session) (fmt.Stringer, error) { return s.L1WriteProtectAblation() }},
-		{"ablation-largepages", func(s *Session) (fmt.Stringer, error) { return s.LargePageStudy() }},
-		{"future-domainmatch", func(s *Session) (fmt.Stringer, error) { return s.DomainMatchStudy() }},
-		{"future-grouping", func(s *Session) (fmt.Stringer, error) { return s.SchedulerGrouping() }},
-		{"scalability", func(s *Session) (fmt.Stringer, error) { return s.Scalability() }},
-		{"cache-pollution", func(s *Session) (fmt.Stringer, error) { return s.CachePollution() }},
-		{"smp", func(s *Session) (fmt.Stringer, error) { return s.SMP() }},
-		{"chrome-family", func(s *Session) (fmt.Stringer, error) { return s.ChromeFamily() }},
+		{"table1", run((*Session).Table1)},
+		{"figure2", run((*Session).Figure2)},
+		{"figure3", run((*Session).Figure3)},
+		{"table2", run((*Session).Table2)},
+		{"figure4", run((*Session).Figure4)},
+		{"table3", run((*Session).Table3)},
+		{"table4", run((*Session).Table4)},
+		{"figure7", run((*Session).Figure7)},
+		{"figure8", run((*Session).Figure8)},
+		{"figure9", run((*Session).Figure9)},
+		{"figure10", run((*Session).Figure10)},
+		{"figure11", run((*Session).Figure11)},
+		{"figure12", run((*Session).Figure12)},
+		{"ptecopies", run((*Session).PTECopies)},
+		{"figure13", run((*Session).Figure13)},
+		{"ablation-stack", run((*Session).StackSharingAblation)},
+		{"ablation-refcopy", run((*Session).CopyReferencedAblation)},
+		{"ablation-l1wp", run((*Session).L1WriteProtectAblation)},
+		{"ablation-largepages", run((*Session).LargePageStudy)},
+		{"future-domainmatch", run((*Session).DomainMatchStudy)},
+		{"future-grouping", run((*Session).SchedulerGrouping)},
+		{"scalability", run((*Session).Scalability)},
+		{"cache-pollution", run((*Session).CachePollution)},
+		{"smp", run((*Session).SMP)},
+		{"chrome-family", run((*Session).ChromeFamily)},
+	}
+}
+
+// run adapts a session method to Experiment.Run.
+func run[R interface{ Table() *Table }](method func(*Session) (R, error)) func(*Session) (*Table, error) {
+	return func(s *Session) (*Table, error) {
+		r, err := method(s)
+		if err != nil {
+			return nil, err
+		}
+		return r.Table(), nil
 	}
 }
 

@@ -14,10 +14,11 @@
 // Experiments appear in registry (presentation) order; metric keys are
 // sorted by encoding/json's map ordering. The document is deterministic:
 // the same parameters produce byte-identical output regardless of the
-// sweep worker count, inheriting the sweep engine's guarantee. Metric key
-// conventions are documented in metrics.go; additions of new keys or new
-// experiments are backward-compatible, renames or removals bump the
-// schema version.
+// sweep worker count, inheriting the sweep engine's guarantee. An
+// experiment's metrics are the keyed values of its result Table, the
+// value its text report renders from too; table.go gives the key
+// conventions. Additions of new keys or new experiments are
+// backward-compatible, renames or removals bump the schema version.
 
 package experiments
 
@@ -57,7 +58,7 @@ func RunJSON(s *Session, selected map[string]bool) ([]byte, error) {
 
 // runJSON is RunJSON that also hands every result to seen, when non-nil,
 // so one pass over the registry yields the text rendering as well.
-func runJSON(s *Session, selected map[string]bool, seen func(Experiment, fmt.Stringer)) ([]byte, error) {
+func runJSON(s *Session, selected map[string]bool, seen func(Experiment, *Table)) ([]byte, error) {
 	rep := JSONReport{
 		Schema: SchemaID,
 		Params: JSONParams{
@@ -70,18 +71,14 @@ func runJSON(s *Session, selected map[string]bool, seen func(Experiment, fmt.Str
 		if len(selected) > 0 && !selected[e.Name] {
 			continue
 		}
-		r, err := e.Run(s)
+		t, err := e.Run(s)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", e.Name, err)
 		}
 		if seen != nil {
-			seen(e, r)
+			seen(e, t)
 		}
-		m, ok := r.(Metricser)
-		if !ok {
-			return nil, fmt.Errorf("%s: result %T does not implement Metrics()", e.Name, r)
-		}
-		rep.Experiments = append(rep.Experiments, JSONExperiment{Name: e.Name, Metrics: m.Metrics()})
+		rep.Experiments = append(rep.Experiments, JSONExperiment{Name: e.Name, Metrics: t.Metrics()})
 	}
 	out, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

@@ -9,13 +9,13 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/android"
 	"repro/internal/arch"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/mem"
-	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/workload"
 )
@@ -142,18 +142,18 @@ func (s *Session) helloImage(cfg core.Config, prof *workload.Profile, n int) (*c
 	return node()
 }
 
-// String renders the study.
-func (r *ScalabilityResult) String() string {
-	t := stats.NewTable("Scalability: page-table memory vs concurrent applications (Section 1)",
+// Table renders the study.
+func (r *ScalabilityResult) Table() *Table {
+	t := newTable("Scalability: page-table memory vs concurrent applications (Section 1)",
 		"Processes", "Stock PTP KB", "Shared PTP KB", "Saving")
 	for _, row := range r.Rows {
+		n := strconv.Itoa(row.Processes)
 		saving := 100 * (1 - float64(row.SharedPTPKB)/float64(row.StockPTPKB))
-		t.AddRow(fmt.Sprintf("%d", row.Processes),
-			fmt.Sprintf("%d", row.StockPTPKB),
-			fmt.Sprintf("%d", row.SharedPTPKB),
-			stats.Pct(saving))
+		t.row(text(n), countCell(row.StockPTPKB, "stock_ptp_kb."+n), countCell(row.SharedPTPKB, "shared_ptp_kb."+n),
+			cell("%.1f%%", Val{V: saving}))
 	}
-	return t.String() + "private page tables grow linearly with sharers; shared PTPs flatten the curve\n"
+	t.note("private page tables grow linearly with sharers; shared PTPs flatten the curve")
+	return t
 }
 
 // CachePollutionResult reports the Figure 1 effect: duplicated PTE cache
@@ -229,14 +229,15 @@ func (s *Session) CachePollution() (*CachePollutionResult, error) {
 	return &CachePollutionResult{Processes: nProcs, StockPTELines: stock, SharedPTELines: shared}, nil
 }
 
-// String renders the study.
-func (r *CachePollutionResult) String() string {
-	t := stats.NewTable("Shared-cache pollution by duplicated PTEs (Figure 1 / Section 1)",
+// Table renders the study.
+func (r *CachePollutionResult) Table() *Table {
+	t := newTable("Shared-cache pollution by duplicated PTEs (Figure 1 / Section 1)",
 		"Kernel", "Distinct L2 PTE lines")
-	t.AddRow("Stock Android (private tables)", fmt.Sprintf("%d", r.StockPTELines))
-	t.AddRow("Shared PTP", fmt.Sprintf("%d", r.SharedPTELines))
-	return t.String() + fmt.Sprintf("%d processes walking the same shared code: private tables occupy %.1fx the L2 lines\n",
-		r.Processes, float64(r.StockPTELines)/float64(r.SharedPTELines))
+	t.row(text("Stock Android (private tables)"), countCell(r.StockPTELines, "stock_pte_lines"))
+	t.row(text("Shared PTP"), countCell(r.SharedPTELines, "shared_pte_lines"))
+	t.note("%.0f processes walking the same shared code: private tables occupy %.1fx the L2 lines",
+		Val{V: float64(r.Processes), Key: "processes"}, Val{V: float64(r.StockPTELines) / float64(r.SharedPTELines)})
+	return t
 }
 
 // SMPResult reports the four-core study.
@@ -323,13 +324,14 @@ func heapWriteVA(round int) arch.VirtAddr {
 	return 0x20000000 + arch.VirtAddr(round)*arch.PageSize
 }
 
-// String renders the study.
-func (r *SMPResult) String() string {
-	t := stats.NewTable("SMP: four cores, four applications (TLB shootdowns and faults)",
+// Table renders the study.
+func (r *SMPResult) Table() *Table {
+	t := newTable("SMP: four cores, four applications (TLB shootdowns and faults)",
 		"Kernel", "TLB shootdown IPIs", "Page faults")
-	t.AddRow("Stock Android", fmt.Sprintf("%d", r.StockShootdowns), fmt.Sprintf("%d", r.StockFaults))
-	t.AddRow("Shared PTP", fmt.Sprintf("%d", r.SharedShootdowns), fmt.Sprintf("%d", r.SharedFaults))
-	return t.String() + "sharing pays shootdowns for unshares but removes the cross-core soft faults\n"
+	t.row(text("Stock Android"), countCell(r.StockShootdowns, "stock_shootdowns"), countCell(r.StockFaults, "stock_faults"))
+	t.row(text("Shared PTP"), countCell(r.SharedShootdowns, "shared_shootdowns"), countCell(r.SharedFaults, "shared_faults"))
+	t.note("sharing pays shootdowns for unshares but removes the cross-core soft faults")
+	return t
 }
 
 // ChromeFamilyResult reports intra-application-family sharing.
@@ -408,11 +410,13 @@ func (s *Session) ChromeFamily() (*ChromeFamilyResult, error) {
 	return &ChromeFamilyResult{Pages: stock.pages, StockFaults: stock.faults, SharedFaults: shared.faults}, nil
 }
 
-// String renders the study.
-func (r *ChromeFamilyResult) String() string {
-	t := stats.NewTable("Chrome family: helper forked from the browser process",
+// Table renders the study.
+func (r *ChromeFamilyResult) Table() *Table {
+	t := newTable("Chrome family: helper forked from the browser process",
 		"Kernel", "Helper faults over browser's libs")
-	t.AddRow("Stock Android", fmt.Sprintf("%d", r.StockFaults))
-	t.AddRow("Shared PTP", fmt.Sprintf("%d", r.SharedFaults))
-	return t.String() + fmt.Sprintf("the helper executes %d inherited library pages; sharing hands it the browser's translations\n", r.Pages)
+	t.row(text("Stock Android"), countCell(r.StockFaults, "stock_faults"))
+	t.row(text("Shared PTP"), countCell(r.SharedFaults, "shared_faults"))
+	t.note("the helper executes %.0f inherited library pages; sharing hands it the browser's translations",
+		Val{V: float64(r.Pages), Key: "inherited_lib_pages"})
+	return t
 }

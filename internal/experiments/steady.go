@@ -186,15 +186,17 @@ func (s *Session) Figure10() (*Figure10Result, error) {
 	return r, nil
 }
 
-// String renders the figure.
-func (r *Figure10Result) String() string {
-	t := stats.NewTable("Figure 10: % reduction in page faults for file-backed mappings (vs stock)",
+// Table renders the figure.
+func (r *Figure10Result) Table() *Table {
+	t := newTable("Figure 10: % reduction in page faults for file-backed mappings (vs stock)",
 		"Benchmark", "Stock faults", "Shared faults", "Reduction", "Eliminated/run")
 	for _, row := range r.Rows {
-		t.AddRow(row.App, stats.F(row.StockFaults), stats.F(row.SharedFaults),
-			stats.Pct(row.ReductionPct), stats.F(row.Eliminated))
+		t.row(text(row.App), numCell(row.StockFaults, "stock_faults."+row.App), numCell(row.SharedFaults, "shared_faults."+row.App),
+			pctCell(row.ReductionPct, "reduction_pct."+row.App), numCell(row.Eliminated, "eliminated_per_run."+row.App))
 	}
-	return t.String() + fmt.Sprintf("suite average reduction: %.1f%% (paper: 38%%)\n", r.AvgReductionPct)
+	avg := Val{V: r.AvgReductionPct, Key: "avg_reduction_pct"}.withPaper(38)
+	t.note("suite average reduction: %.1f%% (paper: %g%%)", avg, paperOf(avg))
+	return t
 }
 
 // Figure11Result is PTP allocation per application under four
@@ -250,19 +252,29 @@ func (s *Session) Figure11() (*Figure11Result, error) {
 	return r, nil
 }
 
-// String renders the figure.
-func (r *Figure11Result) String() string {
-	t := stats.NewTable("Figure 11: PTPs allocated, normalized to stock Android / original layout",
-		"Benchmark", "Stock", "Shared PTP", "Stock-2MB", "Shared PTP-2MB")
-	for _, app := range r.Apps {
-		t.AddRow(app,
-			stats.Pct(r.NormPct["Stock Android"][app]),
-			stats.Pct(r.NormPct["Shared PTP"][app]),
-			stats.Pct(r.NormPct["Stock Android-2MB"][app]),
-			stats.Pct(r.NormPct["Shared PTP-2MB"][app]))
+// Table renders the figure.
+func (r *Figure11Result) Table() *Table {
+	t := perConfigTable("Figure 11: PTPs allocated, normalized to stock Android / original layout",
+		"ptps_norm_pct", "%.1f%%", r.Apps, r.NormPct)
+	orig := Val{V: r.AvgReductionOriginal, Key: "avg_reduction_pct_original"}.withPaper(35)
+	mb := Val{V: r.AvgReduction2MB, Key: "avg_reduction_pct_2mb"}.withPaper(26)
+	t.note("suite-average reduction: %.1f%% original (paper: %g%%), %.1f%% vs stock-2MB (paper: %g%%)",
+		orig, paperOf(orig), mb, paperOf(mb))
+	return t
+}
+
+// perConfigTable renders per-app values of the four figure11Configs
+// bars, keyed "<prefix>.<config label>.<app>".
+func perConfigTable(title, prefix, format string, apps []string, v map[string]map[string]float64) *Table {
+	t := newTable(title, "Benchmark", "Stock", "Shared PTP", "Stock-2MB", "Shared PTP-2MB")
+	for _, app := range apps {
+		cells := []Cell{text(app)}
+		for _, cfg := range figure11Configs {
+			cells = append(cells, cell(format, Val{V: v[cfg.label][app], Key: prefix + "." + cfg.label + "." + app}))
+		}
+		t.row(cells...)
 	}
-	return t.String() + fmt.Sprintf("suite-average reduction: %.1f%% original (paper: 35%%), %.1f%% vs stock-2MB (paper: 26%%)\n",
-		r.AvgReductionOriginal, r.AvgReduction2MB)
+	return t
 }
 
 // Figure12Result is the percent of PTPs shared per application.
@@ -303,17 +315,20 @@ func (s *Session) Figure12() (*Figure12Result, error) {
 	return r, nil
 }
 
-// String renders the figure.
-func (r *Figure12Result) String() string {
-	t := stats.NewTable("Figure 12: % of total PTPs that are shared",
-		"Benchmark", "Shared PTP", "Shared PTP-2MB")
+// Table renders the figure.
+func (r *Figure12Result) Table() *Table {
+	t := newTable("Figure 12: % of total PTPs that are shared", "Benchmark", "Shared PTP", "Shared PTP-2MB")
 	for _, app := range r.Apps {
-		t.AddRow(app,
-			stats.Pct(r.SharedPct[android.LayoutOriginal][app]),
-			stats.Pct(r.SharedPct[android.Layout2MB][app]))
+		cells := []Cell{text(app)}
+		for _, layout := range []android.Layout{android.LayoutOriginal, android.Layout2MB} {
+			cells = append(cells, pctCell(r.SharedPct[layout][app], "shared_pct."+layout.String()+"."+app))
+		}
+		t.row(cells...)
 	}
-	return t.String() + fmt.Sprintf("suite average: %.1f%% original (paper: 39%%), %.1f%% 2MB (paper: 60%%)\n",
-		r.AvgOriginal, r.Avg2MB)
+	orig := Val{V: r.AvgOriginal, Key: "avg_shared_pct_original"}.withPaper(39)
+	mb := Val{V: r.Avg2MB, Key: "avg_shared_pct_2mb"}.withPaper(60)
+	t.note("suite average: %.1f%% original (paper: %g%%), %.1f%% 2MB (paper: %g%%)", orig, paperOf(orig), mb, paperOf(mb))
+	return t
 }
 
 // PTECopyResult supplements Figures 10-12 with the PTE-copy accounting
@@ -343,16 +358,7 @@ func (s *Session) PTECopies() (*PTECopyResult, error) {
 	return r, nil
 }
 
-// String renders the accounting.
-func (r *PTECopyResult) String() string {
-	t := stats.NewTable("PTEs copied per execution (fork + unsharing)",
-		"Benchmark", "Stock", "Shared PTP", "Stock-2MB", "Shared PTP-2MB")
-	for _, app := range r.Apps {
-		t.AddRow(app,
-			stats.F(r.Copies["Stock Android"][app]),
-			stats.F(r.Copies["Shared PTP"][app]),
-			stats.F(r.Copies["Stock Android-2MB"][app]),
-			stats.F(r.Copies["Shared PTP-2MB"][app]))
-	}
-	return t.String()
+// Table renders the accounting.
+func (r *PTECopyResult) Table() *Table {
+	return perConfigTable("PTEs copied per execution (fork + unsharing)", "ptes_copied", "%v", r.Apps, r.Copies)
 }
