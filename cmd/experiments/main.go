@@ -8,7 +8,6 @@
 //	experiments [-quick] [-arch armv7|sv39] [-parallel N] [-launch-runs N]
 //	            [-app-runs N] [-binder-iters N] [-only LIST] [-list] [-json]
 //	            [-imagestore DIR] [-cpuprofile FILE] [-memprofile FILE]
-//	            [-blockprofile FILE] [-mutexprofile FILE]
 //
 // -only selects a comma-separated subset, e.g. -only table4,figure7; an
 // unknown name is an error. -arch selects the simulated MMU architecture
@@ -18,16 +17,19 @@
 // results are byte-identical regardless of the worker count. -json
 // replaces the text tables with one structured document (schema
 // "sat-experiments/v1", see internal/experiments/report.go), also
-// byte-identical for every -parallel setting. -imagestore persists the
+// byte-identical for every -parallel setting. Both outputs render from
+// one Table value per experiment (internal/experiments/table.go). -imagestore persists the
 // boot checkpoints every scenario forks (internal/checkpoint) under DIR
 // (default: the sat-sim cache directory) so later processes warm-start
 // instead of re-simulating the boot prefix; -imagestore "" disables
 // persistence. Stored images are fingerprint-verified on load, so
 // results are byte-identical with a cold store, a warm store or none
 // (TestGolden in internal/experiments diffs each mode, and fresh boots,
-// against testdata/experiments_quick*.golden.json).
-// -cpuprofile, -memprofile, -blockprofile and -mutexprofile write pprof
-// captures of the run (see README "Profiling").
+// against testdata/experiments_quick*.golden.{json,txt}). The
+// paper-scale stdout of both architectures, with -imagestore "", is
+// committed as experiments_output.txt and experiments_output_sv39.txt.
+// -cpuprofile and -memprofile write pprof captures of the run (see
+// README "Profiling").
 package main
 
 import (
@@ -66,8 +68,6 @@ func run(argv []string, out *os.File) (err error) {
 	storeDir := fs.String("imagestore", imagestore.DefaultDir(), "persist checkpoint images in this directory so later runs warm-start; empty disables the store (output is byte-identical either way)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile after the run to this file")
-	blockProfile := fs.String("blockprofile", "", "write a pprof blocking profile of the run to this file")
-	mutexProfile := fs.String("mutexprofile", "", "write a pprof mutex-contention profile of the run to this file")
 	if err := fs.Parse(argv); err != nil {
 		return err
 	}
@@ -136,7 +136,7 @@ func run(argv []string, out *os.File) (err error) {
 		}
 	}
 
-	stopProf, err := prof.Start(prof.Options{CPU: *cpuProfile, Mem: *memProfile, Block: *blockProfile, Mutex: *mutexProfile})
+	stopProf, err := prof.Start(prof.Options{CPU: *cpuProfile, Mem: *memProfile})
 	if err != nil {
 		return err
 	}

@@ -10,7 +10,6 @@
 //	       [-arch armv7|sv39] [-app NAME|all] [-runs N] [-parallel N]
 //	       [-json] [-list] [-imagestore DIR]
 //	       [-cpuprofile FILE] [-memprofile FILE]
-//	       [-blockprofile FILE] [-mutexprofile FILE]
 //
 // -arch selects the simulated MMU architecture by registry name (default
 // armv7); an unknown name is an error listing the registered
@@ -37,8 +36,8 @@
 // in the booted machine (kernel, per-CPU TLBs and L1 caches, shared L2).
 // Like the text output it is byte-identical for every -parallel setting.
 //
-// -cpuprofile, -memprofile, -blockprofile and -mutexprofile write pprof
-// captures of the scenario (see README "Profiling").
+// -cpuprofile and -memprofile write pprof captures of the scenario (see
+// README "Profiling").
 package main
 
 import (
@@ -77,8 +76,6 @@ func main() {
 	list := flag.Bool("list", false, "list the application suite and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the scenario to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile after the scenario to this file")
-	blockProfile := flag.String("blockprofile", "", "write a pprof blocking profile of the scenario to this file")
-	mutexProfile := flag.String("mutexprofile", "", "write a pprof mutex-contention profile of the scenario to this file")
 	flag.Parse()
 
 	if *list {
@@ -89,7 +86,7 @@ func main() {
 		return
 	}
 	err := runProfiled(os.Stdout, o, *storeDir,
-		prof.Options{CPU: *cpuProfile, Mem: *memProfile, Block: *blockProfile, Mutex: *mutexProfile})
+		prof.Options{CPU: *cpuProfile, Mem: *memProfile})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "satsim:", err)
 		os.Exit(1)

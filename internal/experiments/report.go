@@ -16,8 +16,8 @@
 // the same parameters produce byte-identical output regardless of the
 // sweep worker count, inheriting the sweep engine's guarantee. An
 // experiment's metrics are the keyed values of its result Table, the
-// value its text report renders from too; table.go gives the key
-// conventions. Additions of new keys or new experiments are
+// value its text report renders from too; Table's doc comment gives the
+// key conventions. Additions of new keys or new experiments are
 // backward-compatible, renames or removals bump the schema version.
 
 package experiments

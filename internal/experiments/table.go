@@ -1,17 +1,4 @@
-// The result table: the one value every experiment result renders to,
-// and from which both outputs are drawn — the text report through
-// stats.Table, and the flat metrics map of cmd/experiments -json.
-//
-// JSON key conventions, which the golden schema test pins:
-//
-//   - keys are snake_case metric names;
-//   - per-label values append the label after a dot, e.g.
-//     "median_cycles.Stock Android" or "norm_pct.Shared PTP.Email";
-//   - percentages carry a _pct suffix (or a pct_ prefix inherited from
-//     the figure), raw counts and cycles are unsuffixed.
-//
-// Non-finite values (NaN, Inf) are omitted from the map: they cannot be
-// represented in JSON, and an absent key is more honest than a sentinel.
+// The result table: the one value every experiment result renders to.
 
 package experiments
 
@@ -26,7 +13,21 @@ import (
 )
 
 // Table is one experiment result: a titled table of cells and the
-// summary notes printed below it.
+// summary notes printed below it. Both outputs render from it: the text
+// report (String, through stats.Table) and the flat metrics map of
+// cmd/experiments -json (Metrics), which holds every keyed Val.
+//
+// Metric key conventions, which the golden schema test pins:
+//
+//   - keys are snake_case metric names;
+//   - per-label values append the label after a dot, e.g.
+//     "median_cycles.Stock Android" or "norm_pct.Shared PTP.Email";
+//   - percentages carry a _pct suffix (or a pct_ prefix inherited from
+//     the figure), raw counts and cycles are unsuffixed.
+//
+// Non-finite values (NaN, Inf) are left out of the metrics: they cannot
+// be represented in JSON, and an absent key is more honest than a
+// sentinel.
 type Table struct {
 	Title  string
 	Header []string
@@ -155,7 +156,7 @@ func text(s string) Cell { return Cell{Format: s} }
 func cell(format string, vals ...Val) Cell { return Cell{Format: format, Vals: vals} }
 
 // numCell, pctCell and countCell are one keyed value printed as
-// stats.F, as stats.Pct and as an integer.
+// stats.F, as a percentage with one decimal and as an integer.
 func numCell(x float64, key string) Cell { return cell("%v", Val{V: x, Key: key}) }
 
 func pctCell(x float64, key string) Cell { return cell("%.1f%%", Val{V: x, Key: key}) }

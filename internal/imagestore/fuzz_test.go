@@ -2,6 +2,7 @@ package imagestore
 
 import (
 	"encoding/binary"
+	"flag"
 	"hash/crc32"
 	"strings"
 	"testing"
@@ -17,12 +18,12 @@ import (
 // checksum is recomputed over the input first, so mutations get past the
 // header's checksum to the structural checks and the digest check.
 //
-// The seeds are built here rather than committed (an image is ~4.5 MiB):
-// a valid image, edits that must fail a named decoder check (see
-// addRejectSeeds), truncations at every section boundary, and bit flips
-// in the header, the metadata and every binary section, each flip both
-// with the stale checksum and with a recomputed one. Plain go test
-// replays them; go test -fuzz=FuzzImageLoad explores from them.
+// The seeds are built here rather than committed (an image is ~4.5 MiB).
+// A fuzzing run (go test -fuzz=FuzzImageLoad) starts from three small
+// ones: no bytes, and a valid image's first 24 bytes and its header. It
+// measures baseline coverage on every seed before it mutates one, and
+// the image seeds (see addImageSeeds) would spend a short run's whole
+// budget there; plain go test replays those as well.
 func FuzzImageLoad(f *testing.F) {
 	u := workload.DefaultUniverse()
 	img := checkpoint.Capture(bootSys(f, android.Options{}))
@@ -33,6 +34,42 @@ func FuzzImageLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 
+	f.Add([]byte{}, false)
+	f.Add(good[:24:24], true)
+	f.Add(good[:headerSize:headerSize], true)
+	if !fuzzing() {
+		addImageSeeds(f, good, dir, u)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte, fixCRC bool) {
+		buf := alignedCopy(data)
+		if fixCRC && len(buf) >= 24 {
+			binary.LittleEndian.PutUint64(buf[16:24], uint64(crc32.Checksum(buf[24:], crcTable)))
+		}
+		got, _, err := decodeImage(buf, u)
+		if err != nil {
+			return
+		}
+		if got.FingerprintDigest() != want {
+			t.Fatal("decoder admitted an image whose fingerprint differs from the saved one")
+		}
+	})
+}
+
+// fuzzing reports whether the test binary runs a fuzzing engine
+// (go test -fuzz), rather than replaying the seeds.
+func fuzzing() bool {
+	fl := flag.Lookup("test.fuzz")
+	return fl != nil && fl.Value.String() != ""
+}
+
+// addImageSeeds adds the whole-image seeds: the valid image good, edits
+// that must fail a named decoder check (see addRejectSeeds), truncations
+// at every section boundary, and bit flips in the header, the metadata
+// and every binary section, each flip both with the stale checksum and
+// with a recomputed one.
+func addImageSeeds(f *testing.F, good []byte, dir [numSections]sectionRange, u *workload.Universe) {
+	f.Helper()
 	f.Add(good, false)
 	addRejectSeeds(f, good, dir, u)
 	cuts := []int{0, 8, 24, headerSize - 1}
@@ -61,20 +98,6 @@ func FuzzImageLoad(f *testing.F) {
 		f.Add(mutated, false)
 		f.Add(mutated, true)
 	}
-
-	f.Fuzz(func(t *testing.T, data []byte, fixCRC bool) {
-		buf := alignedCopy(data)
-		if fixCRC && len(buf) >= 24 {
-			binary.LittleEndian.PutUint64(buf[16:24], uint64(crc32.Checksum(buf[24:], crcTable)))
-		}
-		got, _, err := decodeImage(buf, u)
-		if err != nil {
-			return
-		}
-		if got.FingerprintDigest() != want {
-			t.Fatal("decoder admitted an image whose fingerprint differs from the saved one")
-		}
-	})
 }
 
 // addRejectSeeds adds copies of the valid image good, each with its

@@ -1,10 +1,10 @@
 // Package prof drives the optional pprof captures behind the
-// -cpuprofile, -memprofile, -blockprofile and -mutexprofile flags of the
-// command-line tools. Both commands share this one lifecycle so the
-// profiles are written the same way: the CPU, block and mutex profiles
-// cover exactly the workload (not flag parsing), and the heap profile
-// samples the live set after a forced GC so transient sweep buffers do
-// not drown the structural allocations the profile is meant to expose.
+// -cpuprofile and -memprofile flags of the command-line tools. Both
+// commands share this one lifecycle so the profiles are written the same
+// way: the CPU profile covers exactly the workload (not flag parsing),
+// and the heap profile samples the live set after a forced GC so
+// transient sweep buffers do not drown the structural allocations the
+// profile is meant to expose.
 package prof
 
 import (
@@ -21,20 +21,12 @@ type Options struct {
 	CPU string
 	// Mem is the heap profile path, the live set written at stop.
 	Mem string
-	// Block is the blocking profile path. While enabled every blocking
-	// event is recorded (rate 1), which is the right fidelity for the
-	// parallel sweep's channel waits and costs nothing when idle.
-	Block string
-	// Mutex is the mutex-contention profile path, recording every
-	// contended acquisition (fraction 1) while enabled.
-	Mutex string
 }
 
 // Start begins the selected captures. The returned stop function ends
-// the CPU capture, restores the block and mutex sampling rates to off,
-// and writes the end-of-run profiles; it must run exactly once, after
-// the workload — including on early exits, or the process would keep
-// paying the block/mutex bookkeeping and the files would never appear.
+// the CPU capture and writes the heap profile; it must run exactly once,
+// after the workload — including on early exits, or the files would
+// never be complete.
 // Start never returns a nil stop alongside a nil error; on error it has
 // already undone any captures it began.
 func Start(o Options) (stop func() error, err error) {
@@ -49,32 +41,12 @@ func Start(o Options) (stop func() error, err error) {
 			return nil, fmt.Errorf("cpu profile: %w", err)
 		}
 	}
-	if o.Block != "" {
-		runtime.SetBlockProfileRate(1)
-	}
-	if o.Mutex != "" {
-		runtime.SetMutexProfileFraction(1)
-	}
 	return func() error {
 		if cpuFile != nil {
 			pprof.StopCPUProfile()
 			if err := cpuFile.Close(); err != nil {
 				return fmt.Errorf("cpu profile: %w", err)
 			}
-		}
-		// Stop the event accounting before writing, so the written
-		// profiles end exactly with the workload.
-		if o.Block != "" {
-			runtime.SetBlockProfileRate(0)
-		}
-		if o.Mutex != "" {
-			runtime.SetMutexProfileFraction(0)
-		}
-		if err := writeLookup("block", o.Block); err != nil {
-			return err
-		}
-		if err := writeLookup("mutex", o.Mutex); err != nil {
-			return err
 		}
 		if o.Mem != "" {
 			f, err := os.Create(o.Mem)
@@ -92,24 +64,4 @@ func Start(o Options) (stop func() error, err error) {
 		}
 		return nil
 	}, nil
-}
-
-// writeLookup writes the named runtime profile to path; an empty path is
-// a no-op.
-func writeLookup(name, path string) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("%s profile: %w", name, err)
-	}
-	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
-		f.Close()
-		return fmt.Errorf("%s profile: %w", name, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("%s profile: %w", name, err)
-	}
-	return nil
 }

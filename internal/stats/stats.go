@@ -227,6 +227,3 @@ func F(x float64) string {
 		return fmt.Sprintf("%.2f", x)
 	}
 }
-
-// Pct formats a percentage cell.
-func Pct(x float64) string { return fmt.Sprintf("%.1f%%", x) }

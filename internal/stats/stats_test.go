@@ -192,7 +192,4 @@ func TestFormatters(t *testing.T) {
 	if F(1.234) != "1.23" {
 		t.Errorf("F(1.234) = %q", F(1.234))
 	}
-	if Pct(45.67) != "45.7%" {
-		t.Errorf("Pct = %q", Pct(45.67))
-	}
 }
