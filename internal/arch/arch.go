@@ -41,11 +41,6 @@ const (
 // PageBase returns va rounded down to a 4KB page boundary.
 func PageBase(va VirtAddr) VirtAddr { return va &^ VirtAddr(PageMask) }
 
-// PageAlignUp rounds va up to the next 4KB page boundary.
-func PageAlignUp(va VirtAddr) VirtAddr {
-	return (va + PageMask) &^ VirtAddr(PageMask)
-}
-
 // VPN returns the virtual page number of va.
 func VPN(va VirtAddr) uint32 { return uint32(va) >> PageShift }
 

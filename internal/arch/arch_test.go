@@ -15,12 +15,6 @@ func TestAlignment(t *testing.T) {
 	if got := PageBase(0x1234); got != 0x1000 {
 		t.Errorf("PageBase(0x1234) = %#x, want 0x1000", got)
 	}
-	if got := PageAlignUp(0x1234); got != 0x2000 {
-		t.Errorf("PageAlignUp(0x1234) = %#x, want 0x2000", got)
-	}
-	if got := PageAlignUp(0x2000); got != 0x2000 {
-		t.Errorf("PageAlignUp(0x2000) = %#x, want 0x2000 (already aligned)", got)
-	}
 }
 
 func TestAlignmentProperties(t *testing.T) {

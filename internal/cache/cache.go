@@ -265,9 +265,6 @@ func (c *Cache) Name() string { return c.cfg.Name }
 // Stats returns a snapshot of this level's counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// ResetStats zeroes the counters without invalidating any lines.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 // AttachBus makes the cache publish fill/evict events to b. A nil bus
 // detaches. The bus applies to this level only; attach each level of a
 // hierarchy separately (or use Hierarchy.AttachBus).
@@ -283,8 +280,9 @@ func (c *Cache) Snapshot() map[string]uint64 {
 	}
 }
 
-// Reset implements obs.Source.
-func (c *Cache) Reset() { c.ResetStats() }
+// Reset implements obs.Source: it zeroes the counters without
+// invalidating any lines.
+func (c *Cache) Reset() { c.stats = Stats{} }
 
 // Access references the line containing pa, filling it on a miss, and
 // returns the total latency in cycles including any lower-level accesses.
@@ -779,13 +777,6 @@ func (h *Hierarchy) FlushAll() {
 	h.L1I.FlushAll()
 	h.L1D.FlushAll()
 	h.L2.FlushAll()
-}
-
-// ResetStats zeroes all three levels' counters.
-func (h *Hierarchy) ResetStats() {
-	h.L1I.ResetStats()
-	h.L1D.ResetStats()
-	h.L2.ResetStats()
 }
 
 // AttachBus attaches all three levels to b.

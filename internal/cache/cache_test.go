@@ -95,12 +95,12 @@ func TestFlushAllAndOccupancy(t *testing.T) {
 func TestResetStats(t *testing.T) {
 	c := small(nil, 50)
 	c.Access(0x0)
-	c.ResetStats()
+	c.Reset()
 	if s := c.Stats(); s.Accesses != 0 {
 		t.Errorf("stats not reset: %+v", s)
 	}
 	if !c.Contains(0x0) {
-		t.Error("lines must survive ResetStats")
+		t.Error("lines must survive Reset")
 	}
 }
 
@@ -135,7 +135,7 @@ func TestSharedPTEDedup(t *testing.T) {
 	if h.L2.Stats().Misses != 1 {
 		t.Errorf("shared PTP walks should miss L2 once, got %d", h.L2.Stats().Misses)
 	}
-	h.ResetStats()
+	h.L2.Reset()
 	h.FlushAll()
 	h.Walk(0x200000)
 	h.Walk(0x300000) // second process, private copy

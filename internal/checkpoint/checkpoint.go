@@ -82,14 +82,6 @@ func (img *Image) Proto() *android.System {
 // machine for the given parameters.
 type Boot func() (*android.System, error)
 
-// Warm advances a freshly forked machine to an intermediate state worth
-// caching — a post-boot warmup phase shared by several scenarios. It must
-// be deterministic in the machine it receives: the tree invariant is that
-// forking a warmed image is byte-identical to re-running the warmup on a
-// fresh fork, which holds exactly when the warmup's effect is a pure
-// function of the machine state.
-type Warm func(*android.System) error
-
 // centry is one cache slot; once makes concurrent sweep workers asking
 // for the same prefix boot it exactly once.
 type centry struct {
@@ -168,38 +160,6 @@ func (c *Cache) Image(key string, boot Boot) (*Image, error) {
 		}
 	})
 	return e.img, e.err
-}
-
-// DerivedKey names the tree node reached by running the warmup phase
-// warmKey on top of the machine state named by parentKey. Chaining
-// DerivedKey builds fork-of-fork lineages: each segment appends one
-// warmup, so equal keys mean equal simulated histories.
-func DerivedKey(parentKey, warmKey string) string {
-	return parentKey + " warm=" + warmKey
-}
-
-// Derived returns the memoized image for parent-state-plus-warmup,
-// building it on first request by forking the parent image, running warm
-// on the fork, and capturing the result. The parent image itself is never
-// run — interior tree nodes stay as immutable as leaves — and parent() is
-// only invoked when the derived image is not already cached.
-//
-// parent is a thunk (typically a closure over Cache.Image or another
-// Derived call) so trees of any depth memoize every interior node: each
-// level's once-guard fires at most one build, and recursion across
-// distinct keys cannot deadlock because each key has its own entry.
-func (c *Cache) Derived(parentKey, warmKey string, parent func() (*Image, error), warm Warm) (*Image, error) {
-	return c.Image(DerivedKey(parentKey, warmKey), func() (*android.System, error) {
-		img, err := parent()
-		if err != nil {
-			return nil, err
-		}
-		sys := img.Fork()
-		if err := warm(sys); err != nil {
-			return nil, err
-		}
-		return sys, nil
-	})
 }
 
 // Len returns the number of distinct prefixes cached so far.

@@ -122,52 +122,42 @@ type SchedulerGroupingResult struct {
 // versus grouped, and measures the applications' TLB stalls and the
 // number of protective flushes.
 func (s *Session) SchedulerGrouping() (*SchedulerGroupingResult, error) {
-	// Both schedules start from the same six processes, so the setup is a
-	// warmup phase in the checkpoint fork tree: simulated once, forked for
-	// each variant. The schedule below re-derives the process handles by
-	// name because a fork mints fresh Process objects.
-	setup := func(sys *android.System) error {
+	// Both schedules start from the same six processes: three zygote
+	// applications and three daemons, each mapping its own binary.
+	setup := func(sys *android.System) (apps, daemons []*core.Process, err error) {
 		k := sys.Kernel
 		for i := 0; i < 3; i++ {
-			if _, err := sys.ZygoteFork(fmt.Sprintf("app%d", i)); err != nil {
-				return err
+			app, err := sys.ZygoteFork(fmt.Sprintf("app%d", i))
+			if err != nil {
+				return nil, nil, err
 			}
+			apps = append(apps, app)
 		}
 		for i := 0; i < 3; i++ {
 			p, err := k.NewProcess(fmt.Sprintf("daemon%d", i))
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
 			base := arch.VirtAddr(0x10000000 + i*0x100000)
 			f := vm.NewFile(k.Phys, fmt.Sprintf("daemon%d-bin", i), 64*arch.PageSize)
 			if err := k.Mmap(p, &vm.VMA{Start: base, End: base + 64*arch.PageSize,
 				Prot: vm.ProtRead | vm.ProtExec, Flags: vm.VMAPrivate, File: f, Name: "bin"}); err != nil {
-				return err
+				return nil, nil, err
 			}
+			daemons = append(daemons, p)
 		}
-		return nil
+		return apps, daemons, nil
 	}
 
 	run := func(grouped bool) (uint64, int, error) {
-		sys, err := s.BootWarm(core.SharedPTPTLB(), android.LayoutOriginal, android.Options{},
-			"grouping-setup", setup)
+		sys, err := s.Boot(core.SharedPTPTLB(), android.LayoutOriginal)
 		if err != nil {
 			return 0, 0, err
 		}
 		k := sys.Kernel
-
-		var apps, daemons []*core.Process
-		for i := 0; i < 3; i++ {
-			app, err := procByName(k, fmt.Sprintf("app%d", i))
-			if err != nil {
-				return 0, 0, err
-			}
-			apps = append(apps, app)
-			daemon, err := procByName(k, fmt.Sprintf("daemon%d", i))
-			if err != nil {
-				return 0, 0, err
-			}
-			daemons = append(daemons, daemon)
+		apps, daemons, err := setup(sys)
+		if err != nil {
+			return 0, 0, err
 		}
 
 		// Build the schedule: the same multiset of quanta either strictly
@@ -240,18 +230,6 @@ func (s *Session) SchedulerGrouping() (*SchedulerGroupingResult, error) {
 		FlushesInterleaved: b.flushes,
 		FlushesGrouped:     v.flushes,
 	}, nil
-}
-
-// procByName finds a live process by name — the handle-recovery step
-// after forking a warmed image, whose processes were created inside the
-// warm phase.
-func procByName(k *core.Kernel, name string) (*core.Process, error) {
-	for _, p := range k.Processes() {
-		if p.Name == name && p.Alive() {
-			return p, nil
-		}
-	}
-	return nil, fmt.Errorf("experiments: no live process %q in forked machine", name)
 }
 
 // Table renders the study.

@@ -2,9 +2,10 @@
 // execution mode — fresh boots, forks of a cold image store, forks of a
 // warm one, serial and parallel sweeps, on every architecture — must emit
 // the committed golden document and the committed text rendering byte
-// for byte. TestSerialParallelByteIdentical,
-// TestJSONFullByteIdenticalAndGoldenSchema and TestForkVsFreshByteIdentical
-// read the same rows, each for its own pair of modes.
+// for byte. Under -short, which has no goldens, every row of an arch must
+// match that arch's first row instead, so the modes are still compared
+// with each other. TestJSONFullByteIdenticalAndGoldenSchema reads the
+// same rows for the document's shape.
 //
 // Regenerate the root goldens (both architectures, both commands) with:
 //
@@ -35,7 +36,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite ../../testdata/exp
 
 // diffParams sizes the -short rows: small enough to race every mode
 // under -race, still crossing kernel configs, zygote forks, app
-// launches, the warmup trees and the Binder IPC path.
+// launches, the scalability launch chains and the Binder IPC path.
 var diffParams = Params{LaunchRuns: 2, AppRuns: 1, BinderIters: 100}
 
 // storeRoot holds every image store of the test binary; TestMain
@@ -135,8 +136,8 @@ type rowResult struct {
 	err                 error
 }
 
-// matrix runs every row once per test binary: TestGolden and the
-// pairwise identity tests below all read the same results.
+// matrix runs every row once per test binary: TestGolden and the schema
+// test below read the same results.
 var matrix struct {
 	once    sync.Once
 	results []rowResult // indexed like goldenRows
@@ -250,32 +251,13 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestSerialParallelByteIdentical is the determinism contract of the
-// sweep engine: the serial session and the 4-worker sessions render
-// every experiment to the same bytes.
-func TestSerialParallelByteIdentical(t *testing.T) {
-	serial := rowOf(t, "armv7", "fresh", 1)
-	for _, boot := range []string{"store-cold", "store-warm"} {
-		par := rowOf(t, "armv7", boot, 4)
-		if par.text != serial.text {
-			t.Errorf("serial and 4-worker (%s) renderings diverge:\n%s",
-				boot, firstDiff([]byte(serial.text), []byte(par.text)))
-		}
-	}
-}
-
-// TestJSONFullByteIdenticalAndGoldenSchema requires the serial and the
-// 4-worker full-registry documents to be byte-identical, and their
-// schema — every registry experiment in order, with its metric keys — to
-// be the one the committed golden pins (under -short, which has no
-// golden, every experiment must still carry metrics).
+// TestJSONFullByteIdenticalAndGoldenSchema checks the shape of the
+// full-registry document: every registry experiment in order, each with
+// metrics, and the metric keys the committed golden pins (skipped under
+// -short, which has no golden). That every mode emits the same bytes is
+// TestGolden's check.
 func TestJSONFullByteIdenticalAndGoldenSchema(t *testing.T) {
-	serial := rowOf(t, "armv7", "fresh", 1)
-	par := rowOf(t, "armv7", "store-cold", 4)
-	if !bytes.Equal(serial.doc, par.doc) {
-		t.Fatalf("serial and parallel JSON diverge:\n%s", firstDiff(serial.doc, par.doc))
-	}
-	got := schemaOf(t, serial.doc)
+	got := schemaOf(t, rowOf(t, "armv7", "fresh", 1).doc)
 	if len(got) != len(Registry()) {
 		t.Fatalf("got %d experiments, want the %d of the registry", len(got), len(Registry()))
 	}
@@ -324,27 +306,6 @@ func schemaOf(t *testing.T, doc []byte) []experimentSchema {
 		out = append(out, experimentSchema{e.Name, keys})
 	}
 	return out
-}
-
-// TestForkVsFreshByteIdentical is the fork contract at the report
-// level: on every arch, the sessions forking boot images — from a cold
-// image store and from a warm one — emit the fresh-boot row's bytes.
-func TestForkVsFreshByteIdentical(t *testing.T) {
-	for _, arch := range []string{"armv7", "sv39"} {
-		var fresh rowResult
-		for _, row := range goldenRows {
-			if row.arch == arch && row.boot == "fresh" {
-				fresh = rowOf(t, arch, row.boot, row.workers)
-			}
-		}
-		for _, boot := range []string{"store-cold", "store-warm"} {
-			forked := rowOf(t, arch, boot, 4)
-			if !bytes.Equal(forked.doc, fresh.doc) {
-				t.Errorf("%s: forked (%s) and fresh-boot reports diverge:\n%s",
-					arch, boot, firstDiff(forked.doc, fresh.doc))
-			}
-		}
-	}
 }
 
 // TestJSONSubsetDeterministic is the cheap selection check: a four-
@@ -441,19 +402,28 @@ func goldenSession(row goldenRow, params Params, stores map[string]string) (*Ses
 	return s, store, nil
 }
 
+// storeImages pins how many images a cold row saves, per arch: one per
+// distinct boot prefix of the registry. Both matrixParams save the same
+// set, since the params size what runs after a boot, not the boots. A
+// change that persists more than boot prefixes (per-scenario state, say)
+// moves these numbers and must justify the disk it costs.
+var storeImages = map[string]int64{"armv7": 12, "sv39": 12}
+
 // checkStoreTraffic proves the boot source of a store row: a cold row
-// simulates and saves its images, a warm row loads every one of them.
+// simulates and saves exactly its boot prefixes, and the warm row after
+// it loads every one of them and saves none.
 func checkStoreTraffic(t *testing.T, row goldenRow, r rowResult) {
 	t.Helper()
+	want := storeImages[row.arch]
 	switch row.boot {
 	case "store-cold":
-		if r.saves == 0 || r.hits != 0 {
-			t.Errorf("cold store: %d saves, %d load hits; want >= 1 save and no hits", r.saves, r.hits)
+		if r.saves != want || r.hits != 0 {
+			t.Errorf("cold store: %d saves, %d load hits; want %d saves and no hits", r.saves, r.hits, want)
 		}
 	case "store-warm":
-		if r.saves != 0 || r.misses != 0 || r.hits == 0 {
-			t.Errorf("warm store: %d saves, %d load misses, %d hits; want every image loaded, none saved",
-				r.saves, r.misses, r.hits)
+		if r.saves != 0 || r.misses != 0 || r.hits != want {
+			t.Errorf("warm store: %d saves, %d load misses, %d hits; want all %d images loaded, none saved",
+				r.saves, r.misses, r.hits, want)
 		}
 	}
 }

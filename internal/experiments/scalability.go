@@ -8,12 +8,10 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strconv"
 
 	"repro/internal/android"
 	"repro/internal/arch"
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/sweep"
@@ -42,104 +40,53 @@ type ScalabilityRow struct {
 // copies of the PTPs covering its (identical) inherited address space;
 // under shared PTPs the translation structures for shared code are paid
 // once, so the curve flattens.
+//
+// Each kernel is one scenario on one machine: it launches 32 hello-world
+// apps in order, seeded by their index and all kept alive, and reads the
+// page-table memory as soon as the live count reaches each row's count.
+// Row n thus measures exactly the machine that boots and runs the first
+// n launches; later launches cannot change it.
 func (s *Session) Scalability() (*ScalabilityResult, error) {
 	counts := []int{1, 2, 4, 8, 16, 32}
+	prof := workload.BuildProfile(s.Universe(), workload.HelloWorldSpec())
 
-	measure := func(cfg core.Config, n int) (int, error) {
-		sys, err := s.helloSystem(cfg, n)
+	curve := func(cfg core.Config) ([]int, error) {
+		sys, err := s.Boot(cfg, android.LayoutOriginal)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		frames := sys.Kernel.Phys.InUseByKind(mem.FramePageTable)
-		// Remove the per-process root tables (4 frames each, plus the
-		// zygote's) to isolate the level-2 PTPs the paper counts.
-		frames -= 4 * (n + 1)
-		return frames * arch.PageSize / 1024, nil
+		var kb []int
+		for i := 0; len(kb) < len(counts); i++ {
+			// Keep the process alive: the point is concurrent sharers.
+			if _, _, err := sys.LaunchApp(prof, int64(i)); err != nil {
+				return nil, err
+			}
+			if n := i + 1; n == counts[len(kb)] {
+				frames := sys.Kernel.Phys.InUseByKind(mem.FramePageTable)
+				// Remove the per-process root tables (4 frames each,
+				// plus the zygote's) to isolate the level-2 PTPs the
+				// paper counts.
+				frames -= 4 * (n + 1)
+				kb = append(kb, frames*arch.PageSize/1024)
+			}
+		}
+		return kb, nil
 	}
 
-	// One scenario per (kernel, process count): 12 independent boots.
-	var scenarios []sweep.Scenario[int]
-	for _, n := range counts {
-		for _, cfg := range []core.Config{core.Stock(), core.SharedPTP()} {
-			n, cfg := n, cfg
-			scenarios = append(scenarios, sweep.Scenario[int]{
-				Name: fmt.Sprintf("scalability/%s/%d", cfg.Name(), n),
-				Run:  func(*rand.Rand) (int, error) { return measure(cfg, n) },
-			})
+	stock, shared, err := sweep.Pair(s.workers(), "scalability", func(variant bool) ([]int, error) {
+		if variant {
+			return curve(core.SharedPTP())
 		}
-	}
-	kb, err := sweep.Run(s.workers(), scenarios)
+		return curve(core.Stock())
+	})
 	if err != nil {
 		return nil, err
 	}
 	r := &ScalabilityResult{}
 	for i, n := range counts {
-		r.Rows = append(r.Rows, ScalabilityRow{Processes: n, StockPTPKB: kb[2*i], SharedPTPKB: kb[2*i+1]})
+		r.Rows = append(r.Rows, ScalabilityRow{Processes: n, StockPTPKB: stock[i], SharedPTPKB: shared[i]})
 	}
 	return r, nil
-}
-
-// helloSystem returns a machine with n hello-world applications launched
-// and still alive — the scalability measurement state. With checkpoints
-// it is a fork of the depth-n node of the launch chain (see helloImage);
-// the whole 1..32 curve then costs 32 launches instead of 63, and the
-// fork-vs-fresh invariant applied link by link makes the result
-// byte-identical to the freshBoot path, which boots fresh and runs
-// all n launches inline.
-func (s *Session) helloSystem(cfg core.Config, n int) (*android.System, error) {
-	prof := workload.BuildProfile(s.Universe(), workload.HelloWorldSpec())
-	if s.freshBoot {
-		sys, err := s.Boot(cfg, android.LayoutOriginal)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			// Keep the process alive: the point is concurrent sharers.
-			if _, _, err := sys.LaunchApp(prof, int64(i)); err != nil {
-				return nil, err
-			}
-		}
-		return sys, nil
-	}
-	img, err := s.helloImage(cfg, prof, n)
-	if err != nil {
-		return nil, err
-	}
-	return img.Fork(), nil
-}
-
-// helloImage resolves the depth-n node of the hello-world launch chain:
-// node 0 is the plain boot image and node i+1 derives from node i by
-// launching one more app. Each link is keyed "hello-launch/i", so
-// different process counts share every common prefix of the chain — a
-// fork-of-a-fork tree 32 deep at the largest count — and every interior
-// node is an immutable image that no measurement ever runs.
-func (s *Session) helloImage(cfg core.Config, prof *workload.Profile, n int) (*checkpoint.Image, error) {
-	ckpt := s.ckptCache()
-	u := s.Universe()
-	// baseKey is deliberately a separate, never-reassigned variable: the
-	// root thunk closes over it, and closing over the mutated chain key
-	// would make the root resolve to its own caller's entry and deadlock.
-	bootOpts := s.bootOptions(android.Options{})
-	baseKey := checkpoint.Key(cfg, android.LayoutOriginal, u, bootOpts)
-	node := func() (*checkpoint.Image, error) {
-		return ckpt.Image(baseKey, func() (*android.System, error) {
-			return android.BootOpts(cfg, android.LayoutOriginal, u, bootOpts)
-		})
-	}
-	key := baseKey
-	for i := 0; i < n; i++ {
-		i, parentKey, parent := i, key, node
-		warmKey := fmt.Sprintf("hello-launch/%d", i)
-		key = checkpoint.DerivedKey(parentKey, warmKey)
-		node = func() (*checkpoint.Image, error) {
-			return ckpt.Derived(parentKey, warmKey, parent, func(sys *android.System) error {
-				_, _, err := sys.LaunchApp(prof, int64(i))
-				return err
-			})
-		}
-	}
-	return node()
 }
 
 // Table renders the study.

@@ -79,16 +79,16 @@ type Session struct {
 	// options that set their own Arch override it.
 	Arch string
 	// ImageStore, when non-nil, is a persistent second level under the
-	// in-memory checkpoint cache (internal/imagestore): boot-prefix and
-	// warmup images missing from memory are loaded from the store, and
-	// cold boots are written back, so later processes warm-start.
+	// in-memory checkpoint cache (internal/imagestore): boot-prefix
+	// images missing from memory are loaded from the store, and cold
+	// boots are written back, so later processes warm-start.
 	// Set before the first sweep; results are byte-identical with or
 	// without a store (stored images are fingerprint-verified copies of
 	// the machines they replace).
 	ImageStore checkpoint.ImageStore
 
 	// freshBoot bypasses the checkpoint cache: every scenario boots from
-	// scratch and runs its warmups inline. TestGolden's oracle.
+	// scratch. TestGolden's oracle.
 	freshBoot bool
 
 	universe     *workload.Universe
@@ -165,53 +165,6 @@ func (s *Session) BootOpts(cfg core.Config, layout android.Layout, opts android.
 		return nil, err
 	}
 	return img.Fork(), nil
-}
-
-// BootWarm is BootOpts followed by a named warmup phase, memoized as a
-// node in the checkpoint fork tree. Scenarios that share a post-boot
-// setup (the scalability launch chain, the scheduler-grouping process
-// setup) name the warmup once and fork its result instead of re-running
-// it: the first caller simulates boot + warm, later callers — and deeper
-// tree nodes chained on top — fork the cached image copy-on-write.
-//
-// warmKey must uniquely name warm's effect: equal (boot params, warmKey)
-// pairs must mean identical warmups. Under freshBoot the warmup runs
-// inline on a fresh boot, byte-identical by the tree invariant.
-func (s *Session) BootWarm(cfg core.Config, layout android.Layout, opts android.Options, warmKey string, warm checkpoint.Warm) (*android.System, error) {
-	opts = s.bootOptions(opts)
-	img, err := s.warmImage(cfg, layout, opts, warmKey, warm)
-	if err != nil {
-		return nil, err
-	}
-	if img == nil { // freshBoot: boot fresh, warm inline.
-		sys, err := android.BootOpts(cfg, layout, s.Universe(), opts)
-		if err != nil {
-			return nil, err
-		}
-		if err := warm(sys); err != nil {
-			return nil, err
-		}
-		return sys, nil
-	}
-	return img.Fork(), nil
-}
-
-// warmImage resolves the fork-tree node for boot + warm, or nil under
-// freshBoot. Split from BootWarm so chain builders (scalability) can
-// stack Derived calls without forking the interior nodes.
-func (s *Session) warmImage(cfg core.Config, layout android.Layout, opts android.Options, warmKey string, warm checkpoint.Warm) (*checkpoint.Image, error) {
-	opts = s.bootOptions(opts)
-	if s.freshBoot {
-		return nil, nil
-	}
-	ckpt := s.ckptCache()
-	u := s.Universe()
-	parentKey := checkpoint.Key(cfg, layout, u, opts)
-	return ckpt.Derived(parentKey, warmKey, func() (*checkpoint.Image, error) {
-		return ckpt.Image(parentKey, func() (*android.System, error) {
-			return android.BootOpts(cfg, layout, u, opts)
-		})
-	}, warm)
 }
 
 // ckptCache returns the session's image cache, constructing it on first

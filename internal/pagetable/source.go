@@ -21,8 +21,6 @@ func (pt *PageTable) Snapshot() map[string]uint64 {
 	}
 }
 
-// ResetStats zeroes the counters without touching any mappings.
-func (pt *PageTable) ResetStats() { pt.stats = Stats{} }
-
-// Reset implements obs.Source.
-func (pt *PageTable) Reset() { pt.ResetStats() }
+// Reset implements obs.Source: it zeroes the counters without touching
+// any mappings.
+func (pt *PageTable) Reset() { pt.stats = Stats{} }

@@ -223,9 +223,6 @@ func (t *TLB) Size() int { return len(t.entries) }
 // Stats returns a snapshot of the counters.
 func (t *TLB) Stats() Stats { return t.stats }
 
-// ResetStats zeroes the counters without touching the entries.
-func (t *TLB) ResetStats() { t.stats = Stats{} }
-
 // AttachBus makes the TLB publish insert/evict/flush events to b. A nil
 // bus detaches.
 func (t *TLB) AttachBus(b *obs.Bus) { t.bus = b }
@@ -244,8 +241,9 @@ func (t *TLB) Snapshot() map[string]uint64 {
 	}
 }
 
-// Reset implements obs.Source.
-func (t *TLB) Reset() { t.ResetStats() }
+// Reset implements obs.Source: it zeroes the counters without touching
+// the entries.
+func (t *TLB) Reset() { t.stats = Stats{} }
 
 // flushed records one flush operation that invalidated n entries.
 func (t *TLB) flushed(n int) {

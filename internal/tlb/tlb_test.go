@@ -258,13 +258,13 @@ func TestResetStats(t *testing.T) {
 	tb := New("main", 8, armv7.PagesPerLargePage)
 	tb.Insert(0x1000, asid1, 1, userFlags(0), armv7.DomainUser)
 	tb.Lookup(0x1000, asid1, armv7.StockDACR(), arch.AccessFetch)
-	tb.ResetStats()
+	tb.Reset()
 	if s := tb.Stats(); s.Hits != 0 || s.Insertions != 0 {
 		t.Errorf("stats not reset: %+v", s)
 	}
 	// Entries survive a stats reset.
 	if _, _, r := tb.Lookup(0x1000, asid1, armv7.StockDACR(), arch.AccessFetch); r != Hit {
-		t.Errorf("entries should survive ResetStats")
+		t.Errorf("entries should survive Reset")
 	}
 }
 

@@ -558,34 +558,6 @@ func protPermits(p Prot, kind arch.AccessKind) bool {
 	}
 }
 
-// ForkCopyDecision describes what the stock kernel does with a region's
-// PTEs at fork time.
-type ForkCopyDecision uint8
-
-const (
-	// ForkSkip leaves the child's PTEs empty: soft page faults fill
-	// them in on demand (file-backed mappings).
-	ForkSkip ForkCopyDecision = iota
-	// ForkCopyCOW copies the PTEs, write-protecting both parent and
-	// child (anonymous memory and other mappings that page faults
-	// cannot reconstruct).
-	ForkCopyCOW
-)
-
-// StockForkDecision returns the stock Linux policy for a region: copy the
-// PTEs of anonymous memory (page faults cannot recreate their contents),
-// skip the PTEs of file-based mappings (faults can refill them from the
-// page cache).
-func StockForkDecision(v *VMA) ForkCopyDecision {
-	if v.Anonymous() {
-		return ForkCopyCOW
-	}
-	// Private file-backed pages that were written have become anonymous
-	// (dirty) copies; those individual PTEs are detected during the copy
-	// walk via their dirty bit. The region-level decision is skip.
-	return ForkSkip
-}
-
 // CopyMode selects which of a region's PTEs a fork-time copy takes.
 type CopyMode uint8
 

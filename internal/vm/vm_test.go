@@ -343,19 +343,6 @@ func TestResolveSegv(t *testing.T) {
 	}
 }
 
-func TestStockForkDecision(t *testing.T) {
-	phys := mem.New(64)
-	f := NewFile(phys, "lib.so", 0x10000)
-	anon := mkVMA(0x10000, 0x20000, ProtRead|ProtWrite, "heap")
-	file := &VMA{Start: 0x30000, End: 0x40000, Prot: ProtRead | ProtExec, Flags: VMAPrivate, File: f, Name: "code"}
-	if StockForkDecision(anon) != ForkCopyCOW {
-		t.Error("anonymous regions must be copied")
-	}
-	if StockForkDecision(file) != ForkSkip {
-		t.Error("file-backed regions must be skipped")
-	}
-}
-
 func TestCopyPTERange(t *testing.T) {
 	phys := mem.New(128)
 	parent := newMM(t, phys, 1)
