@@ -162,13 +162,6 @@ func (c *Cache) Image(key string, boot Boot) (*Image, error) {
 	return e.img, e.err
 }
 
-// Len returns the number of distinct prefixes cached so far.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
 // Key canonicalizes the boot parameters of android.BootOpts into a
 // memoization key: any two boots with equal keys produce identical
 // machines (boot is deterministic in these parameters), so they may

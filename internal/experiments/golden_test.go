@@ -130,9 +130,10 @@ var goldenRows = []goldenRow{
 
 // rowResult is what one row's single pass through the registry yields.
 type rowResult struct {
-	doc                 []byte // the JSON document
-	text                string // the text rendering of every experiment
-	saves, hits, misses int64  // store traffic; zero for fresh rows
+	doc                 []byte  // the JSON document
+	text                string  // the text rendering of every experiment
+	saves, hits, misses int64   // store traffic; zero for fresh rows
+	imageBytes          []int64 // a cold row's store: each file's size
 	err                 error
 }
 
@@ -198,7 +199,27 @@ func runRow(row goldenRow, params Params, stores map[string]string) rowResult {
 	if store != nil {
 		r.saves, r.hits, r.misses = store.saves.Load(), store.hits.Load(), store.misses.Load()
 	}
+	if row.boot == "store-cold" && r.err == nil {
+		r.imageBytes, r.err = fileSizes(store.dir)
+	}
 	return r
+}
+
+// fileSizes lists the sizes of the files in dir.
+func fileSizes(dir string) ([]int64, error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var sizes []int64
+	for _, e := range ents {
+		info, err := e.Info()
+		if err != nil {
+			return nil, err
+		}
+		sizes = append(sizes, info.Size())
+	}
+	return sizes, nil
 }
 
 // rowOf looks up the result of the row with the given arch, boot source
@@ -233,19 +254,19 @@ func TestGolden(t *testing.T) {
 			checkStoreTraffic(t, row, r)
 
 			golden := filepath.Join("..", "..", "testdata", "experiments_quick"+archSuffix(row.arch)+".golden")
-			wantJSON, err := refs.get(golden+".json", r.doc)
+			wantJSON, err := refs.get(golden+".json", row, r.doc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(r.doc, wantJSON) {
-				t.Errorf("JSON document differs from %s.json:\n%s", golden, firstDiff(r.doc, wantJSON))
+			if !bytes.Equal(r.doc, wantJSON.data) {
+				t.Errorf("JSON document differs from %s:\n%s", wantJSON.name, firstDiff(r.doc, wantJSON.data))
 			}
-			wantText, err := refs.get(golden+".txt", []byte(r.text))
+			wantText, err := refs.get(golden+".txt", row, []byte(r.text))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal([]byte(r.text), wantText) {
-				t.Errorf("text rendering differs from %s.txt:\n%s", golden, firstDiff([]byte(r.text), wantText))
+			if !bytes.Equal([]byte(r.text), wantText.data) {
+				t.Errorf("text rendering differs from %s:\n%s", wantText.name, firstDiff([]byte(r.text), wantText.data))
 			}
 		})
 	}
@@ -340,22 +361,33 @@ func TestJSONSubsetDeterministic(t *testing.T) {
 // file: the committed file — or, under -short, the arch's first row's
 // own output, and under -update-golden that output written as the new
 // golden.
-type references map[string][]byte
+type references map[string]reference
 
-func (r references) get(golden string, got []byte) ([]byte, error) {
+// reference is one reference rendering and the name of where it came
+// from, for the messages of a row that differs from it.
+type reference struct {
+	name string
+	data []byte
+}
+
+// get returns golden's reference; row's output got becomes it when row
+// is the first to ask.
+func (r references) get(golden string, row goldenRow, got []byte) (reference, error) {
 	if want, ok := r[golden]; ok {
 		return want, nil
 	}
-	want := got
+	want := reference{name: golden, data: got}
 	switch {
 	case *updateGolden:
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			return nil, err
+			return reference{}, err
 		}
-	case !testing.Short():
+	case testing.Short():
+		want.name = fmt.Sprintf("the output of row %s", row)
+	default:
 		var err error
-		if want, err = os.ReadFile(golden); err != nil {
-			return nil, err
+		if want.data, err = os.ReadFile(golden); err != nil {
+			return reference{}, err
 		}
 	}
 	r[golden] = want
@@ -409,9 +441,15 @@ func goldenSession(row goldenRow, params Params, stores map[string]string) (*Ses
 // moves these numbers and must justify the disk it costs.
 var storeImages = map[string]int64{"armv7": 12, "sv39": 12}
 
+// maxImageBytes bounds one stored image. A booted machine's image is
+// 0.7-1.0 MiB, as it holds the frame table only below the bump pointer;
+// one that carried the whole 2^18-frame table would be 4.7-5.0 MiB.
+const maxImageBytes = 2 << 20
+
 // checkStoreTraffic proves the boot source of a store row: a cold row
-// simulates and saves exactly its boot prefixes, and the warm row after
-// it loads every one of them and saves none.
+// simulates and saves exactly its boot prefixes, each image under
+// maxImageBytes, and the warm row after it loads every one of them and
+// saves none.
 func checkStoreTraffic(t *testing.T, row goldenRow, r rowResult) {
 	t.Helper()
 	want := storeImages[row.arch]
@@ -419,6 +457,15 @@ func checkStoreTraffic(t *testing.T, row goldenRow, r rowResult) {
 	case "store-cold":
 		if r.saves != want || r.hits != 0 {
 			t.Errorf("cold store: %d saves, %d load hits; want %d saves and no hits", r.saves, r.hits, want)
+		}
+		var total, largest int64
+		for _, n := range r.imageBytes {
+			total += n
+			largest = max(largest, n)
+		}
+		if largest >= maxImageBytes {
+			t.Errorf("cold store: largest image %d bytes (store %d bytes in %d files); want every image under %d",
+				largest, total, len(r.imageBytes), maxImageBytes)
 		}
 	case "store-warm":
 		if r.saves != 0 || r.misses != 0 || r.hits != want {

@@ -58,14 +58,14 @@ func decodeImage(data []byte, u *workload.Universe) (*checkpoint.Image, string, 
 	}
 	geo := m.Geometry()
 
-	// Physical frame table and allocator free list.
+	// Physical frame table below the bump pointer and allocator free list.
 	frames, err := castSlice[mem.Frame](data, dir[secFrames], "frame")
 	if err != nil {
 		return nil, "", err
 	}
-	if len(frames) != snap.Kernel.Phys.NFrames {
-		return nil, "", fmt.Errorf("imagestore: frame section holds %d frames, metadata says %d",
-			len(frames), snap.Kernel.Phys.NFrames)
+	if want := snap.Kernel.Phys.StoredFrames(); len(frames) != want {
+		return nil, "", fmt.Errorf("imagestore: frame section holds %d frames, bump pointer %d needs %d",
+			len(frames), snap.Kernel.Phys.Next, want)
 	}
 	freeList, err := castSlice[arch.FrameNum](data, dir[secFreeList], "free-list")
 	if err != nil {

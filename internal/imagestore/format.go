@@ -43,7 +43,7 @@ import (
 
 // FormatVersion is the on-disk format generation. Bump it on any
 // incompatible change; stored images of other versions are discarded.
-const FormatVersion = 1
+const FormatVersion = 2
 
 const magic = "SATIMG01"
 
@@ -52,7 +52,7 @@ const endianTag uint32 = 0x01020304
 // Section indices. Order is fixed; the directory is indexed by these.
 const (
 	secMeta      = iota // JSON metaDoc
-	secFrames           // []mem.Frame, the whole physical frame table
+	secFrames           // []mem.Frame, the frame-table chunks below the bump pointer
 	secFreeList         // []arch.FrameNum, allocator free list (LIFO order)
 	secPTEs             // []pagetable.PTE, all leaf tables at LeafEntries stride
 	secPTSlots          // []pagetable.SlotSnapshot, NumSlots per process, PID order

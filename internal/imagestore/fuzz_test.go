@@ -2,6 +2,7 @@ package imagestore
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"flag"
 	"hash/crc32"
 	"strings"
@@ -18,7 +19,7 @@ import (
 // checksum is recomputed over the input first, so mutations get past the
 // header's checksum to the structural checks and the digest check.
 //
-// The seeds are built here rather than committed (an image is ~4.5 MiB).
+// The seeds are built here rather than committed (an image is ~0.7 MiB).
 // A fuzzing run (go test -fuzz=FuzzImageLoad) starts from three small
 // ones: no bytes, and a valid image's first 24 bytes and its header. It
 // measures baseline coverage on every seed before it mutates one, and
@@ -107,13 +108,16 @@ func addImageSeeds(f *testing.F, good []byte, dir [numSections]sectionRange, u *
 // set's way 0 emptied while its other ways stay valid, and the first L2
 // register's way set to the associativity. One cuts the frame
 // section's length to a non-multiple of the frame size, which castSlice
-// rejects. One moves the frame section's offset 4 bytes off 8-alignment,
+// rejects, and one cuts it by a whole chunk, below what the bump pointer
+// needs. One moves the frame section's offset 4 bytes off 8-alignment,
 // which parseHeader rejects before any cast (a misaligned section base
 // can only come from a misaligned buffer; TestCastSliceRejectsBadSections
-// covers that branch).
+// covers that branch). One replaces the free list with a single entry
+// equal to the bump pointer, which mem.Restore rejects.
 func addRejectSeeds(f *testing.F, good []byte, dir [numSections]sectionRange, u *workload.Universe) {
 	f.Helper()
 	le := binary.LittleEndian
+	const chunkBytes = 4096 * 16 // one mem chunk of 16-byte Frames
 	edits := []struct {
 		edit func(b []byte)
 		want string
@@ -121,15 +125,38 @@ func addRejectSeeds(f *testing.F, good []byte, dir [numSections]sectionRange, u 
 		{func(b []byte) { le.PutUint32(b[dir[secCacheTags].Off:], ^uint32(0)) }, "valid after an empty way"},
 		{func(b []byte) { le.PutUint32(b[dir[secCacheMRU].Off+8:], 8) }, "outside 8 ways"},
 		{func(b []byte) { le.PutUint64(b[32+secFrames*16+8:], dir[secFrames].Len-8) }, "not a multiple of"},
+		{func(b []byte) { le.PutUint64(b[32+secFrames*16+8:], dir[secFrames].Len-chunkBytes) }, "frames, bump pointer"},
 		{func(b []byte) { le.PutUint64(b[32+secFrames*16:], dir[secFrames].Off+4) }, "misaligned at"},
 	}
-	for i, e := range edits {
-		mutated := alignedCopy(good)
-		e.edit(mutated)
+	reject := func(mutated []byte, want string) {
 		le.PutUint64(mutated[16:24], uint64(crc32.Checksum(mutated[24:], crcTable)))
-		if _, _, err := decodeImage(mutated, u); err == nil || !strings.Contains(err.Error(), e.want) {
-			f.Fatalf("reject seed %d: decode error %v, want one containing %q", i, err, e.want)
+		if _, _, err := decodeImage(mutated, u); err == nil || !strings.Contains(err.Error(), want) {
+			f.Fatalf("reject seed: decode error %v, want one containing %q", err, want)
 		}
 		f.Add(mutated, true)
 	}
+	for _, e := range edits {
+		mutated := alignedCopy(good)
+		e.edit(mutated)
+		reject(mutated, e.want)
+	}
+	var meta metaDoc
+	if err := json.Unmarshal(section(good, dir[secMeta]), &meta); err != nil {
+		f.Fatal(err)
+	}
+	next := meta.System.Kernel.Phys.Next
+	reject(withSection(good, secFreeList, le.AppendUint32(nil, uint32(next))), "at or beyond bump pointer")
+}
+
+// withSection returns a copy of the image file data, whose length is
+// 8-aligned as writeImage pads it, with body appended and section sec's
+// directory entry pointed at it, and the checksum recomputed. The
+// section's old bytes stay in place, unreferenced.
+func withSection(data []byte, sec int, body []byte) []byte {
+	le := binary.LittleEndian
+	out := alignedCopy(append(data[:len(data):len(data)], body...))
+	le.PutUint64(out[32+sec*16:], uint64(len(data)))
+	le.PutUint64(out[32+sec*16+8:], uint64(len(body)))
+	le.PutUint64(out[16:24], uint64(crc32.Checksum(out[24:], crcTable)))
+	return out
 }

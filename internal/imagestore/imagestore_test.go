@@ -7,13 +7,16 @@
 package imagestore
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/android"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/mem"
 	"repro/internal/workload"
 
 	_ "repro/internal/arch/sv39"
@@ -235,6 +238,34 @@ func TestCorruptionRejected(t *testing.T) {
 	// byte-identical to the machine the file once held.
 	if got := checkpoint.Capture(bootSys(t, android.Options{})).Fingerprint(); got != fresh {
 		t.Error("cold-boot fallback differs from the originally stored machine")
+	}
+}
+
+// TestHugeNFramesRejected doctors a valid image's metadata to claim
+// 2^32+1 physical frames, one more than an arch.FrameNum can number
+// (small enough that a missing bound fails the test, not the machine's
+// memory). The frame section is sized by the bump pointer, so its
+// length no longer pins the frame count: mem.Restore must reject the
+// count itself, before sizing anything by it, with an error and no
+// panic.
+func TestHugeNFramesRejected(t *testing.T) {
+	good := encodeBytes(t, bootKey(android.Options{}), checkpoint.Capture(bootSys(t, android.Options{})))
+	dir, err := parseHeader(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta metaDoc
+	if err := json.Unmarshal(section(good, dir[secMeta]), &meta); err != nil {
+		t.Fatal(err)
+	}
+	meta.System.Kernel.Phys.NFrames = mem.MaxFrames + 1
+	doc, err := json.Marshal(&meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = decodeImage(withSection(good, secMeta, doc), workload.DefaultUniverse())
+	if err == nil || !strings.Contains(err.Error(), "snapshot of 4294967297 frames") {
+		t.Errorf("decode error %v; want the frame count rejected", err)
 	}
 }
 

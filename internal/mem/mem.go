@@ -9,7 +9,10 @@
 // copied the first time either side writes any frame in it, so a forked
 // machine that never touches a region of physical memory never pays for
 // its metadata (the checkpoint/fork facility in internal/checkpoint is
-// built on this).
+// built on this). A chunk no frame has been written in is not allocated
+// at all: it reads as zero Frames. Only frames below the bump pointer
+// are ever written, so a machine's frame table costs what it has
+// allocated, not the size of its physical memory.
 package mem
 
 import (
@@ -88,15 +91,27 @@ type Stats struct {
 // headers.
 const chunkFrames = 4096
 
+// MaxFrames is the largest physical memory, in frames, that an
+// arch.FrameNum can number.
+const MaxFrames = 1 << 32
+
 // PhysMem is the physical memory allocator. The zero value is not usable;
 // construct with New.
+//
+// Frames at or above the bump pointer are never written: Alloc takes
+// from the free list or from next, AllocRange puts the frames it skips
+// for alignment onto the free list (all below its new next), and Free,
+// Get and Put panic on a free frame. So the chunks wholly at or above
+// next are still nil.
 type PhysMem struct {
 	mu      sync.Mutex
 	nframes int
 	// chunks[i] holds the metadata for frames [i*chunkFrames,
-	// (i+1)*chunkFrames). owned[i] records whether this PhysMem may
-	// write chunk i in place; after a Fork both sides drop ownership of
-	// every chunk and re-earn it by copying on first write.
+	// (i+1)*chunkFrames), or is nil while no frame in it has been
+	// written. owned[i] records whether this PhysMem may write chunk i
+	// in place; after a Fork both sides drop ownership of every chunk
+	// and re-earn it by copying on first write. A nil chunk is never
+	// owned: its first write allocates it.
 	chunks   [][]Frame
 	owned    []bool
 	freeList []arch.FrameNum
@@ -104,27 +119,26 @@ type PhysMem struct {
 	stats    Stats
 }
 
-// New creates a physical memory of the given number of 4KB frames.
+// New creates a physical memory of the given number of 4KB frames. It
+// allocates no frame metadata; each chunk is allocated by its first
+// write.
 func New(frames int) *PhysMem {
 	if frames <= 0 {
 		panic(fmt.Sprintf("mem: non-positive frame count %d", frames))
 	}
 	nChunks := (frames + chunkFrames - 1) / chunkFrames
-	m := &PhysMem{
+	return &PhysMem{
 		nframes: frames,
 		chunks:  make([][]Frame, nChunks),
 		owned:   make([]bool, nChunks),
 		stats:   Stats{ByKind: make(map[FrameKind]int)},
 	}
-	for i := range m.chunks {
-		n := frames - i*chunkFrames
-		if n > chunkFrames {
-			n = chunkFrames
-		}
-		m.chunks[i] = make([]Frame, n)
-		m.owned[i] = true
-	}
-	return m
+}
+
+// chunkLen is the number of frames chunk i covers in a memory of
+// nframes frames: chunkFrames for all but a short last chunk.
+func chunkLen(nframes, i int) int {
+	return min(chunkFrames, nframes-i*chunkFrames)
 }
 
 // Fork returns a copy-on-write duplicate of this physical memory: frame
@@ -155,14 +169,14 @@ func (m *PhysMem) Fork() *PhysMem {
 
 // writableLocked returns the metadata for frame n from a chunk this
 // PhysMem owns, copying the chunk first if it is still shared with a
-// fork ancestor or descendant.
+// fork ancestor or descendant, or allocating it if it is still nil.
 func (m *PhysMem) writableLocked(n arch.FrameNum) *Frame {
 	if int(n) >= m.nframes {
 		panic(fmt.Sprintf("mem: frame %d out of range (%d frames)", n, m.nframes))
 	}
 	ci := int(n) / chunkFrames
 	if !m.owned[ci] {
-		c := make([]Frame, len(m.chunks[ci]))
+		c := make([]Frame, chunkLen(m.nframes, ci))
 		copy(c, m.chunks[ci])
 		m.chunks[ci] = c
 		m.owned[ci] = true
@@ -170,13 +184,18 @@ func (m *PhysMem) writableLocked(n arch.FrameNum) *Frame {
 	return &m.chunks[ci][int(n)%chunkFrames]
 }
 
-// frameLocked returns the metadata for frame n for reading only; the
-// chunk may still be shared with another PhysMem.
-func (m *PhysMem) frameLocked(n arch.FrameNum) *Frame {
+// frameLocked returns a copy of the metadata for frame n: the zero
+// Frame when its chunk is still nil. The chunk may be shared with
+// another PhysMem, so it is only read.
+func (m *PhysMem) frameLocked(n arch.FrameNum) Frame {
 	if int(n) >= m.nframes {
 		panic(fmt.Sprintf("mem: frame %d out of range (%d frames)", n, m.nframes))
 	}
-	return &m.chunks[int(n)/chunkFrames][int(n)%chunkFrames]
+	c := m.chunks[int(n)/chunkFrames]
+	if c == nil {
+		return Frame{}
+	}
+	return c[int(n)%chunkFrames]
 }
 
 // Alloc allocates one frame for the given use. It returns an error when
@@ -258,21 +277,20 @@ func (m *PhysMem) Free(n arch.FrameNum) {
 	if f.MapCount != 0 {
 		panic(fmt.Sprintf("mem: freeing frame %d with mapcount %d", n, f.MapCount))
 	}
-	f = m.writableLocked(n)
-	m.stats.ByKind[f.Kind]--
-	f.Kind = FrameFree
+	w := m.writableLocked(n)
+	m.stats.ByKind[w.Kind]--
+	w.Kind = FrameFree
 	m.stats.Freed++
 	m.stats.InUse--
 	m.freeList = append(m.freeList, n)
 }
 
-// Frame returns the metadata for frame n. Callers may mutate MapCount
-// through the returned pointer, so the frame's chunk is privatized
-// first; the pointer stays valid until the next Fork of this PhysMem.
-func (m *PhysMem) Frame(n arch.FrameNum) *Frame {
+// Frame returns a copy of the metadata for frame n; a frame never
+// allocated reads as the zero Frame. Reading allocates nothing.
+func (m *PhysMem) Frame(n arch.FrameNum) Frame {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.writableLocked(n)
+	return m.frameLocked(n)
 }
 
 // Get is like MapCount bookkeeping in Linux: it increments the frame's
@@ -280,11 +298,10 @@ func (m *PhysMem) Frame(n arch.FrameNum) *Frame {
 func (m *PhysMem) Get(n arch.FrameNum) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	f := m.frameLocked(n)
-	if f.Kind == FrameFree {
+	if m.frameLocked(n).Kind == FrameFree {
 		panic(fmt.Sprintf("mem: get on free frame %d", n))
 	}
-	f = m.writableLocked(n)
+	f := m.writableLocked(n)
 	f.MapCount++
 	return f.MapCount
 }
@@ -303,9 +320,9 @@ func (m *PhysMem) Put(n arch.FrameNum) int {
 	if f.MapCount <= 0 {
 		panic(fmt.Sprintf("mem: put on frame %d with mapcount %d", n, f.MapCount))
 	}
-	f = m.writableLocked(n)
-	f.MapCount--
-	return f.MapCount
+	w := m.writableLocked(n)
+	w.MapCount--
+	return w.MapCount
 }
 
 // MapCount returns the frame's current user count.
@@ -335,8 +352,10 @@ func (m *PhysMem) InUseByKind(kind FrameKind) int {
 }
 
 // SharedChunks reports how many metadata chunks this PhysMem does not
-// own (i.e. still shares with a fork relative). Test helper for the
-// zero-copy fork guarantees.
+// own (i.e. still shares with a fork relative). A nil chunk, one no
+// frame has been written in, counts as shared: it is not owned, and it
+// costs nothing to either side. Test helper for the zero-copy fork
+// guarantees.
 func (m *PhysMem) SharedChunks() (shared, total int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
