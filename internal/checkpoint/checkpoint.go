@@ -35,6 +35,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/tlb"
 	"repro/internal/workload"
 )
 
@@ -180,8 +181,10 @@ func Key(cfg core.Config, layout android.Layout, u *workload.Universe, opts andr
 
 // Fingerprint renders the image's complete observable state as a string:
 // kernel and allocator counters, sharing stats, every process's regions,
-// page tables and context, every page-cache file, and every core's TLB,
-// cache and cycle state. Two fingerprints are equal iff the machines are
+// page tables and context, every page-cache file, the allocator state
+// (memory size, bump pointer, free list and every stored frame), and
+// every core's cycle count, cache occupancy and valid TLB entries with
+// their slots and fields. Two fingerprints are equal iff the machines are
 // observably identical; the aliasing-hazard tests take one before and
 // after mutating a fork to prove the image never changes. The text runs
 // to hundreds of kilobytes on a booted machine; callers that only
@@ -207,10 +210,11 @@ func (img *Image) FingerprintDigest() [sha256.Size]byte {
 }
 
 // writeFingerprint renders the fingerprint text to w, the one renderer
-// behind both sinks. Its two bulk loops — the valid PTEs of every leaf
-// table and the pages of every page-cache file — append each line into
-// a reused scratch slice with strconv and write it whole; everything
-// else is a few lines per process or core. Write errors are ignored:
+// behind both sinks. Its bulk loops — the valid PTEs of every leaf
+// table, the pages of every page-cache file, the frame table and the
+// TLB entries — append each line into a reused scratch slice with
+// strconv and write it whole; everything else is a few lines per
+// process or core. Write errors are ignored:
 // both sinks are in-memory and cannot fail.
 func (img *Image) writeFingerprint(w io.Writer) {
 	sys := img.proto
@@ -284,14 +288,15 @@ func (img *Image) writeFingerprint(w io.Writer) {
 		w.Write(line)
 	}
 
+	line = writeFrames(w, line, k.Phys)
+
 	for i := 0; i < k.NumCPUs(); i++ {
 		c := k.CPUAt(i)
-		iv, ig := c.MicroI.Occupancy()
-		dv, dg := c.MicroD.Occupancy()
-		mv, mg := c.Main.Occupancy()
-		fmt.Fprintf(w, "cpu%d now=%d micro-i=%d/%d micro-d=%d/%d main=%d/%d l1i=%d l1d=%d\n",
-			i, c.Now(), iv, ig, dv, dg, mv, mg,
-			c.Caches.L1I.Occupancy(), c.Caches.L1D.Occupancy())
+		fmt.Fprintf(w, "cpu%d now=%d l1i=%d l1d=%d\n",
+			i, c.Now(), c.Caches.L1I.Occupancy(), c.Caches.L1D.Occupancy())
+		for _, t := range [3]*tlb.TLB{c.MicroI, c.MicroD, c.Main} {
+			line = writeTLB(w, line, t)
+		}
 	}
 	fmt.Fprintf(w, "l2=%d\n", k.CPUAt(0).Caches.L2.Occupancy())
 
@@ -316,4 +321,98 @@ func (img *Image) writeFingerprint(w io.Writer) {
 		}
 		io.WriteString(w, "\n")
 	}
+}
+
+// writeFrames renders the allocator state the image stores, using line
+// as scratch, and returns it for reuse: the memory size, the bump
+// pointer, the free list in order, and every frame of the stored chunks.
+// The frames go run-length encoded, so the ~10k of a booted machine take
+// a few lines' worth: "kind/mapcount*n" is n consecutive frames each
+// numbered by its own index, "@num:kind/mapcount*n" n consecutive frames
+// numbered num (0 for a frame never written).
+func writeFrames(w io.Writer, line []byte, m *mem.PhysMem) []byte {
+	s := m.SnapshotState()
+	line = fmt.Appendf(line[:0], "phys nframes=%d next=%d free=%d:", s.NFrames, s.Next, len(s.FreeList))
+	for _, fn := range s.FreeList {
+		line = append(line, ' ')
+		line = strconv.AppendUint(line, uint64(fn), 10)
+	}
+	line = append(line, "\nframes:"...)
+	type run struct {
+		own      bool
+		num      arch.FrameNum
+		kind     mem.FrameKind
+		mapCount int
+	}
+	var cur run
+	n := 0
+	emit := func() {
+		if n == 0 {
+			return
+		}
+		line = append(line, ' ')
+		if !cur.own {
+			line = append(line, '@')
+			line = strconv.AppendUint(line, uint64(cur.num), 10)
+			line = append(line, ':')
+		}
+		line = strconv.AppendUint(line, uint64(cur.kind), 10)
+		line = append(line, '/')
+		line = strconv.AppendInt(line, int64(cur.mapCount), 10)
+		line = append(line, '*')
+		line = strconv.AppendInt(line, int64(n), 10)
+	}
+	i := arch.FrameNum(0)
+	for _, c := range s.Chunks {
+		for _, f := range c {
+			r := run{own: f.Num == i, kind: f.Kind, mapCount: f.MapCount}
+			if !r.own {
+				r.num = f.Num
+			}
+			if r != cur {
+				emit()
+				cur, n = r, 0
+			}
+			n++
+			i++
+		}
+	}
+	emit()
+	line = append(line, '\n')
+	w.Write(line)
+	return line
+}
+
+// writeTLB renders one TLB's stored state, using line as scratch, and
+// returns it for reuse: its name, hardware domain matching and clock,
+// then each valid entry as
+// "slot=vpn/asid/global/large/domain/frame/flags/lastuse".
+func writeTLB(w io.Writer, line []byte, t *tlb.TLB) []byte {
+	s := t.SnapshotState()
+	line = fmt.Appendf(line[:0], "  tlb %s hw=%v clock=%d:", s.Name, s.DomainMatchInHW, s.Clock)
+	for slot, e := range s.Entries {
+		if !e.Valid {
+			continue
+		}
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, int64(slot), 10)
+		sep := byte('=')
+		for _, v := range [...]uint64{uint64(e.VPN), uint64(e.ASID), bit(e.Global), bit(e.Large),
+			uint64(e.Domain), uint64(e.Frame), uint64(e.Flags), e.LastUse} {
+			line = append(line, sep)
+			line = strconv.AppendUint(line, v, 10)
+			sep = '/'
+		}
+	}
+	line = append(line, '\n')
+	w.Write(line)
+	return line
+}
+
+// bit renders a flag as 0 or 1.
+func bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }

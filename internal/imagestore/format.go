@@ -43,7 +43,7 @@ import (
 
 // FormatVersion is the on-disk format generation. Bump it on any
 // incompatible change; stored images of other versions are discarded.
-const FormatVersion = 2
+const FormatVersion = 3
 
 const magic = "SATIMG01"
 

@@ -5,11 +5,15 @@ import (
 	"encoding/json"
 	"flag"
 	"hash/crc32"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/android"
 	"repro/internal/checkpoint"
+	"repro/internal/mem"
+	"repro/internal/tlb"
 	"repro/internal/workload"
 )
 
@@ -113,7 +117,10 @@ func addImageSeeds(f *testing.F, good []byte, dir [numSections]sectionRange, u *
 // which parseHeader rejects before any cast (a misaligned section base
 // can only come from a misaligned buffer; TestCastSliceRejectsBadSections
 // covers that branch). One replaces the free list with a single entry
-// equal to the bump pointer, which mem.Restore rejects.
+// equal to the bump pointer, which mem.Restore rejects. Two change only
+// state that no structural check sees, so the fingerprint check must
+// reject them: frame 0's MapCount raised by one in the frame section,
+// and the frame of the main TLB's first valid entry in the metadata.
 func addRejectSeeds(f *testing.F, good []byte, dir [numSections]sectionRange, u *workload.Universe) {
 	f.Helper()
 	le := binary.LittleEndian
@@ -127,6 +134,10 @@ func addRejectSeeds(f *testing.F, good []byte, dir [numSections]sectionRange, u 
 		{func(b []byte) { le.PutUint64(b[32+secFrames*16+8:], dir[secFrames].Len-8) }, "not a multiple of"},
 		{func(b []byte) { le.PutUint64(b[32+secFrames*16+8:], dir[secFrames].Len-chunkBytes) }, "frames, bump pointer"},
 		{func(b []byte) { le.PutUint64(b[32+secFrames*16:], dir[secFrames].Off+4) }, "misaligned at"},
+		{func(b []byte) {
+			mapCount := b[dir[secFrames].Off+uint64(unsafe.Offsetof(mem.Frame{}.MapCount)):]
+			le.PutUint64(mapCount, le.Uint64(mapCount)+1)
+		}, "fingerprint mismatch"},
 	}
 	reject := func(mutated []byte, want string) {
 		le.PutUint64(mutated[16:24], uint64(crc32.Checksum(mutated[24:], crcTable)))
@@ -146,6 +157,18 @@ func addRejectSeeds(f *testing.F, good []byte, dir [numSections]sectionRange, u 
 	}
 	next := meta.System.Kernel.Phys.Next
 	reject(withSection(good, secFreeList, le.AppendUint32(nil, uint32(next))), "at or beyond bump pointer")
+
+	entries := meta.System.Kernel.CPUs[0].Main.Entries
+	i := slices.IndexFunc(entries, func(e tlb.EntrySnapshot) bool { return e.Valid })
+	if i < 0 {
+		f.Fatal("reject seed: the booted main TLB holds no valid entry")
+	}
+	entries[i].Frame++
+	doc, err := json.Marshal(&meta)
+	if err != nil {
+		f.Fatal(err)
+	}
+	reject(withSection(good, secMeta, doc), "fingerprint mismatch")
 }
 
 // withSection returns a copy of the image file data, whose length is

@@ -223,7 +223,7 @@ func TestWriterMatchesReference(t *testing.T) {
 // boot. A change to the fingerprint text, or to the booted machine, must
 // update it in a reviewed diff: stored images carry this digest, so a
 // silent change would invalidate every store.
-const bootDigest = "7e6f796e682e9b0d2d23bf27926f78e72d6863c4a50810f31a51b97dd03a20a2"
+const bootDigest = "43b1ae95ac99661366e84c487276c229eb9c64ed603164206b6bf719a26c4bdd"
 
 func TestFingerprintDigestPinned(t *testing.T) {
 	img := checkpoint.Capture(bootSys(t, android.Options{}))

@@ -285,14 +285,6 @@ func (m *PhysMem) Free(n arch.FrameNum) {
 	m.freeList = append(m.freeList, n)
 }
 
-// Frame returns a copy of the metadata for frame n; a frame never
-// allocated reads as the zero Frame. Reading allocates nothing.
-func (m *PhysMem) Frame(n arch.FrameNum) Frame {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.frameLocked(n)
-}
-
 // Get is like MapCount bookkeeping in Linux: it increments the frame's
 // user count and returns the new count.
 func (m *PhysMem) Get(n arch.FrameNum) int {

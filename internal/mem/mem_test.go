@@ -7,13 +7,21 @@ import (
 	"repro/internal/arch"
 )
 
+// frameOf returns a copy of the metadata for frame n; a frame never
+// allocated reads as the zero Frame. Reading allocates nothing.
+func frameOf(m *PhysMem, n arch.FrameNum) Frame {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.frameLocked(n)
+}
+
 func TestAllocFree(t *testing.T) {
 	m := New(8)
 	n, err := m.Alloc(FrameAnon)
 	if err != nil {
 		t.Fatalf("Alloc: %v", err)
 	}
-	f := m.Frame(n)
+	f := frameOf(m, n)
 	if f.Kind != FrameAnon {
 		t.Errorf("Kind = %v, want anon", f.Kind)
 	}
@@ -21,8 +29,8 @@ func TestAllocFree(t *testing.T) {
 		t.Errorf("fresh frame MapCount = %d, want 0", f.MapCount)
 	}
 	m.Free(n)
-	if m.Frame(n).Kind != FrameFree {
-		t.Errorf("freed frame kind = %v, want free", m.Frame(n).Kind)
+	if frameOf(m, n).Kind != FrameFree {
+		t.Errorf("freed frame kind = %v, want free", frameOf(m, n).Kind)
 	}
 }
 
@@ -51,8 +59,8 @@ func TestFreeListReuse(t *testing.T) {
 	if c != a {
 		t.Errorf("expected freed frame %d to be reused, got %d", a, c)
 	}
-	if m.Frame(c).Kind != FramePageCache {
-		t.Errorf("reused frame kind = %v, want pagecache", m.Frame(c).Kind)
+	if frameOf(m, c).Kind != FramePageCache {
+		t.Errorf("reused frame kind = %v, want pagecache", frameOf(m, c).Kind)
 	}
 	_ = b
 }
@@ -209,7 +217,7 @@ func TestAllocRangeContiguousAligned(t *testing.T) {
 		t.Errorf("base %d not 16-frame aligned", base)
 	}
 	for i := 0; i < 16; i++ {
-		f := m.Frame(base + arch.FrameNum(i))
+		f := frameOf(m, base+arch.FrameNum(i))
 		if f.Kind != FramePageCache {
 			t.Fatalf("frame %d kind = %v", base+arch.FrameNum(i), f.Kind)
 		}

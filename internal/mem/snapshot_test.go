@@ -45,8 +45,8 @@ func TestNeverWrittenFrameReadsZero(t *testing.T) {
 	m := New(1 << 18)
 	allocN(t, m, 10)
 	for _, n := range []arch.FrameNum{10, chunkFrames - 1, chunkFrames, 1<<18 - 1} {
-		if f := m.Frame(n); f != (Frame{}) {
-			t.Errorf("Frame(%d) = %+v, want the zero Frame", n, f)
+		if f := frameOf(m, n); f != (Frame{}) {
+			t.Errorf("frame %d = %+v, want the zero Frame", n, f)
 		}
 		if got := m.MapCount(n); got != 0 {
 			t.Errorf("MapCount(%d) = %d, want 0", n, got)
@@ -107,8 +107,8 @@ func TestSnapshotFillsSkippedChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n >= base || r.Frame(n).Kind != FrameAnon {
-		t.Errorf("restored Alloc gave frame %d (%v); want a skipped frame below %d", n, r.Frame(n).Kind, base)
+	if n >= base || frameOf(r, n).Kind != FrameAnon {
+		t.Errorf("restored Alloc gave frame %d (%v); want a skipped frame below %d", n, frameOf(r, n).Kind, base)
 	}
 }
 
@@ -125,11 +125,11 @@ func TestRestoredAllocatesPastSection(t *testing.T) {
 	}
 	allocN(t, r, 3*chunkFrames)
 	for _, n := range []arch.FrameNum{chunkFrames + 4, 2 * chunkFrames, 4*chunkFrames + 4} {
-		if f := r.Frame(n); f.Kind != FrameAnon || f.Num != n {
-			t.Errorf("restored Frame(%d) = %+v, want an anon frame", n, f)
+		if f := frameOf(r, n); f.Kind != FrameAnon || f.Num != n {
+			t.Errorf("restored frame %d = %+v, want an anon frame", n, f)
 		}
 	}
-	if got := r.Frame(4*chunkFrames + 5); got != (Frame{}) {
+	if got := frameOf(r, 4*chunkFrames+5); got != (Frame{}) {
 		t.Errorf("frame past the new bump pointer = %+v, want zero", got)
 	}
 	// The snapshot's chunks stay as they were captured.
@@ -182,7 +182,7 @@ func TestForksOfRestoredRace(t *testing.T) {
 					return
 				}
 				f.Get(n)
-				if f.Frame(n+1).Kind != FrameFree || f.MapCount(n) != 1 {
+				if frameOf(f, n+1).Kind != FrameFree || f.MapCount(n) != 1 {
 					t.Errorf("frame %d or %d reads wrong", n, n+1)
 					return
 				}

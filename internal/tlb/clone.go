@@ -22,10 +22,10 @@ func (t *TLB) Clone(bus *obs.Bus, a *alloc.Arena[TLB]) *TLB {
 	*c = *t
 	c.bus = bus
 	c.entries = append([]Entry(nil), t.entries...)
+	c.heads = append([]int32(nil), t.heads...)
 	c.same = append([]int32(nil), t.same...)
 	c.validBits = append([]uint64(nil), t.validBits...)
 	c.lruPrev = append([]int32(nil), t.lruPrev...)
 	c.lruNext = append([]int32(nil), t.lruNext...)
-	c.idx = t.idx.clone()
 	return c
 }

@@ -30,6 +30,12 @@ func TestCloneCopiesStateAndDetaches(t *testing.T) {
 	if v, _ := b.Occupancy(); v != 0 {
 		t.Errorf("clone not flushed: %d valid", v)
 	}
+	// The original still finds every entry through its own index.
+	for i := 0; i < 40; i++ {
+		if _, _, r := a.Peek(arch.VirtAddr(i*arch.PageSize), 1, 0, arch.AccessRead); r == Miss {
+			t.Fatalf("flushing the clone unlinked page %d from the original's index", i)
+		}
+	}
 }
 
 func TestCloneAllocationBounded(t *testing.T) {

@@ -179,32 +179,47 @@ func diffOp(t *testing.T, rng *rand.Rand, indexed *TLB, ref *linearTLB, dacrs []
 	}
 }
 
+// chainReach records what the index chains of a run have held.
+type chainReach struct {
+	longest int  // the most slots on one chain
+	mixed   bool // a chain held two distinct keys
+	both    bool // a chain held a 4KB entry and a large entry covering its page
+}
+
 // diffCheckIndex fails the test unless the indexed TLB's auxiliary
 // structures describe its entry array: every chain is strictly ascending
-// and holds only valid entries of its own key, every valid slot is on
-// exactly one chain, the LRU list threads exactly the valid slots, and
-// numValid and numLarge match a recount. It returns the longest chain.
-func diffCheckIndex(t *testing.T, step int, tb *TLB) int {
+// and holds only valid slots whose key hashes to its bucket, every valid
+// slot is on exactly one chain, the LRU list threads exactly the valid
+// slots, and numValid and numLarge match a recount. It adds what the
+// chains hold to reach.
+func diffCheckIndex(t *testing.T, step int, tb *TLB, reach *chainReach) {
 	t.Helper()
 	seen := make([]int, len(tb.entries))
-	longest := 0
-	for i, k := range tb.idx.keys {
-		if k == idxEmpty {
-			continue
-		}
+	for b, head := range tb.heads {
 		n, prev := 0, int32(-1)
-		for s := tb.idx.slots[i]; s >= 0; s = tb.same[s] {
+		for s := head; s >= 0; s = tb.same[s] {
 			if s <= prev {
-				t.Fatalf("step %d: chain of key %#x not ascending at slot %d after %d", step, k, s, prev)
+				t.Fatalf("step %d: chain of bucket %d not ascending at slot %d after %d", step, b, s, prev)
 			}
-			if e := &tb.entries[s]; !e.valid || entryKey(e.vpn, e.large) != k {
-				t.Fatalf("step %d: chain of key %#x holds slot %d = %+v", step, k, s, *e)
+			if e := &tb.entries[s]; !e.valid || tb.bucket(entryKey(e.vpn, e.large)) != uint32(b) {
+				t.Fatalf("step %d: chain of bucket %d holds slot %d = %+v", step, b, s, *e)
 			}
 			seen[s]++
 			n++
 			prev = s
 		}
-		longest = max(longest, n)
+		reach.longest = max(reach.longest, n)
+		for s := head; s >= 0; s = tb.same[s] {
+			for u := tb.same[s]; u >= 0; u = tb.same[u] {
+				x, y := &tb.entries[s], &tb.entries[u]
+				if entryKey(x.vpn, x.large) != entryKey(y.vpn, y.large) {
+					reach.mixed = true
+				}
+				if x.large != y.large && (x.large && x.vpn == y.vpn&^tb.largeMask || y.large && y.vpn == x.vpn&^tb.largeMask) {
+					reach.both = true
+				}
+			}
+		}
 	}
 	valid, large := 0, 0
 	for s, e := range tb.entries {
@@ -233,7 +248,6 @@ func diffCheckIndex(t *testing.T, step int, tb *TLB) int {
 	if n != valid {
 		t.Fatalf("step %d: LRU list threads %d slots, %d valid", step, n, valid)
 	}
-	return longest
 }
 
 // diffCompareState fails the test unless both implementations hold
@@ -277,14 +291,24 @@ func TestDifferentialIndexedVsLinear(t *testing.T) {
 					ref := newLinear(size, ppl)
 					indexed.DomainMatchInHW = hw
 					ref.DomainMatchInHW = hw
-					longest := 0
+					var reach chainReach
 					for step := 0; step < opsPerConfig; step++ {
 						diffOp(t, rng, indexed, ref, dacrs)
 						diffCompareState(t, step, indexed, ref)
-						longest = max(longest, diffCheckIndex(t, step, indexed))
+						diffCheckIndex(t, step, indexed, &reach)
 					}
-					if size >= 8 && longest < 3 {
-						t.Errorf("longest index chain %d, want the chain-building ops to reach 3", longest)
+					if size >= 8 && reach.longest < 3 {
+						t.Errorf("longest index chain %d, want the chain-building ops to reach 3", reach.longest)
+					}
+					// The randomized run must reach shared chains. A
+					// one-entry TLB holds one key, and from 32 entries
+					// (128 buckets) on, Fibonacci hashing spreads the
+					// 48-page pool's keys apart.
+					if size >= 2 && size <= 8 && !reach.mixed {
+						t.Error("no chain held two distinct keys")
+					}
+					if size >= 2 && size <= 8 && !reach.both {
+						t.Error("no chain held a 4KB entry and a large entry covering its page")
 					}
 				})
 			}
@@ -308,7 +332,7 @@ func TestDifferentialHWToggle(t *testing.T) {
 		}
 		diffOp(t, rng, indexed, ref, dacrs)
 		diffCompareState(t, step, indexed, ref)
-		diffCheckIndex(t, step, indexed)
+		diffCheckIndex(t, step, indexed, &chainReach{})
 	}
 }
 
@@ -347,7 +371,7 @@ func TestDifferentialLargePageHeavy(t *testing.T) {
 			}
 		}
 		diffCompareState(t, step, indexed, ref)
-		diffCheckIndex(t, step, indexed)
+		diffCheckIndex(t, step, indexed, &chainReach{})
 	}
 }
 

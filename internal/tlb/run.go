@@ -4,83 +4,17 @@
 //
 // The contract with the scalar path is exact equivalence of all observable
 // state. k consecutive scalar Lookups that hit the same entry perform:
-// clock += k, entry.lastUse = final clock, Hits += k, k lruMoveBack calls
-// (all but the first no-ops), and leave the MRU register describing the
-// last query. CommitRunHits produces exactly that end state in O(1).
-// Peek performs the index probe of Lookup without any of its mutations,
-// so a run that peeks Miss/DomainFault/PermFault can fall back to the
-// scalar path, which then counts the miss or fault exactly once.
+// clock += k, entry.lastUse = final clock, Hits += k, k moves of the
+// entry to the LRU tail (all but the first no-ops), and leave the MRU
+// register describing the last query. CommitRunHits produces exactly
+// that end state in O(1).
+// Peek (tlb.go) is Lookup without its bookkeeping, so a run that peeks
+// Miss/DomainFault/PermFault can fall back to the scalar path, which
+// then counts the miss or fault exactly once.
 
 package tlb
 
 import "repro/internal/arch"
-
-// Peek resolves va under (asid, dacr, kind) without mutating any TLB
-// state: no clock advance, no counters, no LRU movement, no MRU update.
-// On a Hit it returns the matching entry and its slot; the slot is the
-// handle CommitRunHits and resolvesVPN take. A fault returns the
-// matching entry too, a Miss nil and -1. As with Lookup, the entry
-// points into the TLB's own array and is valid until its next mutation.
-// Peek returns exactly the Result a Lookup at this moment would return:
-// it replays the index probe, and the MRU-register fast path Lookup
-// would use is guaranteed to resolve at the same slot as the probe (see
-// mruReg).
-func (t *TLB) Peek(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (*Entry, int32, Result) {
-	vpn := arch.VPN(va)
-
-	// MRU register, mirroring Lookup's fast path without its bookkeeping:
-	// a repeat of the last hitting probe resolves at the same slot, and
-	// skipping the hashed index probe here is what keeps Peek cheaper than
-	// a Lookup for the batch engine's dominant repeat-page case. On a
-	// NoAccess domain Lookup falls through to the index probe; so do we.
-	if t.mru.ok && t.mru.vpn == vpn && t.mru.asid == asid && t.mru.dacr == dacr &&
-		t.mru.hw == t.DomainMatchInHW {
-		slot := t.mru.slot
-		e := &t.entries[slot]
-		if acc := dacr.Access(e.domain); acc != arch.DomainNoAccess {
-			if acc == arch.DomainManager || e.permit(kind) {
-				return e, slot, Hit
-			}
-			return e, slot, PermFault
-		}
-	}
-
-	// Lookup's walk: both chains, merged by slot.
-	a, b := t.idx.get(entryKey(vpn, false)), int32(-1)
-	if t.numLarge != 0 {
-		b = t.idx.get(entryKey(vpn&^t.largeMask, true))
-	}
-	for a >= 0 || b >= 0 {
-		slot := t.pop(&a, &b)
-		if r, done := t.peekProbe(slot, vpn, asid, dacr, kind); done {
-			return &t.entries[slot], slot, r
-		}
-	}
-	return nil, -1, Miss
-}
-
-// peekProbe is probe without the Hit/fault bookkeeping: the same match,
-// domain, and permission decisions, mutating nothing.
-func (t *TLB) peekProbe(slot int32, vpn uint32, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (r Result, done bool) {
-	ent := &t.entries[slot]
-	if !ent.match(vpn, asid, t.largeMask) {
-		return Miss, false
-	}
-	switch dacr.Access(ent.domain) {
-	case arch.DomainNoAccess:
-		if t.DomainMatchInHW {
-			return Miss, false
-		}
-		return DomainFault, true
-	case arch.DomainManager:
-		return Hit, true
-	default:
-		if !ent.permit(kind) {
-			return PermFault, true
-		}
-		return Hit, true
-	}
-}
 
 // CommitRunHits applies the bookkeeping of n consecutive scalar Lookup
 // hits on the entry at slot, the last of which queried va under
@@ -89,10 +23,7 @@ func (t *TLB) peekProbe(slot int32, vpn uint32, asid arch.ASID, dacr arch.DACR, 
 // have hit this entry, and must not have mutated the TLB in between.
 func (t *TLB) CommitRunHits(slot int32, n uint64, va arch.VirtAddr, asid arch.ASID, dacr arch.DACR) {
 	t.clock += n
-	t.entries[slot].lastUse = t.clock
-	t.lruMoveBack(slot)
-	t.stats.Hits += n
-	t.setMRU(slot, arch.VPN(va), asid, dacr)
+	t.hitAt(slot, n, arch.VPN(va), asid, dacr)
 }
 
 // resolvesVPN reports whether a Lookup of vpn would hit the entry at
@@ -113,7 +44,12 @@ func (t *TLB) resolvesVPN(slot int32, vpn uint32, asid arch.ASID) bool {
 	if !e.large {
 		return true
 	}
-	return t.idx.get(entryKey(vpn, false)) < 0
+	for s := t.heads[t.bucket(entryKey(vpn, false))]; s >= 0; s = t.same[s] {
+		if e := &t.entries[s]; e.vpn == vpn && !e.large {
+			return false
+		}
+	}
+	return true
 }
 
 // LookupRun resolves up to max references at va, va+stride, ... and

@@ -21,12 +21,16 @@
 // hardware does that in parallel; software cannot), the TLB keeps an
 // index from the virtual page number to the few slots that can match:
 //
-//   - idx maps key(vpn, large) to the lowest slot holding it, and the
-//     per-slot same links chain the other holders in ascending slot
-//     order (one VPN under several ASIDs, or a global and a private
-//     copy). A probe walks the 4KB and the large-page chain merged by
-//     slot: the reference linear scan restricted to the entries that can
-//     match, so aliasing cases stay exact.
+//   - heads maps each bucket, a hash of key(vpn, large), to the lowest
+//     slot whose key hashes there, and the per-slot same links chain the
+//     bucket's other slots in ascending slot order. The holders of one
+//     key (one VPN under several ASIDs, or a global and a private copy)
+//     share a chain, and so may unrelated keys: match filters out the
+//     slots that cannot apply. A probe walks the 4KB and the large-page
+//     key's chains merged by slot, or their one chain once when both
+//     keys share a bucket: the reference linear scan restricted to a
+//     superset of the entries that can match, so aliasing cases stay
+//     exact.
 //   - a one-entry MRU register short-circuits repeated probes of the same
 //     page under the same ASID and DACR, the common case for straight-line
 //     code. Any mutation of the entry array invalidates it.
@@ -160,20 +164,23 @@ type TLB struct {
 	// Sv39's 2MB megapages).
 	largeMask uint32
 
-	// Indexed fast path; see the package comment. same[s] is the next
-	// higher slot holding the key of slot s, or -1. validBits marks valid
-	// slots (phantom bits past len(entries) are permanently set so the
-	// first-free scan never reports them). lruPrev/lruNext thread the
-	// valid slots in recency order: lruHead is the least and lruTail the
-	// most recently used. same, lruPrev and lruNext are meaningful only
-	// for valid slots; every insert rewrites them.
-	idx       idxTable
+	// Indexed fast path; see the package comment. heads[b] is the lowest
+	// slot of bucket b's chain, or -1, and headShift is 32 minus log2 of
+	// len(heads) (see bucket). same[s] is the next higher slot of slot
+	// s's chain, or -1. validBits marks valid slots (phantom bits past
+	// len(entries) are permanently set so the first-free scan never
+	// reports them). lruPrev/lruNext thread the valid slots in recency
+	// order: lruHead is the least and lruTail the most recently used.
+	// same, lruPrev and lruNext are meaningful only for valid slots;
+	// every insert rewrites them.
+	heads     []int32
+	headShift uint8
 	same      []int32
 	validBits []uint64
 	numValid  int
-	// numLarge counts the valid 64KB entries. Most workload phases hold
-	// none, so lookups skip the second (large-key) index probe entirely
-	// when it is zero.
+	// numLarge counts the valid large-page entries. Most workload phases
+	// hold none, so probes skip the large-page key's chain entirely when
+	// it is zero.
 	numLarge int
 	lruPrev  []int32
 	lruNext  []int32
@@ -196,17 +203,27 @@ func New(name string, entries, pagesPerLarge int) *TLB {
 	if pagesPerLarge <= 0 {
 		panic(fmt.Sprintf("tlb: non-positive pagesPerLarge %d", pagesPerLarge))
 	}
+	// Four buckets per entry, rounded up to a power of two, keep nearly
+	// every chain down to the holders of one key.
+	buckets, shift := 1, uint8(32)
+	for buckets < 4*entries {
+		buckets, shift = buckets<<1, shift-1
+	}
 	t := &TLB{
 		name:      name,
 		largeMask: uint32(pagesPerLarge - 1),
 		entries:   make([]Entry, entries),
-		idx:       newIdxTable(entries),
+		heads:     make([]int32, buckets),
+		headShift: shift,
 		same:      make([]int32, entries),
 		validBits: make([]uint64, (entries+63)/64),
 		lruPrev:   make([]int32, entries),
 		lruNext:   make([]int32, entries),
 		lruHead:   -1,
 		lruTail:   -1,
+	}
+	for i := range t.heads {
+		t.heads[i] = -1
 	}
 	for i := entries; i < len(t.validBits)*64; i++ {
 		t.validBits[i>>6] |= 1 << (i & 63)
@@ -296,18 +313,23 @@ func (e *Entry) permit(kind arch.AccessKind) bool {
 
 // --- index, bitmap, and LRU-list maintenance --------------------------------
 
-// idxAdd links the (valid) entry at slot into its key's chain, keeping
-// the chain in ascending slot order.
+// bucket returns the heads index of key k by Fibonacci hashing: the top
+// bits of k times 2^32/φ.
+func (t *TLB) bucket(k uint32) uint32 {
+	return k * 2654435769 >> t.headShift
+}
+
+// idxAdd links the (valid) entry at slot into its bucket's chain,
+// keeping the chain in ascending slot order.
 func (t *TLB) idxAdd(slot int32) {
 	e := &t.entries[slot]
 	if e.large {
 		t.numLarge++
 	}
-	k := entryKey(e.vpn, e.large)
-	p := t.idx.get(k)
+	h := &t.heads[t.bucket(entryKey(e.vpn, e.large))]
+	p := *h
 	if p < 0 || slot < p {
-		t.same[slot] = p
-		t.idx.set(k, slot)
+		t.same[slot], *h = p, slot
 		return
 	}
 	for t.same[p] >= 0 && t.same[p] < slot {
@@ -316,26 +338,39 @@ func (t *TLB) idxAdd(slot int32) {
 	t.same[slot], t.same[p] = t.same[p], slot
 }
 
-// idxRemove unlinks the (still valid) entry at slot from its key's chain.
+// idxRemove unlinks the (still valid) entry at slot from its bucket's
+// chain.
 func (t *TLB) idxRemove(slot int32) {
 	e := &t.entries[slot]
 	if e.large {
 		t.numLarge--
 	}
-	k := entryKey(e.vpn, e.large)
-	p := t.idx.get(k)
-	if p == slot {
-		if next := t.same[slot]; next >= 0 {
-			t.idx.set(k, next)
-		} else {
-			t.idx.del(k)
-		}
+	h := &t.heads[t.bucket(entryKey(e.vpn, e.large))]
+	if *h == slot {
+		*h = t.same[slot]
 		return
 	}
+	p := *h
 	for t.same[p] != slot {
 		p = t.same[p]
 	}
 	t.same[p] = t.same[slot]
+}
+
+// chains returns the heads of the chains a probe of vpn walks: the 4KB
+// key's bucket and, while large entries are resident, the large-page
+// key's. When both keys share a bucket, b is -1 so the walk visits that
+// chain once.
+func (t *TLB) chains(vpn uint32) (a, b int32) {
+	// The keys spelled out (see entryKey) keep chains inlinable.
+	ba := t.bucket(vpn << 1)
+	a, b = t.heads[ba], -1
+	if t.numLarge != 0 {
+		if bb := t.bucket((vpn&^t.largeMask)<<1 | 1); bb != ba {
+			b = t.heads[bb]
+		}
+	}
+	return a, b
 }
 
 // pop returns the lower of the two chain cursors' slots and advances that
@@ -399,14 +434,6 @@ func (t *TLB) lruRemove(s int32) {
 	}
 }
 
-func (t *TLB) lruMoveBack(s int32) {
-	if t.lruTail == s {
-		return
-	}
-	t.lruRemove(s)
-	t.lruPushBack(s)
-}
-
 // removeEntry invalidates the entry at slot, maintaining every auxiliary
 // structure. The MRU register must be cleared by the caller (all callers
 // are mutations).
@@ -417,26 +444,24 @@ func (t *TLB) removeEntry(slot int32) {
 	t.entries[slot] = Entry{}
 }
 
-// hitAt applies the Hit bookkeeping for the entry at slot and records it
-// in the MRU register.
-func (t *TLB) hitAt(slot int32, vpn uint32, asid arch.ASID, dacr arch.DACR) {
+// hitAt applies the bookkeeping of n consecutive Hits on the entry at
+// slot, the last at the current clock, and records the last query in
+// the MRU register.
+func (t *TLB) hitAt(slot int32, n uint64, vpn uint32, asid arch.ASID, dacr arch.DACR) {
 	t.entries[slot].lastUse = t.clock
-	t.lruMoveBack(slot)
-	t.stats.Hits++
-	t.setMRU(slot, vpn, asid, dacr)
-}
-
-// setMRU records a hit on slot for the query (vpn, asid, dacr) in the
-// MRU register, field by field in place.
-func (t *TLB) setMRU(slot int32, vpn uint32, asid arch.ASID, dacr arch.DACR) {
+	if t.lruTail != slot {
+		t.lruRemove(slot)
+		t.lruPushBack(slot)
+	}
+	t.stats.Hits += n
 	m := &t.mru
 	m.ok, m.hw, m.slot = true, t.DomainMatchInHW, slot
 	m.vpn, m.asid, m.dacr = vpn, asid, dacr
 }
 
-// probe applies the lookup logic of one scan step to the entry at slot.
-// done=false means the scan continues (no match, or domain-denied under
-// hardware domain matching).
+// probe applies the lookup logic of one scan step to the entry at slot,
+// mutating nothing. done=false means the scan continues (no match, or
+// domain-denied under hardware domain matching).
 func (t *TLB) probe(slot int32, vpn uint32, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (r Result, done bool) {
 	ent := &t.entries[slot]
 	if !ent.match(vpn, asid, t.largeMask) {
@@ -447,75 +472,80 @@ func (t *TLB) probe(slot int32, vpn uint32, asid arch.ASID, dacr arch.DACR, kind
 		if t.DomainMatchInHW {
 			return Miss, false // hardware requires a domain match for a hit
 		}
-		t.stats.DomainFaults++
 		return DomainFault, true
 	case arch.DomainManager:
-		t.hitAt(slot, vpn, asid, dacr)
 		return Hit, true
 	default: // client: check PTE permission bits
 		if !ent.permit(kind) {
-			t.stats.PermFaults++
 			return PermFault, true
 		}
-		t.hitAt(slot, vpn, asid, dacr)
 		return Hit, true
 	}
 }
 
-// Lookup searches for a translation of va under the current ASID and DACR.
-// On a Hit the matching entry is returned and its LRU state refreshed. A
-// DomainFault or PermFault also returns the matching entry, so the
-// exception handler can inspect it; a Miss returns nil. The entry is a
-// pointer into the TLB's own array, valid until the TLB's next mutation
-// (Lookup, CommitRunHits, LookupRun, Insert or a flush); callers read it
-// at once and never keep it. The slot is the matching entry's (the
-// handle CommitRunHits takes), or -1 on a Miss.
-func (t *TLB) Lookup(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (*Entry, int32, Result) {
-	t.clock++
+// Peek resolves va under (asid, dacr, kind) without mutating any TLB
+// state: no clock advance, no counters, no LRU movement, no MRU update.
+// It returns exactly what a Lookup at this moment would: on a Hit the
+// matching entry and its slot, the handle CommitRunHits and resolvesVPN
+// take; on a fault the matching entry and slot too; on a Miss nil and
+// -1. The entry is a pointer into the TLB's own array, valid until the
+// TLB's next mutation; callers read it at once and never keep it.
+func (t *TLB) Peek(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (*Entry, int32, Result) {
 	vpn := arch.VPN(va)
 
 	// MRU register: a repeat of the last hitting probe resolves at the
-	// same slot. The prior Hit under the same DACR rules out NoAccess; the
-	// access kind may differ, so permissions are still checked.
+	// same slot (see mruReg), so the chain walk is skipped. The prior Hit
+	// under the same DACR rules out NoAccess; the access kind may differ,
+	// so permissions are still checked. On a NoAccess domain the walk
+	// decides.
 	if t.mru.ok && t.mru.vpn == vpn && t.mru.asid == asid && t.mru.dacr == dacr &&
 		t.mru.hw == t.DomainMatchInHW {
 		slot := t.mru.slot
 		e := &t.entries[slot]
 		if acc := dacr.Access(e.domain); acc != arch.DomainNoAccess {
 			if acc == arch.DomainManager || e.permit(kind) {
-				t.hitAt(slot, vpn, asid, dacr)
 				return e, slot, Hit
 			}
-			t.stats.PermFaults++
 			return e, slot, PermFault
 		}
 	}
 
-	// The 4KB key's chain and, while large entries are resident, the
-	// large-page key's, walked merged by slot.
-	a, b := t.idx.get(entryKey(vpn, false)), int32(-1)
-	if t.numLarge != 0 {
-		b = t.idx.get(entryKey(vpn&^t.largeMask, true))
-	}
+	a, b := t.chains(vpn)
 	for a >= 0 || b >= 0 {
 		slot := t.pop(&a, &b)
 		if r, done := t.probe(slot, vpn, asid, dacr, kind); done {
 			return &t.entries[slot], slot, r
 		}
 	}
-	t.stats.Misses++
 	return nil, -1, Miss
+}
+
+// Lookup searches for a translation of va under the current ASID and
+// DACR: a Peek plus the bookkeeping of its result. It ticks the clock;
+// on a Hit it refreshes the matching entry's LRU state and records the
+// query in the MRU register, and every result is counted. It returns
+// what Peek returns; the slot is the handle CommitRunHits takes.
+func (t *TLB) Lookup(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (*Entry, int32, Result) {
+	t.clock++
+	e, slot, r := t.Peek(va, asid, dacr, kind)
+	switch r {
+	case Hit:
+		t.hitAt(slot, 1, arch.VPN(va), asid, dacr)
+	case Miss:
+		t.stats.Misses++
+	case DomainFault:
+		t.stats.DomainFaults++
+	case PermFault:
+		t.stats.PermFaults++
+	}
+	return e, slot, r
 }
 
 // findMatch returns the first slot (in slot order) whose entry matches
 // (vpn, asid) and — under hardware domain matching — has the same global
 // kind, or -1. This is Insert's overwrite target.
 func (t *TLB) findMatch(vpn uint32, asid arch.ASID, newGlobal bool) int32 {
-	// Lookup's walk: both chains, merged by slot.
-	a, b := t.idx.get(entryKey(vpn, false)), int32(-1)
-	if t.numLarge != 0 {
-		b = t.idx.get(entryKey(vpn&^t.largeMask, true))
-	}
+	a, b := t.chains(vpn)
 	for a >= 0 || b >= 0 {
 		slot := t.pop(&a, &b)
 		if e := &t.entries[slot]; e.match(vpn, asid, t.largeMask) && !(t.DomainMatchInHW && e.global != newGlobal) {
@@ -602,7 +632,7 @@ func (t *TLB) FlushAll() {
 	n := t.numValid
 	for s := t.lruHead; s >= 0; s = t.lruNext[s] {
 		e := &t.entries[s]
-		t.idx.del(entryKey(e.vpn, e.large))
+		t.heads[t.bucket(entryKey(e.vpn, e.large))] = -1
 		t.validBits[s>>6] &^= 1 << (s & 63)
 		*e = Entry{}
 	}
@@ -660,16 +690,19 @@ func (t *TLB) FlushGlobal() int {
 // regardless of ASID or global bit. The domain-fault handler uses this to
 // evict the global entries a non-zygote process tripped over. An entry is
 // affected exactly when its stored VPN equals VPN(va), so the affected
-// entries are the chains of the two keys of that VPN.
+// entries are the holders of that VPN's two keys, found on their
+// buckets' chains.
 func (t *TLB) FlushVA(va arch.VirtAddr) int {
 	t.mru.ok = false
 	vpn := arch.VPN(va)
 	n := 0
 	for _, k := range [2]uint32{entryKey(vpn, false), entryKey(vpn, true)} {
-		for s := t.idx.get(k); s >= 0; {
+		for s := t.heads[t.bucket(k)]; s >= 0; {
 			next := t.same[s]
-			t.removeEntry(s)
-			n++
+			if e := &t.entries[s]; entryKey(e.vpn, e.large) == k {
+				t.removeEntry(s)
+				n++
+			}
 			s = next
 		}
 	}
