@@ -22,8 +22,9 @@
 // boot checkpoints every scenario forks (internal/checkpoint) under DIR
 // (default: the sat-sim cache directory) so later processes warm-start
 // instead of re-simulating the boot prefix; -imagestore "" disables
-// persistence. Stored images are fingerprint-verified on load, so
-// results are byte-identical with a cold store, a warm store or none
+// persistence. A stored image is admitted only if the restored machine
+// re-encodes to the body digest saved with it, so results are
+// byte-identical with a cold store, a warm store or none
 // (TestGolden in internal/experiments diffs each mode, and fresh boots,
 // against testdata/experiments_quick*.golden.{json,txt}). The
 // paper-scale stdout of both architectures, with -imagestore "", is

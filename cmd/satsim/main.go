@@ -26,8 +26,9 @@
 // -imagestore persists checkpoint images under DIR (default: the
 // sat-sim cache directory) so later satsim processes warm-start instead
 // of re-simulating the boot; -imagestore "" disables persistence.
-// Stored images are fingerprint-verified on load (internal/imagestore),
-// so output is byte-identical with a cold store, a warm store, or none;
+// A stored image is admitted only if the restored machine re-encodes to
+// the body digest saved with it (internal/imagestore), so output is
+// byte-identical with a cold store, a warm store, or none;
 // TestGolden diffs all three against testdata/satsim_email*.golden.json.
 //
 // -json replaces the text report with one structured document (schema

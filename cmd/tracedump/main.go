@@ -75,15 +75,13 @@ func run(appName, what string, asJSON bool) error {
 	ft := &trace.FaultTrace{}
 	ft.Attach(sys.Kernel)
 
-	// Keep the tail of the event stream in a bounded ring, filtered to
-	// the memory-management events (cache fills/evictions would drown
-	// everything else out).
+	// Keep the tail of the event stream in a bounded ring, subscribed to
+	// the memory-management events only (cache fills/evictions would
+	// drown everything else out).
 	const ringCap = 16
 	ring := obs.NewRing(ringCap)
-	ring.SetFilter(func(ev obs.Event) bool {
-		return ev.Kind != obs.EvCacheFill && ev.Kind != obs.EvCacheEvict
-	})
-	sys.Kernel.Subscribe(ring)
+	sys.Kernel.Subscribe(ring, obs.EvPageFault, obs.EvFork, obs.EvUnshare, obs.EvPTPShare, obs.EvPTPCopy,
+		obs.EvTLBInsert, obs.EvTLBEvict, obs.EvTLBFlush, obs.EvTLBShootdown)
 
 	prof := workload.BuildProfile(u, spec)
 	a, _, err := sys.LaunchApp(prof, 1)

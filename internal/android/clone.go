@@ -31,7 +31,7 @@ func (sys *System) Clone() *System {
 
 // Files returns every page-cache file the boot created — the per-library
 // code files, the ART boot image, and the app file — in a stable order,
-// for state fingerprinting.
+// the order snapshots index them in.
 func (sys *System) Files() []*vm.File {
 	out := make([]*vm.File, 0, len(sys.libFiles)+2)
 	out = append(out, sys.libFiles...)

@@ -94,9 +94,9 @@ type cset struct {
 	mru mruReg
 	// skip counts the set's consecutive MRU-register misses, saturating
 	// at mruSkipThreshold, where the register goes dead (see the const).
-	// Not serialized: like the register contents it is transparent
-	// acceleration state, and a restored machine starting from a zero
-	// streak is behaviour-identical to the captured one.
+	// Like the register it is acceleration state that no counter or
+	// victim depends on, but it decides what the register holds, so
+	// snapshots store it with the register.
 	skip uint8
 	// used counts the valid ways, which always form the prefix
 	// [0, used): a fill takes the first empty way, and the only
@@ -175,9 +175,9 @@ type Cache struct {
 	// probe or hit2 (a first-slot register hit touches nothing), each of
 	// which sets the bit; the fused engine re-verifies dirty sets and
 	// clears the bits that check out. It stays outside the set records
-	// so the fused engine skips 64 clean sets per bitmap word. Like the
-	// register's skip streak, this is transparent acceleration state and
-	// is not serialized.
+	// so the fused engine skips 64 clean sets per bitmap word. It is not
+	// serialized: a restored level starts with no memo, and re-verifying
+	// a set already at a run's fixed point mutates nothing.
 	dirty   []uint64
 	runTag0 uint32
 	runN    uint32
@@ -689,15 +689,6 @@ func (c *Cache) FlushAll() {
 		c.sets[i] = emptySet
 	}
 	c.runN = 0 // every fused-run fixed point is gone with the lines
-}
-
-// Occupancy returns the number of valid lines.
-func (c *Cache) Occupancy() int {
-	n := 0
-	for i := range c.sets {
-		n += int(c.sets[i].used)
-	}
-	return n
 }
 
 // Clone returns a deep copy of this level for a checkpoint fork, wired

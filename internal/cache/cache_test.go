@@ -79,15 +79,24 @@ func TestTwoLevel(t *testing.T) {
 	}
 }
 
+// occupancy counts the valid lines of c.
+func occupancy(c *Cache) int {
+	n := 0
+	for i := range c.sets {
+		n += int(c.sets[i].used)
+	}
+	return n
+}
+
 func TestFlushAllAndOccupancy(t *testing.T) {
 	c := small(nil, 50)
 	c.Access(0x0)
 	c.Access(0x20)
-	if got := c.Occupancy(); got != 2 {
+	if got := occupancy(c); got != 2 {
 		t.Errorf("occupancy = %d, want 2", got)
 	}
 	c.FlushAll()
-	if got := c.Occupancy(); got != 0 {
+	if got := occupancy(c); got != 0 {
 		t.Errorf("occupancy after flush = %d, want 0", got)
 	}
 }

@@ -15,14 +15,14 @@ func TestCloneCopiesStateAndDetaches(t *testing.T) {
 		a.Access(arch.PhysAddr(i * 64))
 	}
 	b := a.Clone(nil, nil, nil)
-	if got, want := b.Occupancy(), a.Occupancy(); got != want {
+	if got, want := occupancy(b), occupancy(a); got != want {
 		t.Fatalf("clone occupancy = %d, want %d", got, want)
 	}
 	b.FlushAll()
-	if a.Occupancy() == 0 {
+	if occupancy(a) == 0 {
 		t.Error("flushing the clone emptied the original")
 	}
-	if b.Occupancy() != 0 {
+	if occupancy(b) != 0 {
 		t.Error("clone not flushed")
 	}
 }

@@ -1,13 +1,15 @@
 // Persistent-image support: serializable snapshots (internal/imagestore).
-// A cache's state is its tags, its per-set MRU registers, its age
-// matrices, and its counters; everything else is derived from the Config
-// at construction or, like the valid-way counts and fingerprints, from
-// the tags. Snapshots keep the column form (one array per field) the
+// A cache's state is its tags, its per-set MRU registers, register-miss
+// streaks and age matrices, and its counters; everything else is
+// derived from the Config at construction or, like the valid-way counts
+// and fingerprints, from the tags. Snapshots keep the column form (one array per field) the
 // image format stores, so the set-record layout never reaches a file.
 // The MRU registers must be stored, not rebuilt: a first-slot register
 // hit deliberately skips the age-matrix touch, so a restored machine
 // with cleared registers would diverge from the captured one on its
-// first access.
+// first access. The streaks are stored too: they decide when a register
+// rotates, so a restored level starting from zero streaks would fill
+// its registers differently from the captured one as it runs.
 
 package cache
 
@@ -29,22 +31,26 @@ type Snapshot struct {
 	Tags       []uint32
 	MRU        []MRUSnapshot
 	Age        []uint64
+	Skip       []uint8
 }
 
 // SnapshotState captures the level's state in column form: Tags holds
-// assoc tags per set in set order, MRU and Age one element per set. The
+// assoc tags per set in set order, MRU, Age and Skip one element per
+// set. The
 // slices are fresh; the snapshot is independent of the live cache.
 func (c *Cache) SnapshotState() Snapshot {
 	s := Snapshot{Config: c.cfg, MemLatency: c.memLatency, Stats: c.stats}
 	s.Tags = make([]uint32, 0, len(c.sets)*c.assoc)
 	s.MRU = make([]MRUSnapshot, len(c.sets))
 	s.Age = make([]uint64, len(c.sets))
+	s.Skip = make([]uint8, len(c.sets))
 	for i := range c.sets {
 		set := &c.sets[i]
 		s.Tags = append(s.Tags, set.tags[:c.assoc]...)
 		m := set.mru
 		s.MRU[i] = MRUSnapshot{Tag: m.tag, Tag2: m.tag2, Way: int32(m.way), Way2: int32(m.way2)}
 		s.Age[i] = set.age
+		s.Skip[i] = set.skip
 	}
 	return s
 }
@@ -69,11 +75,12 @@ func Restore(s Snapshot, next *Cache) (*Cache, error) {
 	if len(s.MRU) != nSets {
 		return nil, fmt.Errorf("cache %s: snapshot has %d MRU registers, geometry wants %d", s.Config.Name, len(s.MRU), nSets)
 	}
-	if len(s.Age) != nSets {
-		return nil, fmt.Errorf("cache %s: snapshot has %d age words, geometry wants %d", s.Config.Name, len(s.Age), nSets)
+	if len(s.Age) != nSets || len(s.Skip) != nSets {
+		return nil, fmt.Errorf("cache %s: snapshot has %d age words and %d streaks, geometry wants %d",
+			s.Config.Name, len(s.Age), len(s.Skip), nSets)
 	}
 	for i := range c.sets {
-		if err := c.loadSet(i, s.Tags[i*assoc:(i+1)*assoc], s.MRU[i], s.Age[i]); err != nil {
+		if err := c.loadSet(i, s.Tags[i*assoc:(i+1)*assoc], s.MRU[i], s.Age[i], s.Skip[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -83,7 +90,7 @@ func Restore(s Snapshot, next *Cache) (*Cache, error) {
 
 // loadSet fills set i's record, empty on entry, from its columns, and
 // reports what the record cannot represent (see Restore).
-func (c *Cache) loadSet(i int, tags []uint32, m MRUSnapshot, age uint64) error {
+func (c *Cache) loadSet(i int, tags []uint32, m MRUSnapshot, age uint64, skip uint8) error {
 	set := &c.sets[i]
 	for w, tag := range tags {
 		if tag == tagInvalid {
@@ -109,5 +116,6 @@ func (c *Cache) loadSet(i int, tags []uint32, m MRUSnapshot, age uint64) error {
 	}
 	set.mru = mruReg{tag: m.Tag, tag2: m.Tag2, way: uint8(m.Way), way2: uint8(m.Way2)}
 	set.age = age
+	set.skip = skip
 	return nil
 }

@@ -32,7 +32,7 @@ func snapshotFixture() *Cache {
 // TestSnapshotRestoreRoundTrip pins that the column-form snapshot holds
 // everything the set records need: the restored level has records,
 // including the derived valid-way counts and fingerprints, equal to the
-// captured ones apart from the unserialized skip streak, it snapshots
+// captured ones, it snapshots
 // and counts like the captured one, and it then serves accesses exactly
 // as the captured level does.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
@@ -45,17 +45,15 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(r.SnapshotState(), snap) {
 		t.Fatal("restored level snapshots differently from the captured one")
 	}
-	if got, want := r.Occupancy(), c.Occupancy(); got != want {
+	if got, want := occupancy(r), occupancy(c); got != want {
 		t.Fatalf("restored occupancy %d, captured %d", got, want)
 	}
 	if r.stats != c.stats {
 		t.Fatalf("restored stats %+v, captured %+v", r.stats, c.stats)
 	}
 	for si := range c.sets {
-		want := c.sets[si]
-		want.skip = 0
-		if r.sets[si] != want {
-			t.Fatalf("set %d restored as %+v, captured %+v", si, r.sets[si], want)
+		if r.sets[si] != c.sets[si] {
+			t.Fatalf("set %d restored as %+v, captured %+v", si, r.sets[si], c.sets[si])
 		}
 	}
 	rng := rand.New(rand.NewSource(9))

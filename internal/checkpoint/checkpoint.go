@@ -12,7 +12,9 @@
 // cycle. Because the image is never run, its shared state is written by
 // nobody; a fork that redlines its own copy never changes the image, so
 // any number of forks behave exactly like fresh boots. That determinism
-// invariant is pinned by the fork-vs-fresh differential tests.
+// invariant is pinned end to end by the golden tests (TestGolden in
+// internal/experiments and cmd/satsim), which run every campaign from
+// fresh boots and from forks and diff both against one output.
 //
 // Cache memoizes images by a canonical key of the boot parameters
 // (Key), so sweeps that boot the same prefix many times — every
@@ -21,21 +23,11 @@
 package checkpoint
 
 import (
-	"bufio"
-	"crypto/sha256"
 	"fmt"
-	"io"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/android"
-	"repro/internal/arch"
 	"repro/internal/core"
-	"repro/internal/mem"
-	"repro/internal/obs"
-	"repro/internal/tlb"
 	"repro/internal/workload"
 )
 
@@ -96,7 +88,8 @@ type centry struct {
 // result is written back with Save. Implementations must only return
 // verified images — a Load hit is admitted to the cache without further
 // checks, so corrupt or stale entries must come back as a miss (see
-// internal/imagestore, which gates admission on the stored fingerprint).
+// internal/imagestore, which admits an image only if re-encoding the
+// restored machine reproduces the digest stored with it).
 // Both methods may be called concurrently.
 type ImageStore interface {
 	// Load returns the verified image stored under key, or false.
@@ -177,242 +170,4 @@ func Key(cfg core.Config, layout android.Layout, u *workload.Universe, opts andr
 		opts.Arch = "armv7"
 	}
 	return fmt.Sprintf("cfg=%+v layout=%d universe=%s opts=%+v", cfg, layout, u.ContentHash(), opts)
-}
-
-// Fingerprint renders the image's complete observable state as a string:
-// kernel and allocator counters, sharing stats, every process's regions,
-// page tables and context, every page-cache file, the allocator state
-// (memory size, bump pointer, free list and every stored frame), and
-// every core's cycle count, cache occupancy and valid TLB entries with
-// their slots and fields. Two fingerprints are equal iff the machines are
-// observably identical; the aliasing-hazard tests take one before and
-// after mutating a fork to prove the image never changes. The text runs
-// to hundreds of kilobytes on a booted machine; callers that only
-// compare images should use FingerprintDigest, which renders the same
-// bytes without holding them.
-func (img *Image) Fingerprint() string {
-	var b strings.Builder
-	img.writeFingerprint(&b)
-	return b.String()
-}
-
-// FingerprintDigest returns the SHA-256 of Fingerprint's text, streamed
-// through the hash instead of materialized: equal to
-// sha256.Sum256([]byte(img.Fingerprint())).
-func (img *Image) FingerprintDigest() [sha256.Size]byte {
-	h := sha256.New()
-	w := bufio.NewWriterSize(h, 32<<10)
-	img.writeFingerprint(w)
-	_ = w.Flush() // a hash.Hash never returns a write error
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	return sum
-}
-
-// writeFingerprint renders the fingerprint text to w, the one renderer
-// behind both sinks. Its bulk loops — the valid PTEs of every leaf
-// table, the pages of every page-cache file, the frame table and the
-// TLB entries — append each line into a reused scratch slice with
-// strconv and write it whole; everything else is a few lines per
-// process or core. Write errors are ignored:
-// both sinks are in-memory and cannot fail.
-func (img *Image) writeFingerprint(w io.Writer) {
-	sys := img.proto
-	k := sys.Kernel
-
-	fmt.Fprintf(w, "counters=%+v\n", k.Counters)
-	ps := k.Phys.Stats()
-	fmt.Fprintf(w, "phys alloc=%d freed=%d inuse=%d kinds=", ps.Allocated, ps.Freed, ps.InUse)
-	kinds := make([]int, 0, len(ps.ByKind))
-	for kind := range ps.ByKind {
-		kinds = append(kinds, int(kind))
-	}
-	sort.Ints(kinds)
-	for _, kind := range kinds {
-		fmt.Fprintf(w, "%d:%d,", kind, ps.ByKind[mem.FrameKind(kind)])
-	}
-	fmt.Fprintf(w, "\nsharing=%+v\n", k.SharingStats())
-
-	var line []byte
-	for _, p := range k.Processes() {
-		fmt.Fprintf(w, "proc %d %q zygote=%v child=%v alive=%v forkstats=%+v ptescopied=%d\n",
-			p.PID, p.Name, p.IsZygote, p.IsZygoteChild, p.Alive(), p.ForkStats, p.PTEsCopied)
-		fmt.Fprintf(w, "  ctx asid=%d dacr=%#x stats=%+v\n", p.Ctx.ASID, p.Ctx.DACR, p.Ctx.Stats)
-		fmt.Fprintf(w, "  mm counters=%+v ptstats=%+v\n", p.MM.Counters, p.MM.PT.Stats())
-		for _, v := range p.MM.VMAs() {
-			name := ""
-			if v.File != nil {
-				name = v.File.Name
-			}
-			fmt.Fprintf(w, "  vma %#x-%#x prot=%v flags=%d file=%q off=%d name=%q cat=%d\n",
-				v.Start, v.End, v.Prot, v.Flags, name, v.FileOff, v.Name, v.Category)
-		}
-		for idx := 0; idx < p.MM.PT.NumSlots(); idx++ {
-			e := p.MM.PT.Slot(idx)
-			if !e.Valid() {
-				continue
-			}
-			fmt.Fprintf(w, "  l1[%d] frame=%d domain=%d needcopy=%v pop=%d:",
-				idx, e.Table.Frame, e.Domain, e.NeedCopy, e.Table.Populated())
-			line = line[:0]
-			for i := 0; i < e.Table.Len(); i++ {
-				if pte := e.Table.PTE(i); pte.Valid() {
-					line = append(line, ' ')
-					line = strconv.AppendInt(line, int64(i), 10)
-					line = append(line, '=')
-					line = strconv.AppendUint(line, uint64(pte.Frame), 10)
-					line = append(line, '/')
-					line = strconv.AppendUint(line, uint64(pte.Flags), 10)
-					line = append(line, '/')
-					line = strconv.AppendUint(line, uint64(pte.Soft), 10)
-				}
-			}
-			line = append(line, '\n')
-			w.Write(line)
-		}
-	}
-
-	for _, f := range sys.Files() {
-		if f == nil {
-			continue
-		}
-		fmt.Fprintf(w, "file %q size=%d resident=%d:", f.Name, f.Size, f.ResidentPages())
-		line = line[:0]
-		f.ForEachPage(func(idx int, frame arch.FrameNum) {
-			line = append(line, ' ')
-			line = strconv.AppendInt(line, int64(idx), 10)
-			line = append(line, '=')
-			line = strconv.AppendUint(line, uint64(frame), 10)
-		})
-		line = append(line, '\n')
-		w.Write(line)
-	}
-
-	line = writeFrames(w, line, k.Phys)
-
-	for i := 0; i < k.NumCPUs(); i++ {
-		c := k.CPUAt(i)
-		fmt.Fprintf(w, "cpu%d now=%d l1i=%d l1d=%d\n",
-			i, c.Now(), c.Caches.L1I.Occupancy(), c.Caches.L1D.Occupancy())
-		for _, t := range [3]*tlb.TLB{c.MicroI, c.MicroD, c.Main} {
-			line = writeTLB(w, line, t)
-		}
-	}
-	fmt.Fprintf(w, "l2=%d\n", k.CPUAt(0).Caches.L2.Occupancy())
-
-	reg := obs.NewRegistry()
-	reg.MustRegister(k.Sources()...)
-	snap := reg.Snapshot()
-	names := make([]string, 0, len(snap))
-	for name := range snap {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		m := snap[name]
-		keys := make([]string, 0, len(m))
-		for key := range m {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		fmt.Fprintf(w, "src %s:", name)
-		for _, key := range keys {
-			fmt.Fprintf(w, " %s=%d", key, m[key])
-		}
-		io.WriteString(w, "\n")
-	}
-}
-
-// writeFrames renders the allocator state the image stores, using line
-// as scratch, and returns it for reuse: the memory size, the bump
-// pointer, the free list in order, and every frame of the stored chunks.
-// The frames go run-length encoded, so the ~10k of a booted machine take
-// a few lines' worth: "kind/mapcount*n" is n consecutive frames each
-// numbered by its own index, "@num:kind/mapcount*n" n consecutive frames
-// numbered num (0 for a frame never written).
-func writeFrames(w io.Writer, line []byte, m *mem.PhysMem) []byte {
-	s := m.SnapshotState()
-	line = fmt.Appendf(line[:0], "phys nframes=%d next=%d free=%d:", s.NFrames, s.Next, len(s.FreeList))
-	for _, fn := range s.FreeList {
-		line = append(line, ' ')
-		line = strconv.AppendUint(line, uint64(fn), 10)
-	}
-	line = append(line, "\nframes:"...)
-	type run struct {
-		own      bool
-		num      arch.FrameNum
-		kind     mem.FrameKind
-		mapCount int
-	}
-	var cur run
-	n := 0
-	emit := func() {
-		if n == 0 {
-			return
-		}
-		line = append(line, ' ')
-		if !cur.own {
-			line = append(line, '@')
-			line = strconv.AppendUint(line, uint64(cur.num), 10)
-			line = append(line, ':')
-		}
-		line = strconv.AppendUint(line, uint64(cur.kind), 10)
-		line = append(line, '/')
-		line = strconv.AppendInt(line, int64(cur.mapCount), 10)
-		line = append(line, '*')
-		line = strconv.AppendInt(line, int64(n), 10)
-	}
-	i := arch.FrameNum(0)
-	for _, c := range s.Chunks {
-		for _, f := range c {
-			r := run{own: f.Num == i, kind: f.Kind, mapCount: f.MapCount}
-			if !r.own {
-				r.num = f.Num
-			}
-			if r != cur {
-				emit()
-				cur, n = r, 0
-			}
-			n++
-			i++
-		}
-	}
-	emit()
-	line = append(line, '\n')
-	w.Write(line)
-	return line
-}
-
-// writeTLB renders one TLB's stored state, using line as scratch, and
-// returns it for reuse: its name, hardware domain matching and clock,
-// then each valid entry as
-// "slot=vpn/asid/global/large/domain/frame/flags/lastuse".
-func writeTLB(w io.Writer, line []byte, t *tlb.TLB) []byte {
-	s := t.SnapshotState()
-	line = fmt.Appendf(line[:0], "  tlb %s hw=%v clock=%d:", s.Name, s.DomainMatchInHW, s.Clock)
-	for slot, e := range s.Entries {
-		if !e.Valid {
-			continue
-		}
-		line = append(line, ' ')
-		line = strconv.AppendInt(line, int64(slot), 10)
-		sep := byte('=')
-		for _, v := range [...]uint64{uint64(e.VPN), uint64(e.ASID), bit(e.Global), bit(e.Large),
-			uint64(e.Domain), uint64(e.Frame), uint64(e.Flags), e.LastUse} {
-			line = append(line, sep)
-			line = strconv.AppendUint(line, v, 10)
-			sep = '/'
-		}
-	}
-	line = append(line, '\n')
-	w.Write(line)
-	return line
-}
-
-// bit renders a flag as 0 or 1.
-func bit(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
 }

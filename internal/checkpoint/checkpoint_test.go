@@ -7,11 +7,15 @@
 package checkpoint
 
 import (
+	"encoding/json"
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/android"
+	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/pagetable"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -25,22 +29,64 @@ func bootSys(t *testing.T, opts android.Options) *android.System {
 	return sys
 }
 
-// fingerprintOf snapshots any live system through a throwaway capture.
-func fingerprintOf(sys *android.System) string {
-	return Capture(sys).Fingerprint()
+// storedState is what an image of a machine stores: the system
+// snapshot, and the contents of every leaf table and page-cache file it
+// indexes.
+type storedState struct {
+	System android.SystemSnapshot
+	Tables []leafState
+	Pages  [][]vm.FilePage
+}
+
+// leafState is one leaf table's frame and PTEs.
+type leafState struct {
+	Frame arch.FrameNum
+	PTEs  []pagetable.PTE
+}
+
+// stateOf renders the state an image of sys stores as JSON: two
+// machines store the same state iff their renderings are equal, and the
+// text locates a difference readably (see sameState).
+func stateOf(sys *android.System) string {
+	snap, files, tables := sys.SnapshotState()
+	s := storedState{System: snap}
+	for _, lt := range tables {
+		s.Tables = append(s.Tables, leafState{lt.Frame, lt.SnapshotPTEs()})
+	}
+	for _, f := range files {
+		s.Pages = append(s.Pages, f.SnapshotPages())
+	}
+	b, err := json.Marshal(&s)
+	if err != nil {
+		panic(err) // plain data: marshaling cannot fail
+	}
+	return string(b)
+}
+
+// sameState fails t, naming what and showing the text around the
+// first difference, unless two stateOf renderings are equal.
+func sameState(t *testing.T, got, want, what string) {
+	t.Helper()
+	if got == want {
+		return
+	}
+	i := 0
+	for i < len(got) && i < len(want) && got[i] == want[i] {
+		i++
+	}
+	around := func(s string) string {
+		return s[max(0, i-100):min(len(s), i+60)]
+	}
+	t.Errorf("%s: stored state differs at byte %d\n got:  ...%s...\n want: ...%s...", what, i, around(got), around(want))
 }
 
 func TestForkMatchesFreshBoot(t *testing.T) {
 	img := Capture(bootSys(t, android.Options{}))
-	fresh := fingerprintOf(bootSys(t, android.Options{}))
-	forkA := fingerprintOf(img.Fork())
-	forkB := fingerprintOf(img.Fork())
-	if forkA != fresh {
-		t.Error("fork fingerprint differs from a fresh boot")
-	}
-	if forkA != forkB {
-		t.Error("two forks of one image differ")
-	}
+	fresh := stateOf(bootSys(t, android.Options{}))
+	forkA := stateOf(img.Fork())
+	forkB := stateOf(img.Fork())
+	sameState(t, forkA, fresh, "fork vs fresh boot")
+	sameState(t, forkB, forkA, "two forks of one image")
 }
 
 // exercise runs the heaviest mutation mix we have against sys: a full
@@ -94,15 +140,11 @@ func TestMutatedForkLeavesImageUnchanged(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			img := Capture(bootSys(t, tc.opts))
-			before := img.Fingerprint()
+			before := stateOf(img.Proto())
 			exercise(t, img.Fork())
-			if after := img.Fingerprint(); after != before {
-				t.Error("image fingerprint changed after mutating a fork")
-			}
+			sameState(t, stateOf(img.Proto()), before, "image after mutating a fork")
 			// And the image still mints pristine forks afterwards.
-			if fingerprintOf(img.Fork()) != before {
-				t.Error("fork minted after mutations differs from the captured state")
-			}
+			sameState(t, stateOf(img.Fork()), before, "fork minted after mutations")
 		})
 	}
 }
@@ -114,7 +156,7 @@ func TestMutatedForkLeavesImageUnchanged(t *testing.T) {
 // unchanged.
 func TestConcurrentForks(t *testing.T) {
 	img := Capture(bootSys(t, android.Options{}))
-	before := img.Fingerprint()
+	before := stateOf(img.Proto())
 	prof := workload.BuildProfile(workload.DefaultUniverse(), workload.HelloWorldSpec())
 	const workers = 4
 	results := make([]string, workers)
@@ -130,28 +172,22 @@ func TestConcurrentForks(t *testing.T) {
 				return
 			}
 			sys.Kernel.Exit(app.Proc)
-			results[w] = fingerprintOf(sys)
+			results[w] = stateOf(sys)
 		}(w)
 	}
 	wg.Wait()
 	for w := 1; w < workers; w++ {
-		if results[w] != results[0] {
-			t.Errorf("fork %d diverged from fork 0 under concurrent forking", w)
-		}
+		sameState(t, results[w], results[0], fmt.Sprintf("fork %d vs fork 0 under concurrent forking", w))
 	}
-	if img.Fingerprint() != before {
-		t.Error("concurrent forks changed the image")
-	}
+	sameState(t, stateOf(img.Proto()), before, "image after concurrent forks")
 }
 
 func TestCaptureDetachesFromSource(t *testing.T) {
 	sys := bootSys(t, android.Options{})
 	img := Capture(sys)
-	before := img.Fingerprint()
+	before := stateOf(img.Proto())
 	exercise(t, sys) // mutate the ORIGINAL after capturing
-	if after := img.Fingerprint(); after != before {
-		t.Error("mutating the captured system leaked into the image")
-	}
+	sameState(t, stateOf(img.Proto()), before, "image after mutating the captured system")
 }
 
 func TestCacheMemoizesBoots(t *testing.T) {

@@ -83,8 +83,9 @@ type Session struct {
 	// images missing from memory are loaded from the store, and cold
 	// boots are written back, so later processes warm-start.
 	// Set before the first sweep; results are byte-identical with or
-	// without a store (stored images are fingerprint-verified copies of
-	// the machines they replace).
+	// without a store (a stored image is admitted only if it re-encodes
+	// to the digest saved with it, so it is an exact copy of the machine
+	// it replaces).
 	ImageStore checkpoint.ImageStore
 
 	// freshBoot bypasses the checkpoint cache: every scenario boots from

@@ -1,7 +1,7 @@
 package imagestore
 
 import (
-	"encoding/hex"
+	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -38,8 +38,12 @@ func validCacheConfig(c cache.Config) error {
 }
 
 // decodeImage reconstructs the stored machine from one image file's
-// bytes, verifying structure at every step and finally the stored
-// fingerprint against the rebuilt machine. The big arrays of the result
+// bytes, verifying structure at every step. Last, it re-encodes the
+// rebuilt machine with the writer's own layoutImage and admits it only
+// if that body's digest equals the one stored in the header: the stored
+// bytes are the saved ones and the decode reproduced them exactly. The
+// structural checks come first, so a malformed file fails at the check
+// that names its defect. The big arrays of the result
 // alias data: the caller must keep the mapping alive for the life of
 // the image, and may only unmap it when decoding fails.
 func decodeImage(data []byte, u *workload.Universe) (*checkpoint.Image, string, error) {
@@ -91,22 +95,24 @@ func decodeImage(data []byte, u *workload.Universe) (*checkpoint.Image, string, 
 	if err != nil {
 		return nil, "", err
 	}
+	skips := section(data, dir[secCacheSkip])
 	for _, cs := range cacheSnapshots(&snap.Kernel) {
 		if err := validCacheConfig(cs.Config); err != nil {
 			return nil, "", err
 		}
 		nSets := cs.Config.Size / (cs.Config.LineSize * cs.Config.Assoc)
 		nTags := nSets * cs.Config.Assoc
-		if nTags > len(tags) || nSets > len(mrus) || nSets > len(ages) {
+		if nTags > len(tags) || nSets > len(mrus) || nSets > len(ages) || nSets > len(skips) {
 			return nil, "", fmt.Errorf("imagestore: cache sections exhausted at level %q", cs.Config.Name)
 		}
 		cs.Tags, tags = tags[:nTags:nTags], tags[nTags:]
 		cs.MRU, mrus = mrus[:nSets:nSets], mrus[nSets:]
 		cs.Age, ages = ages[:nSets:nSets], ages[nSets:]
+		cs.Skip, skips = skips[:nSets:nSets], skips[nSets:]
 	}
-	if len(tags) != 0 || len(mrus) != 0 || len(ages) != 0 {
-		return nil, "", fmt.Errorf("imagestore: %d tags, %d MRU registers, %d age words left over",
-			len(tags), len(mrus), len(ages))
+	if len(tags) != 0 || len(mrus) != 0 || len(ages) != 0 || len(skips) != 0 {
+		return nil, "", fmt.Errorf("imagestore: %d tags, %d MRU registers, %d age words, %d streaks left over",
+			len(tags), len(mrus), len(ages), len(skips))
 	}
 
 	// Page-table slot arrays: geo.NumSlots() per process, PID order.
@@ -162,8 +168,12 @@ func decodeImage(data []byte, u *workload.Universe) (*checkpoint.Image, string, 
 		return nil, "", err
 	}
 	img := checkpoint.Adopt(sys)
-	if got := img.FingerprintDigest(); hex.EncodeToString(got[:]) != meta.FingerprintSHA {
-		return nil, "", fmt.Errorf("imagestore: fingerprint mismatch: restored machine differs from the captured one")
+	runs, err := layoutImage(meta.Key, img)
+	if err != nil {
+		return nil, "", err
+	}
+	if !bytes.Equal(runs[0][digestOff:headerSize], data[digestOff:headerSize]) {
+		return nil, "", fmt.Errorf("imagestore: digest mismatch: restored machine does not re-encode to the stored body")
 	}
 	return img, meta.Key, nil
 }

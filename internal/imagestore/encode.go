@@ -1,8 +1,8 @@
 package imagestore
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -22,18 +22,14 @@ type fileRange struct {
 }
 
 // metaDoc is the JSON document of the META section: the full cache key
-// (collision guard for the hashed file name), the hex SHA-256 of the
-// image fingerprint the loader verifies before admission (the loader
-// takes the restored machine's digest the same way, with
-// checkpoint.Image.FingerprintDigest, and compares), the machine
-// snapshot with its bulky arrays stripped into the binary sections, and
-// the placement records needed to stitch them back.
+// (collision guard for the hashed file name), the machine snapshot with
+// its bulky arrays stripped into the binary sections, and the placement
+// records needed to stitch them back.
 type metaDoc struct {
-	Key            string
-	FingerprintSHA string
-	TableFrames    []arch.FrameNum
-	FileRanges     []fileRange
-	System         android.SystemSnapshot
+	Key         string
+	TableFrames []arch.FrameNum
+	FileRanges  []fileRange
+	System      android.SystemSnapshot
 }
 
 // cacheSnapshots lists the machine's cache levels in the fixed section
@@ -52,24 +48,38 @@ func cacheSnapshots(k *core.KernelSnapshot) []*cache.Snapshot {
 // zeros supplies the alignment padding between sections.
 var zeros [8]byte
 
-// writeImage streams the image file for img to w: the header, then each
-// section straight from the captured machine's own arrays — the frame
-// table chunk by chunk, the PTEs table by table — with no flattened copy
-// and no whole-file buffer. The bytes are those of one 8-aligned
-// section layout (see format.go), so the directory is computed from the
-// section lengths and the checksum is taken over the same byte sequence
-// before anything is written. The image's machine is immutable, so the
-// arrays it hands out stay valid for the whole write.
+// writeImage streams the image file for img to w, run by run as
+// layoutImage lays it out, with no whole-file buffer.
 func writeImage(w io.Writer, key string, img *checkpoint.Image) error {
+	runs, err := layoutImage(key, img)
+	if err != nil {
+		return err
+	}
+	for _, r := range runs {
+		if _, err := w.Write(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// layoutImage lays out the image file for img as a list of byte runs:
+// the header, then each section straight from the captured machine's
+// own arrays — the frame table chunk by chunk, the PTEs table by table —
+// with no flattened copy. The runs form one 8-aligned section layout
+// (see format.go); the header's directory is computed from the section
+// lengths, then the body digest and last the checksum over the same
+// runs. The image's machine is immutable, so the arrays it hands out
+// stay valid while the runs are in use. The writer and the loader's
+// admission check share this one encoder.
+func layoutImage(key string, img *checkpoint.Image) ([][]byte, error) {
 	snap, files, tables := img.Proto().SnapshotState()
 	m, ok := arch.Lookup(snap.Kernel.Arch)
 	if !ok {
-		return fmt.Errorf("imagestore: unknown architecture %q", snap.Kernel.Arch)
+		return nil, fmt.Errorf("imagestore: unknown architecture %q", snap.Kernel.Arch)
 	}
 	stride := m.Geometry().LeafEntries
-
-	digest := img.FingerprintDigest()
-	meta := metaDoc{Key: key, FingerprintSHA: hex.EncodeToString(digest[:])}
+	meta := metaDoc{Key: key}
 
 	// Strip the bulky arrays out of the snapshot into the sections'
 	// pieces; the remaining snapshot is the META document.
@@ -85,7 +95,8 @@ func writeImage(w io.Writer, key string, img *checkpoint.Image) error {
 		sections[secCacheTags] = append(sections[secCacheTags], bytesOf(cs.Tags))
 		sections[secCacheMRU] = append(sections[secCacheMRU], bytesOf(cs.MRU))
 		sections[secCacheAge] = append(sections[secCacheAge], bytesOf(cs.Age))
-		cs.Tags, cs.MRU, cs.Age = nil, nil, nil
+		sections[secCacheSkip] = append(sections[secCacheSkip], cs.Skip)
+		cs.Tags, cs.MRU, cs.Age, cs.Skip = nil, nil, nil, nil
 	}
 
 	for i := range snap.Kernel.Procs {
@@ -98,7 +109,7 @@ func writeImage(w io.Writer, key string, img *checkpoint.Image) error {
 	for i, t := range tables {
 		p := t.SnapshotPTEs()
 		if len(p) != stride {
-			return fmt.Errorf("imagestore: leaf table %d has %d PTEs, geometry wants %d", i, len(p), stride)
+			return nil, fmt.Errorf("imagestore: leaf table %d has %d PTEs, geometry wants %d", i, len(p), stride)
 		}
 		sections[secPTEs] = append(sections[secPTEs], bytesOf(p))
 		meta.TableFrames[i] = t.Frame
@@ -116,7 +127,7 @@ func writeImage(w io.Writer, key string, img *checkpoint.Image) error {
 	meta.System = snap
 	metaJSON, err := json.Marshal(&meta)
 	if err != nil {
-		return fmt.Errorf("imagestore: encoding metadata: %w", err)
+		return nil, fmt.Errorf("imagestore: encoding metadata: %w", err)
 	}
 	sections[secMeta] = [][]byte{metaJSON}
 
@@ -155,16 +166,15 @@ func writeImage(w io.Writer, key string, img *checkpoint.Image) error {
 		le.PutUint64(header[32+i*16:], r.Off)
 		le.PutUint64(header[32+i*16+8:], r.Len)
 	}
+	h := sha256.New()
+	for _, r := range runs[1:] {
+		h.Write(r) // a hash.Hash never returns a write error
+	}
+	h.Sum(header[digestOff:digestOff])
 	sum := crc32.Checksum(header[24:], crcTable)
 	for _, r := range runs[1:] {
 		sum = crc32.Update(sum, crcTable, r)
 	}
 	le.PutUint64(header[16:24], uint64(sum))
-
-	for _, r := range runs {
-		if _, err := w.Write(r); err != nil {
-			return err
-		}
-	}
-	return nil
+	return runs, nil
 }

@@ -1,7 +1,7 @@
-// Image file format: a fixed header, a section directory, and nine
-// 8-byte-aligned sections. The bulky machine state — frame metadata,
-// PTE arrays, page-table slot arrays, page-cache page arrays, cache
-// line/recency arrays — is stored as flat binary images of the
+// Image file format: a fixed header, a section directory, a body
+// digest, and ten 8-byte-aligned sections. The bulky machine state —
+// frame metadata, PTE arrays, page-table slot arrays, page-cache page
+// arrays, cache line/recency arrays — is stored as flat binary images of the
 // in-memory structs, so a load is a handful of bounds checks plus
 // in-place slice casts over the mapped file; everything small (the
 // snapshot scalars, region lists, TLB entries) travels as one JSON
@@ -11,11 +11,19 @@
 //	[8:12]  format version (uint32)
 //	[12:16] endianness tag 0x01020304, written natively
 //	[16:24] crc32-Castagnoli over everything after this field (upper
-//	        32 bits zero); random corruption below its notice is still
-//	        caught by the fingerprint check after decoding
+//	        32 bits zero), the digest and the body included
 //	[24:28] section count (uint32, == numSections)
 //	[28:32] layout hash: sizes/offsets of the cast struct types
-//	[32:..] directory: {off, len uint64} per section, offsets absolute
+//	[32:digestOff]
+//	        directory: {off, len uint64} per section, offsets absolute
+//	[digestOff:headerSize]
+//	        SHA-256 of the body, every byte after the header
+//
+// The body digest is the admission check: a load re-encodes the
+// restored machine with the writer's own code and admits it only if
+// that body hashes to the stored digest. So it proves both that the
+// bytes are the ones saved and that the decode lost nothing, for every
+// section, and corruption below the checksum's notice still fails it.
 //
 // The format is tied to the writing platform's struct layout (the
 // layout hash and endianness tag reject foreign files); layoutOK
@@ -30,6 +38,7 @@
 package imagestore
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -43,7 +52,7 @@ import (
 
 // FormatVersion is the on-disk format generation. Bump it on any
 // incompatible change; stored images of other versions are discarded.
-const FormatVersion = 3
+const FormatVersion = 4
 
 const magic = "SATIMG01"
 
@@ -60,10 +69,14 @@ const (
 	secCacheTags        // []uint32: L2 then per-CPU L1I, L1D tag arrays
 	secCacheMRU         // []cache.MRUSnapshot, same order
 	secCacheAge         // []uint64, same order
+	secCacheSkip        // []uint8, MRU-register miss streaks, same order
 	numSections
 )
 
-const headerSize = 32 + numSections*16
+// digestOff locates the body digest, right after the directory.
+const digestOff = 32 + numSections*16
+
+const headerSize = digestOff + sha256.Size
 
 // sectionRange locates one section in the file.
 type sectionRange struct {
@@ -142,7 +155,7 @@ func layoutOK() error {
 
 // parseHeader validates the fixed header and checksum and returns the
 // section directory. It allocates nothing (the benchmark pins this): a
-// warm-path load pays a crc64 pass over the file plus bounds checks.
+// warm-path load pays a crc32 pass over the file plus bounds checks.
 func parseHeader(data []byte) (dir [numSections]sectionRange, err error) {
 	if len(data) < headerSize {
 		return dir, fmt.Errorf("imagestore: file is %d bytes, header needs %d", len(data), headerSize)

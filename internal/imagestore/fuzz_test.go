@@ -18,10 +18,10 @@ import (
 )
 
 // FuzzImageLoad feeds arbitrary bytes to the image decoder. Whatever the
-// input, the decoder must return an error or an image whose fingerprint
-// digest equals the saved image's; it must never panic. With fixCRC the
-// checksum is recomputed over the input first, so mutations get past the
-// header's checksum to the structural checks and the digest check.
+// input, the decoder must return an error or an image that re-encodes to
+// the body digest of the saved image; it must never panic. With fixCRC
+// the checksum is recomputed over the input first, so mutations get past
+// the header's checksum to the structural checks and the digest check.
 //
 // The seeds are built here rather than committed (an image is ~0.7 MiB).
 // A fuzzing run (go test -fuzz=FuzzImageLoad) starts from three small
@@ -32,8 +32,9 @@ import (
 func FuzzImageLoad(f *testing.F) {
 	u := workload.DefaultUniverse()
 	img := checkpoint.Capture(bootSys(f, android.Options{}))
-	want := img.FingerprintDigest()
-	good := encodeBytes(f, bootKey(android.Options{}), img)
+	key := bootKey(android.Options{})
+	want := bodyDigest(f, key, img)
+	good := encodeBytes(f, key, img)
 	dir, err := parseHeader(good)
 	if err != nil {
 		f.Fatal(err)
@@ -55,8 +56,8 @@ func FuzzImageLoad(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if got.FingerprintDigest() != want {
-			t.Fatal("decoder admitted an image whose fingerprint differs from the saved one")
+		if bodyDigest(t, key, got) != want {
+			t.Fatal("decoder admitted an image whose body digest differs from the saved one")
 		}
 	})
 }
@@ -88,10 +89,11 @@ func addImageSeeds(f *testing.F, good []byte, dir [numSections]sectionRange, u *
 		}
 	}
 	// Header fields (magic, version, endianness tag, checksum, section
-	// count, layout hash, first and last directory entries), then the
-	// middle of every section. The two variants of a flip share one
-	// buffer: the fuzz function copies its input before touching it.
-	flips := []int{0, 8, 12, 16, 24, 28, 32, 40, headerSize - 16, headerSize - 8}
+	// count, layout hash, first and last directory entries, first and
+	// last byte of the body digest), then the middle of every section.
+	// The two variants of a flip share one buffer: the fuzz function
+	// copies its input before touching it.
+	flips := []int{0, 8, 12, 16, 24, 28, 32, 40, digestOff - 16, digestOff - 8, digestOff, headerSize - 1}
 	for _, r := range dir {
 		if r.Len > 0 {
 			flips = append(flips, int(r.Off+r.Len/2))
@@ -108,7 +110,7 @@ func addImageSeeds(f *testing.F, good []byte, dir [numSections]sectionRange, u *
 // addRejectSeeds adds copies of the valid image good, each with its
 // checksum recomputed, that the decoder must reject in one named check;
 // this checks that it does. Two break an invariant of cache.Restore,
-// which the decoder reaches before its fingerprint check: the first L2
+// which the decoder reaches before its digest check: the first L2
 // set's way 0 emptied while its other ways stay valid, and the first L2
 // register's way set to the associativity. One cuts the frame
 // section's length to a non-multiple of the frame size, which castSlice
@@ -117,10 +119,12 @@ func addImageSeeds(f *testing.F, good []byte, dir [numSections]sectionRange, u *
 // which parseHeader rejects before any cast (a misaligned section base
 // can only come from a misaligned buffer; TestCastSliceRejectsBadSections
 // covers that branch). One replaces the free list with a single entry
-// equal to the bump pointer, which mem.Restore rejects. Two change only
-// state that no structural check sees, so the fingerprint check must
-// reject them: frame 0's MapCount raised by one in the frame section,
-// and the frame of the main TLB's first valid entry in the metadata.
+// equal to the bump pointer, which mem.Restore rejects. Three change
+// only state that no structural check sees, so the body digest check
+// must reject them: frame 0's MapCount raised by one in the frame
+// section, the first valid cache tag with bit 8 flipped (its line is in
+// no MRU register, so cache.Restore accepts it), and the frame of the
+// main TLB's first valid entry in the metadata.
 func addRejectSeeds(f *testing.F, good []byte, dir [numSections]sectionRange, u *workload.Universe) {
 	f.Helper()
 	le := binary.LittleEndian
@@ -137,7 +141,17 @@ func addRejectSeeds(f *testing.F, good []byte, dir [numSections]sectionRange, u 
 		{func(b []byte) {
 			mapCount := b[dir[secFrames].Off+uint64(unsafe.Offsetof(mem.Frame{}.MapCount)):]
 			le.PutUint64(mapCount, le.Uint64(mapCount)+1)
-		}, "fingerprint mismatch"},
+		}, "digest mismatch"},
+		{func(b []byte) {
+			tags := section(b, dir[secCacheTags])
+			for i := 0; i < len(tags); i += 4 {
+				if tag := le.Uint32(tags[i:]); tag != ^uint32(0) {
+					le.PutUint32(tags[i:], tag^0x100)
+					return
+				}
+			}
+			f.Fatal("reject seed: the booted caches hold no valid line")
+		}, "digest mismatch"},
 	}
 	reject := func(mutated []byte, want string) {
 		le.PutUint64(mutated[16:24], uint64(crc32.Checksum(mutated[24:], crcTable)))
@@ -168,7 +182,7 @@ func addRejectSeeds(f *testing.F, good []byte, dir [numSections]sectionRange, u 
 	if err != nil {
 		f.Fatal(err)
 	}
-	reject(withSection(good, secMeta, doc), "fingerprint mismatch")
+	reject(withSection(good, secMeta, doc), "digest mismatch")
 }
 
 // withSection returns a copy of the image file data, whose length is

@@ -10,12 +10,12 @@
 // arrays (frame table, PTEs, page-cache pages, cache arrays).
 //
 // Trust model: stored files are an optimization, never an authority. A
-// load re-derives the machine's fingerprint with the same machinery
-// checkpoint uses for clone verification and compares it against the
-// fingerprint captured at save time; any mismatch — corruption below
-// the checksum's notice, a stale encoding, a struct-layout drift —
-// discards the file and falls back to a cold boot, which then rewrites
-// it. Writes go through a temp file and rename, so concurrent processes
+// file carries the SHA-256 of its body, taken by the writer. A load
+// restores the machine, re-encodes it with the writer's own code and
+// admits it only if that body hashes to the stored digest; any mismatch
+// — corruption below the checksum's notice, a stale encoding, a decode
+// that loses state, a struct-layout drift — discards the file and falls
+// back to a cold boot, which then rewrites it. Writes go through a temp file and rename, so concurrent processes
 // racing on one directory see either no file or a complete one.
 package imagestore
 
@@ -82,7 +82,7 @@ func fileName(key string) string {
 
 // Load returns the stored image for key, or reports a miss. Any defect
 // in the stored file — bad checksum, stale version, foreign layout,
-// failed fingerprint check — removes the file and reports a miss. On a
+// failed digest check — removes the file and reports a miss. On a
 // hit the image's big arrays alias a file mapping that stays alive for
 // the rest of the process.
 func (s *Store) Load(key string) (*checkpoint.Image, bool) {

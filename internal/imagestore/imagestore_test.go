@@ -72,24 +72,25 @@ func TestRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("store missed the image it just saved")
 	}
-	if loaded.Fingerprint() != img.Fingerprint() {
-		t.Error("loaded image fingerprint differs from the saved one")
+	saved := bodyDigest(t, key, img)
+	if bodyDigest(t, key, loaded) != saved {
+		t.Error("loaded image body digest differs from the saved one")
 	}
 
 	// Forks of the loaded image must behave byte-identically to forks of
-	// the original: same starting fingerprint, same state after running
-	// the same workload.
+	// the original: same starting state, same state after running the
+	// same workload.
 	a, b := img.Fork(), loaded.Fork()
-	if checkpoint.Capture(a).Fingerprint() != checkpoint.Capture(b).Fingerprint() {
+	if bodyDigest(t, key, checkpoint.Capture(a)) != bodyDigest(t, key, checkpoint.Capture(b)) {
 		t.Fatal("fork of loaded image differs from fork of original")
 	}
 	exercise(t, a)
 	exercise(t, b)
-	if checkpoint.Capture(a).Fingerprint() != checkpoint.Capture(b).Fingerprint() {
+	if bodyDigest(t, key, checkpoint.Capture(a)) != bodyDigest(t, key, checkpoint.Capture(b)) {
 		t.Error("identical workloads diverged between loaded-image and original forks")
 	}
 	// And running the loaded image's fork left the loaded image pristine.
-	if loaded.Fingerprint() != img.Fingerprint() {
+	if bodyDigest(t, key, loaded) != saved {
 		t.Error("running a fork mutated the loaded image")
 	}
 }
@@ -125,7 +126,7 @@ func TestCrossArch(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s image missing from store", tc.name)
 		}
-		if loaded.Fingerprint() != tc.img.Fingerprint() {
+		if bodyDigest(t, tc.key, loaded) != bodyDigest(t, tc.key, tc.img) {
 			t.Errorf("%s image round-trip changed the machine", tc.name)
 		}
 	}
@@ -163,7 +164,7 @@ func TestCacheIntegration(t *testing.T) {
 	if boots != 1 {
 		t.Errorf("warm cache booted again instead of loading from the store")
 	}
-	if warmImg.Fingerprint() != coldImg.Fingerprint() {
+	if bodyDigest(t, key, warmImg) != bodyDigest(t, key, coldImg) {
 		t.Error("warm-started image differs from the cold boot")
 	}
 }
@@ -181,7 +182,7 @@ func TestCorruptionRejected(t *testing.T) {
 	key := bootKey(android.Options{})
 	good := encodeBytes(t, key, img)
 	path := filepath.Join(store.Dir(), fileName(key))
-	fresh := img.Fingerprint()
+	fresh := bodyDigest(t, key, img)
 
 	check := func(t *testing.T, mutated []byte) {
 		t.Helper()
@@ -236,7 +237,7 @@ func TestCorruptionRejected(t *testing.T) {
 
 	// After all those rejections the fallback path is a cold boot —
 	// byte-identical to the machine the file once held.
-	if got := checkpoint.Capture(bootSys(t, android.Options{})).Fingerprint(); got != fresh {
+	if got := bodyDigest(t, key, checkpoint.Capture(bootSys(t, android.Options{}))); got != fresh {
 		t.Error("cold-boot fallback differs from the originally stored machine")
 	}
 }

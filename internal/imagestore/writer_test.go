@@ -1,8 +1,7 @@
 // Tests for the streamed image writer: its bytes equal those of the
-// assemble-a-buffer reference encoder below on every launch prefix, the
-// streamed fingerprint digest equals the digest of the rendered text,
-// and one boot image's digest is pinned so the fingerprint text cannot
-// drift unnoticed.
+// assemble-a-buffer reference encoder below on every launch prefix, and
+// one boot image's body digest is pinned so the encoding cannot drift
+// unnoticed.
 
 package imagestore
 
@@ -30,7 +29,7 @@ import (
 // encodeImageReference is the straightforward encoder the streamed
 // writer replaced, kept as its reference: it flattens every section into
 // its own array, assembles the whole file in one buffer, and digests
-// the fingerprint text rendered as a string.
+// the assembled body in one call.
 func encodeImageReference(key string, img *checkpoint.Image) ([]byte, error) {
 	snap, files, tables := img.Proto().SnapshotState()
 	m, ok := arch.Lookup(snap.Kernel.Arch)
@@ -39,8 +38,7 @@ func encodeImageReference(key string, img *checkpoint.Image) ([]byte, error) {
 	}
 	stride := m.Geometry().LeafEntries
 
-	sum := sha256.Sum256([]byte(img.Fingerprint()))
-	meta := metaDoc{Key: key, FingerprintSHA: hex.EncodeToString(sum[:])}
+	meta := metaDoc{Key: key}
 
 	var frames []mem.Frame
 	for _, c := range snap.Kernel.Phys.Chunks {
@@ -53,11 +51,13 @@ func encodeImageReference(key string, img *checkpoint.Image) ([]byte, error) {
 	var tags []uint32
 	var mrus []cache.MRUSnapshot
 	var ages []uint64
+	var skips []uint8
 	for _, cs := range cacheSnapshots(&snap.Kernel) {
 		tags = append(tags, cs.Tags...)
 		mrus = append(mrus, cs.MRU...)
 		ages = append(ages, cs.Age...)
-		cs.Tags, cs.MRU, cs.Age = nil, nil, nil
+		skips = append(skips, cs.Skip...)
+		cs.Tags, cs.MRU, cs.Age, cs.Skip = nil, nil, nil, nil
 	}
 
 	var slots []pagetable.SlotSnapshot
@@ -102,6 +102,7 @@ func encodeImageReference(key string, img *checkpoint.Image) ([]byte, error) {
 		secCacheTags: bytesOf(tags),
 		secCacheMRU:  bytesOf(mrus),
 		secCacheAge:  bytesOf(ages),
+		secCacheSkip: skips,
 	}
 
 	var dir [numSections]sectionRange
@@ -125,6 +126,8 @@ func encodeImageReference(key string, img *checkpoint.Image) ([]byte, error) {
 	for i, s := range sections {
 		copy(buf[dir[i].Off:], s)
 	}
+	body := sha256.Sum256(buf[headerSize:])
+	copy(buf[digestOff:headerSize], body[:])
 	le.PutUint64(buf[16:24], uint64(crc32.Checksum(buf[24:], crcTable)))
 	return buf, nil
 }
@@ -139,6 +142,18 @@ func encodeBytes(t testing.TB, key string, img *checkpoint.Image) []byte {
 		t.Fatal(err)
 	}
 	return alignedCopy(b.Bytes())
+}
+
+// bodyDigest returns the body digest img's image file stores under key:
+// the value the loader compares, so two machines with equal digests
+// store the same state.
+func bodyDigest(t testing.TB, key string, img *checkpoint.Image) [sha256.Size]byte {
+	t.Helper()
+	runs, err := layoutImage(key, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return [sha256.Size]byte(runs[0][digestOff:headerSize])
 }
 
 // alignedCopy copies data into a buffer backed by []uint64.
@@ -178,8 +193,8 @@ func launchPrefixes() []launchPrefix {
 }
 
 // TestWriterMatchesReference pins the streamed writer to the reference
-// encoder byte for byte, and the streamed digest to the digest of the
-// rendered text, on every launch prefix: freshly booted, and after a
+// encoder byte for byte, body digest included, on every launch prefix:
+// freshly booted, and after a
 // fork plus an app launch (a machine whose page tables, frame chunks and
 // page cache have diverged from the boot image's).
 func TestWriterMatchesReference(t *testing.T) {
@@ -211,23 +226,19 @@ func TestWriterMatchesReference(t *testing.T) {
 					t.Errorf("%s: streamed image differs from the reference encoding (%d vs %d bytes)",
 						tc.name, len(got), len(want))
 				}
-				if got, want := tc.img.FingerprintDigest(), sha256.Sum256([]byte(tc.img.Fingerprint())); got != want {
-					t.Errorf("%s: FingerprintDigest %x, sha256(Fingerprint()) %x", tc.name, got, want)
-				}
 			}
 		})
 	}
 }
 
-// bootDigest pins the fingerprint digest of the default armv7 shared-PTP
-// boot. A change to the fingerprint text, or to the booted machine, must
-// update it in a reviewed diff: stored images carry this digest, so a
-// silent change would invalidate every store.
-const bootDigest = "43b1ae95ac99661366e84c487276c229eb9c64ed603164206b6bf719a26c4bdd"
+// bootDigest pins the body digest of the default armv7 shared-PTP boot
+// image. A change to the encoding, or to the booted machine, must update
+// it in a reviewed diff: a silent change would invalidate every store.
+const bootDigest = "f11b6796647fb6d0726c6ac9b64a03464bbcb39c9d14b351529c012df4831a0b"
 
 func TestFingerprintDigestPinned(t *testing.T) {
 	img := checkpoint.Capture(bootSys(t, android.Options{}))
-	if got := img.FingerprintDigest(); hex.EncodeToString(got[:]) != bootDigest {
-		t.Errorf("boot image fingerprint digest %x, pinned %s", got, bootDigest)
+	if got := bodyDigest(t, bootKey(android.Options{}), img); hex.EncodeToString(got[:]) != bootDigest {
+		t.Errorf("boot image body digest %x, pinned %s", got, bootDigest)
 	}
 }

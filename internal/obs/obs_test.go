@@ -125,19 +125,21 @@ func TestRingOverflow(t *testing.T) {
 	}
 }
 
-// TestRingFilter checks that filtered-out events are ignored entirely.
+// TestRingFilter checks that a ring subscribed to one kind never sees
+// the others: they are neither retained nor counted.
 func TestRingFilter(t *testing.T) {
+	b := NewBus()
 	r := NewRing(8)
-	r.SetFilter(func(ev Event) bool { return ev.Kind == EvPageFault })
-	r.HandleEvent(Event{Kind: EvPageFault, Addr: 0x1000})
-	r.HandleEvent(Event{Kind: EvTLBInsert})
-	r.HandleEvent(Event{Kind: EvPageFault, Addr: 0x2000})
+	b.Subscribe(r, EvPageFault)
+	b.Publish(Event{Kind: EvPageFault, Addr: 0x1000})
+	b.Publish(Event{Kind: EvTLBInsert})
+	b.Publish(Event{Kind: EvPageFault, Addr: 0x2000})
 	if r.Len() != 2 || r.Seen() != 2 {
-		t.Fatalf("Len=%d Seen=%d, want 2 and 2 (filtered events not counted)", r.Len(), r.Seen())
+		t.Fatalf("Len=%d Seen=%d, want 2 and 2 (unsubscribed kinds not counted)", r.Len(), r.Seen())
 	}
 	for _, ev := range r.Events() {
 		if ev.Kind != EvPageFault {
-			t.Errorf("retained event of kind %v despite filter", ev.Kind)
+			t.Errorf("retained event of kind %v outside the subscription", ev.Kind)
 		}
 	}
 }

@@ -17,17 +17,17 @@ func TestCloneCopiesStateAndDetaches(t *testing.T) {
 		a.Insert(arch.VirtAddr(i*arch.PageSize), 1, arch.FrameNum(i), arch.PTEValid, 1)
 	}
 	b := a.Clone(nil, nil)
-	av, ag := a.Occupancy()
-	bv, bg := b.Occupancy()
+	av, ag := occupancy(a.entries)
+	bv, bg := occupancy(b.entries)
 	if av != bv || ag != bg {
 		t.Fatalf("clone occupancy %d/%d, want %d/%d", bv, bg, av, ag)
 	}
 	// Mutating the clone must not touch the original.
 	b.FlushAll()
-	if v, _ := a.Occupancy(); v != av {
+	if v, _ := occupancy(a.entries); v != av {
 		t.Errorf("flushing the clone changed the original: %d -> %d valid", av, v)
 	}
-	if v, _ := b.Occupancy(); v != 0 {
+	if v, _ := occupancy(b.entries); v != 0 {
 		t.Errorf("clone not flushed: %d valid", v)
 	}
 	// The original still finds every entry through its own index.

@@ -219,15 +219,3 @@ func (t *linearTLB) FlushRange(start, end arch.VirtAddr, asid arch.ASID) int {
 	t.flushed(n)
 	return n
 }
-
-func (t *linearTLB) Occupancy() (valid, global int) {
-	for i := range t.entries {
-		if t.entries[i].valid {
-			valid++
-			if t.entries[i].global {
-				global++
-			}
-		}
-	}
-	return valid, global
-}

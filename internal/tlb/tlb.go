@@ -717,17 +717,3 @@ func (t *TLB) FlushRange(start, end arch.VirtAddr, asid arch.ASID) int {
 		return e.vpn >= lo && e.vpn <= hi && (e.global || e.asid == asid)
 	})
 }
-
-// Occupancy returns the number of valid entries and how many of them are
-// global, a measure of capacity pressure.
-func (t *TLB) Occupancy() (valid, global int) {
-	for i := range t.entries {
-		if t.entries[i].valid {
-			valid++
-			if t.entries[i].global {
-				global++
-			}
-		}
-	}
-	return valid, global
-}

@@ -195,9 +195,12 @@ func (u *Universe) DynLibCodePages() int {
 }
 
 // ZygoteSet returns the page indexes the zygote populates at boot, in
-// hotness order.
+// hotness order. The slice is the universe's own state, shared by every
+// caller and every sweep worker, so it is read-only: callers must not
+// write to it. Its capacity ends at its length, so an append copies.
 func (u *Universe) ZygoteSet() []int {
-	return append([]int(nil), u.hotOrder[:u.zygoteTouched]...)
+	n := u.zygoteTouched
+	return u.hotOrder[:n:n]
 }
 
 // Segment identifies which preloaded object a code page belongs to.
