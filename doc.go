@@ -15,6 +15,7 @@
 // per table and figure of the paper (experiments).
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for paper-versus-measured results. The benchmarks in
-// bench_test.go regenerate every table and figure.
+// EXPERIMENTS.md for paper-versus-measured results. cmd/experiments
+// regenerates every table and figure, and perfbench/ is the end-to-end
+// benchmark.
 package repro

@@ -394,14 +394,16 @@ func (a *App) Run() (RunStats, error) {
 				return hotPick(dynPages), vm.CatZygoteDynLib
 			}
 		}
+		var loopFetches catCounts
 		for it := 0; it < runSteadyIter; it++ {
 			va, cat := pick()
 			if err := k.CPU.AccessBatch([]arch.RefRun{{VA: va, Count: 1, Kind: arch.AccessFetch, Block: runVisitLen}}); err != nil {
 				return err
 			}
 			k.CPU.ChargeUser(runBulkInstr)
-			fetches[cat]++
+			loopFetches[cat]++
 		}
+		loopFetches.addTo(fetches)
 
 		// Kernel time: I/O-heavy applications spend most instructions in
 		// the kernel (Table 1); balance the ratio with kernel execution.
@@ -426,6 +428,7 @@ func (a *App) Run() (RunStats, error) {
 			// application's profile. It is spread over the app's fetch
 			// distribution so PC samples attribute it faithfully.
 			wantUser := uint64(float64(st.KernelInstructions) * p.Spec.UserPct / (100 - p.Spec.UserPct))
+			var balanceFetches catCounts
 			for st.Instructions < wantUser {
 				missing := wantUser - a.Proc.Ctx.Stats.Instructions
 				chunk := runBulkInstr * 16
@@ -437,9 +440,10 @@ func (a *App) Run() (RunStats, error) {
 					return err
 				}
 				k.CPU.ChargeUser(chunk)
-				fetches[cat]++
+				balanceFetches[cat]++
 				st = a.Proc.Ctx.Stats
 			}
+			balanceFetches.addTo(fetches)
 		}
 		return nil
 	})
@@ -465,6 +469,20 @@ func (a *App) Run() (RunStats, error) {
 		PagesByCategory:    pages,
 		FetchesByCategory:  fetches,
 	}, nil
+}
+
+// catCounts counts fetches per category in a loop without a map write
+// per fetch.
+type catCounts [vm.CatOtherDynLib + 1]uint64
+
+// addTo adds the non-zero counts to m, so m gains a key only for a
+// category the loop fetched from.
+func (n *catCounts) addTo(m map[vm.Category]uint64) {
+	for cat, v := range n {
+		if v != 0 {
+			m[vm.Category(cat)] += v
+		}
+	}
 }
 
 // setupAppMappings maps the application-specific dynamic libraries,

@@ -2,11 +2,10 @@
 // the core's only memory-reference entry point. The workload drivers
 // walk large address ranges with constant strides (sequential file
 // pages, heap sweeps, descending stack touches) and emit RefRuns —
-// "Count references of Kind starting at VA, Stride bytes apart" — whose
-// fused execution resolves entire TLB-hit spans per probe; a single
-// reference is a one-element run. The encoding changes nothing about
-// which references happen or in what order; it only states the pattern
-// explicitly instead of leaving it implicit in a loop.
+// "Count references of Kind starting at VA, Stride bytes apart"; a
+// single reference is a one-element run. The encoding changes nothing
+// about which references happen or in what order; it only states the
+// pattern explicitly instead of leaving it implicit in a loop.
 
 package arch
 

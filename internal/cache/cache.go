@@ -53,9 +53,9 @@ const tagInvalid = ^uint32(0)
 // zero-byte search in the victim pick.
 const colOnes = uint64(0x0101010101010101)
 
-// mruReg is one set's two-entry MRU register: the last two tags that hit
+// mruPair is one set's two-entry MRU register: the last two tags that hit
 // or filled, with the ways they reside in.
-type mruReg struct {
+type mruPair struct {
 	tag  uint32
 	tag2 uint32
 	way  uint8
@@ -91,9 +91,10 @@ type cset struct {
 	// way, so a match is a hit with no probe; the first slot's way is
 	// additionally the set's most recent, which is what lets a
 	// first-slot hit skip the age update entirely.
-	mru mruReg
-	// skip counts the set's consecutive MRU-register misses, saturating
-	// at mruSkipThreshold, where the register goes dead (see the const).
+	mru mruPair
+	// skip counts the set's consecutive MRU-register misses modulo
+	// mruSkipThreshold+mruRetryPeriod; at mruSkipThreshold the register
+	// goes dead (see the const and promote).
 	// Like the register it is acceleration state that no counter or
 	// victim depends on, but it decides what the register holds, so
 	// snapshots store it with the register.
@@ -108,7 +109,7 @@ type cset struct {
 // emptySet is the state of a set with no valid line.
 var emptySet = cset{
 	tags: [8]uint32{tagInvalid, tagInvalid, tagInvalid, tagInvalid, tagInvalid, tagInvalid, tagInvalid, tagInvalid},
-	mru:  mruReg{tag: tagInvalid, tag2: tagInvalid},
+	mru:  mruPair{tag: tagInvalid, tag2: tagInvalid},
 }
 
 // Adaptive MRU promotion. A cycle over three or more tags in one set
@@ -331,32 +332,25 @@ func (c *Cache) probe(pa arch.PhysAddr, tag, si uint32, s *cset) int {
 	return c.fill(pa, tag, f, s)
 }
 
-// promote applies the adaptive MRU-promotion policy to a probe hit:
-// rotate the hit into the register while the set's consecutive
-// register-miss streak is short, invalidate the register when the streak
-// reaches mruSkipThreshold (an access cycle wider than two tags is
-// defeating both slots), skip the rotate while dead, and retry promotion
-// every mruRetryPeriod hits so a pattern that turns register-friendly
-// again recovers the fast paths.
+// promote applies the adaptive MRU-promotion policy to a probe hit. The
+// streak steps modulo mruSkipThreshold+mruRetryPeriod: below the
+// threshold the register is live and the hit rotates into it, reaching
+// the threshold invalidates it (an access cycle wider than two tags is
+// defeating both slots), above it the rotate is skipped, and the wrap to
+// zero retries promotion with this hit so a pattern that turns
+// register-friendly again recovers the fast paths.
 func (c *Cache) promote(s *cset, tag uint32, way uint8) {
-	switch {
-	case s.skip < mruSkipThreshold-1: // live: rotate, lengthen the streak
-		s.skip++
+	s.skip = (s.skip + 1) % (mruSkipThreshold + mruRetryPeriod)
+	if s.skip < mruSkipThreshold {
 		s.mru.rotate(tag, way)
-	case s.skip == mruSkipThreshold-1: // streak reached the threshold: go dead
-		s.skip++
+	} else if s.skip == mruSkipThreshold {
 		s.mru.tag, s.mru.tag2 = tagInvalid, tagInvalid
-	case s.skip < mruSkipThreshold+mruRetryPeriod-1: // dead: skip the rotate
-		s.skip++
-	default: // retry promotion with this hit
-		s.skip = 0
-		s.mru.rotate(tag, way)
 	}
 }
 
 // rotate makes (tag, way) the register's first slot and demotes the
 // previous first slot to the second.
-func (m *mruReg) rotate(tag uint32, way uint8) {
+func (m *mruPair) rotate(tag uint32, way uint8) {
 	m.tag2, m.way2 = m.tag, m.way
 	m.tag, m.way = tag, way
 }

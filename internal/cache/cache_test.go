@@ -238,3 +238,34 @@ func TestSharedL2AcrossHierarchies(t *testing.T) {
 		t.Error("core 1's private L1 must not have the line yet")
 	}
 }
+
+// TestPromoteStreakPolicy pins promote's one-step streak against the
+// four-case policy it restates: below mruSkipThreshold-1 rotate and
+// lengthen the streak, at mruSkipThreshold-1 lengthen it and invalidate
+// the register, then lengthen it without a rotate until the last step of
+// mruRetryPeriod, which resets it and rotates. Images store the streak,
+// so the two must agree on every state.
+func TestPromoteStreakPolicy(t *testing.T) {
+	c := small(nil, 50)
+	for skip := uint8(0); skip < mruSkipThreshold+mruRetryPeriod; skip++ {
+		s := cset{mru: mruPair{tag: 1, tag2: 2, way: 0, way2: 1}, skip: skip}
+		want := s
+		switch {
+		case want.skip < mruSkipThreshold-1:
+			want.skip++
+			want.mru.rotate(3, 1)
+		case want.skip == mruSkipThreshold-1:
+			want.skip++
+			want.mru.tag, want.mru.tag2 = tagInvalid, tagInvalid
+		case want.skip < mruSkipThreshold+mruRetryPeriod-1:
+			want.skip++
+		default:
+			want.skip = 0
+			want.mru.rotate(3, 1)
+		}
+		c.promote(&s, 3, 1)
+		if s != want {
+			t.Errorf("promote from streak %d: %+v, want %+v", skip, s, want)
+		}
+	}
+}

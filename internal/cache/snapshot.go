@@ -63,9 +63,10 @@ func (c *Cache) SnapshotState() Snapshot {
 //
 // Restore rejects with an error any snapshot the set records cannot
 // represent: a valid way after an empty one (the valid ways must form a
-// prefix), a register slot whose way is outside the set, or a valid
+// prefix), a register slot whose way is outside the set, a valid
 // register tag that is not resident at its recorded way (the residency
-// invariant documented on cset.mru).
+// invariant documented on cset.mru), or a streak outside the cycle
+// promote steps through.
 func Restore(s Snapshot, next *Cache) (*Cache, error) {
 	c := New(s.Config, next, s.MemLatency)
 	nSets, assoc := len(c.sets), c.assoc
@@ -114,7 +115,10 @@ func (c *Cache) loadSet(i int, tags []uint32, m MRUSnapshot, age uint64, skip ui
 			return fmt.Errorf("cache %s: set %d MRU tag %#x not resident at way %d", c.cfg.Name, i, slot.tag, slot.way)
 		}
 	}
-	set.mru = mruReg{tag: m.Tag, tag2: m.Tag2, way: uint8(m.Way), way2: uint8(m.Way2)}
+	if skip >= mruSkipThreshold+mruRetryPeriod {
+		return fmt.Errorf("cache %s: set %d streak %d outside [0, %d)", c.cfg.Name, i, skip, mruSkipThreshold+mruRetryPeriod)
+	}
+	set.mru = mruPair{tag: m.Tag, tag2: m.Tag2, way: uint8(m.Way), way2: uint8(m.Way2)}
 	set.age = age
 	set.skip = skip
 	return nil

@@ -108,6 +108,13 @@ func TestRestoreRejectsUnrepresentable(t *testing.T) {
 			},
 			want: "not resident",
 		},
+		{
+			name: "streak beyond the promotion cycle",
+			mutate: func(s *Snapshot, assoc int) {
+				s.Skip[16] = mruSkipThreshold + mruRetryPeriod
+			},
+			want: "streak 16 outside [0, 16)",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

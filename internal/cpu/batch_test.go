@@ -22,8 +22,8 @@ import (
 
 const (
 	// diffLargeVA is a large-page-aligned window backed by SetLarge
-	// mappings; fused runs across it coalesce in the TLB at large-page
-	// granularity. ARMv7 large pages are 64KB, so 1GB is aligned.
+	// mappings, so runs across it share one TLB entry per large page.
+	// ARMv7 large pages are 64KB, so 1GB is aligned.
 	diffLargeVA = arch.VirtAddr(0x40000000)
 	// diffLargeBlocks large pages back the window.
 	diffLargeBlocks = 4
@@ -105,7 +105,7 @@ func buildDiffProgram(rng *rand.Rand, minRefs int) (prog []diffOp, refs int) {
 			// write-permission faults after a read maps a page read-only.
 			va = arch.VirtAddr(rng.Intn(1<<20)) &^ 3
 		case p < 65:
-			// Inside the premapped large window: the fused path's best case.
+			// Inside the premapped large window: long runs of TLB hits.
 			va = diffLargeVA + arch.VirtAddr(rng.Intn(int(largeSpan)))&^3
 		case p < 80:
 			// Near the end of the window, so the run overflows the mapped
@@ -228,12 +228,13 @@ func runDifferential(t *testing.T, observe bool, sampleEvery int, sampled bool) 
 }
 
 // TestScalarBatchedDifferential drives >= 10k randomized references
-// through both execution paths. The fused fast path handles hit spans in
-// both variants; the observed one subscribes to every event kind and
-// demands that the batched machine publish exactly the scalar loop's
-// event stream. The sampled variant attaches a sampler, and every sample
-// must match; the nosampler variant sets a rate without a sampler, which
-// is sampling off, so the fused paths run.
+// through AccessBatch and through the test's own scalar loop. The
+// "fused" variant runs the stream unobserved and unsampled; the observed
+// one subscribes to every event kind and demands that the batched
+// machine publish exactly the scalar loop's event stream. The sampled
+// variant attaches a sampler, and every sample must match; the
+// nosampler variant sets a rate without a sampler, which is sampling
+// off.
 func TestScalarBatchedDifferential(t *testing.T) {
 	t.Run("fused", func(t *testing.T) { runDifferential(t, false, 0, false) })
 	t.Run("observed", func(t *testing.T) { runDifferential(t, true, 0, false) })
@@ -279,44 +280,44 @@ func TestAccessBatchNoContext(t *testing.T) {
 }
 
 // TestFetchBlockPageBoundary: a block starting near the end of a page
-// must clamp at the boundary on the fused fast path exactly as on the
-// scalar path — same instruction count, same stall accounting, and no
-// touch of the next page.
+// must clamp at the boundary, with or without a sampler attached — same
+// instruction count, same stall accounting, and no touch of the next
+// page.
 func TestFetchBlockPageBoundary(t *testing.T) {
 	build := func(sampled bool) (*CPU, *Context) {
 		phys := mem.New(256)
 		c := New(&demandPager{phys: phys}, geoARM)
-		if sampled { // an attached sampler disables the fused block path
+		if sampled { // an attached sampler ticks every instruction
 			c.SampleEvery, c.Sampler = 1, &countingSampler{}
 		}
 		ctx := newCtx(t, phys, 1, 1, armv7.StockDACR())
 		c.ContextSwitch(ctx)
 		return c, ctx
 	}
-	fused, fctx := build(false)
-	scalar, sctx := build(true)
+	plain, pctx := build(false)
+	sampled, sctx := build(true)
 
 	const va = arch.VirtAddr(0x8000 + arch.PageSize - 3*4) // 3 instruction slots left
-	for _, m := range []*CPU{fused, scalar} {
-		if err := m.access(0x8000, arch.AccessFetch); err != nil { // warm the page so the fused path engages
+	for _, m := range []*CPU{plain, sampled} {
+		if err := m.access(0x8000, arch.AccessFetch); err != nil { // warm the page: the block hits the micro-TLB
 			t.Fatal(err)
 		}
 		if err := m.fetchBlock(va, 100); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if fctx.Stats.Instructions != 1+3 {
-		t.Errorf("fused Instructions = %d, want 4 (1 warm + 3 clamped)", fctx.Stats.Instructions)
+	if pctx.Stats.Instructions != 1+3 {
+		t.Errorf("Instructions = %d, want 4 (1 warm + 3 clamped)", pctx.Stats.Instructions)
 	}
-	if !reflect.DeepEqual(fctx.Stats, sctx.Stats) {
-		t.Errorf("fused and scalar block visits diverge\nfused:  %+v\nscalar: %+v", fctx.Stats, sctx.Stats)
+	if !reflect.DeepEqual(pctx.Stats, sctx.Stats) {
+		t.Errorf("plain and sampled block visits diverge\nplain:   %+v\nsampled: %+v", pctx.Stats, sctx.Stats)
 	}
-	if p := fctx.PT.PTEAt(0x9000); p != nil && p.Valid() {
+	if p := pctx.PT.PTEAt(0x9000); p != nil && p.Valid() {
 		t.Error("clamped block crossed into the next page")
 	}
 	snap := func(c *CPU) Snapshot { return c.SnapshotState(func(*Context) int32 { return 1 }) }
-	if !reflect.DeepEqual(snap(fused), snap(scalar)) {
-		t.Error("fused and scalar block visits leave different core state")
+	if !reflect.DeepEqual(snap(plain), snap(sampled)) {
+		t.Error("plain and sampled block visits leave different core state")
 	}
 }
 
@@ -374,7 +375,7 @@ func BenchmarkAccessBatchWrite(b *testing.B) { benchAccessBatch(b, arch.AccessWr
 func BenchmarkAccessBatchBlock(b *testing.B) { benchAccessBatch(b, arch.AccessFetch, 16) }
 
 // BenchmarkAccessBatchScalar is the same page sweep through the scalar
-// entry points — the before/after pair for the batched engine.
+// entry point without AccessBatch's run loop.
 func BenchmarkAccessBatchScalar(b *testing.B) {
 	c := benchMachine(b)
 	runs := benchRuns(arch.AccessFetch, 0)

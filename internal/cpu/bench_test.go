@@ -52,7 +52,7 @@ func BenchmarkTranslateWalk(b *testing.B) {
 	}
 }
 
-// BenchmarkTranslateHit measures the all-hit fast path: the same 16-page
+// BenchmarkTranslateHit measures the all-hit path: the same 16-page
 // working set stays resident in the micro-TLB and L1I.
 func BenchmarkTranslateHit(b *testing.B) {
 	c, _, base := benchContext(b, 16)

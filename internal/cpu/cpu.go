@@ -182,8 +182,7 @@ type Sampler interface {
 }
 
 // sampling reports whether program-counter samples are being taken: a
-// rate and a sampler are both set. Only then do references need
-// per-instruction attribution, so every fused path tests this alone.
+// rate and a sampler are both set. Only then does tick run.
 func (c *CPU) sampling() bool { return c.SampleEvery > 0 && c.Sampler != nil }
 
 // tick advances the sampling counter by n instructions executed at or
@@ -295,26 +294,8 @@ func (c *CPU) fetchBlock(va arch.VirtAddr, n int) error {
 	if n > 1 {
 		lines += (off+n*instrSize-1)/lineSize - off/lineSize
 	}
-	// Fast path: when the page already translates in the micro-TLB and no
-	// sampler needs per-instruction attribution, the whole visit fuses —
-	// the first instruction's micro-TLB hit and the block's own
-	// re-translation commit as one weight-2 update, the cache references
-	// issue exactly as the miss path below would issue them, and all
-	// costs are charged in one update.
-	if n > 1 && !c.sampling() {
-		if e, slot, r := c.MicroI.Peek(va, ctx.ASID, ctx.DACR, arch.AccessFetch); r == tlb.Hit {
-			pa := c.physAddr(e.Frame(), e.Flags(), va) // e is valid until the commit
-			c.MicroI.CommitRunHits(slot, 2, va, ctx.ASID, ctx.DACR)
-			c.lastFetchVA = va
-			ctx.Stats.Instructions += uint64(n)
-			stall := c.fetchLines(pa, lines)
-			ctx.Stats.ICacheStallCycles += uint64(stall)
-			c.charge(n*c.Costs.BaseInstr + stall)
-			return nil
-		}
-	}
-	// Miss path: the first instruction takes the full translation (and
-	// handles any fault), and the rest of the block reuses it. The block's
+	// The first instruction takes the full translation (and handles any
+	// fault), and the rest of the block reuses it. The block's
 	// re-translation is a micro-TLB hit on the slot the translation left,
 	// committed without a probe, and the first line's fetch joins the rest
 	// of the block's lines. Events carry no clock and samples carry only
@@ -329,7 +310,7 @@ func (c *CPU) fetchBlock(va arch.VirtAddr, n int) error {
 		if c.sampling() {
 			c.tick(va, false, rest)
 		}
-		c.MicroI.CommitRunHits(slot, 1, va, ctx.ASID, ctx.DACR)
+		c.MicroI.CommitHit(slot)
 	}
 	stall := c.fetchLines(pa, lines)
 	ctx.Stats.ICacheStallCycles += uint64(stall)
@@ -367,8 +348,7 @@ func (c *CPU) ChargeUser(instrs int) {
 // access executes one user reference at va: an instruction fetch through
 // the instruction side and the I-cache, or a load or store through the
 // data side, charging the cycles. A translation or permission fault
-// invokes the kernel handler and retries. It is the scalar reference
-// semantics every fused path must reproduce.
+// invokes the kernel handler and retries.
 func (c *CPU) access(va arch.VirtAddr, kind arch.AccessKind) error {
 	ctx := c.cur
 	if ctx == nil {

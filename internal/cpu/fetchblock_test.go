@@ -298,7 +298,7 @@ func TestFetchBlockDifferential(t *testing.T) {
 	}{
 		{"sample=0", 0, true},
 		{"sample=7", 7, true},
-		// A rate without a sampler is sampling off: the fused path runs.
+		// A rate without a sampler is sampling off: no tick runs.
 		{"sample=7-nosampler", 7, false},
 	} {
 		for _, useASID := range []bool{true, false} {

@@ -286,12 +286,12 @@ func (pt *PageTable) NumSlots() int { return len(pt.slots) }
 
 // RootEntryPhysAddr returns the physical address of the hardware word of
 // the root-table entry above slot idx, used to model the first page-walk
-// access.
+// access. off is the entry's byte offset into the root table, whose
+// frames are consecutive in table order; EntryBytes divides PageSize, so
+// no entry straddles two frames.
 func (pt *PageTable) RootEntryPhysAddr(idx int) arch.PhysAddr {
-	ridx := pt.geo.RootIndex(idx)
-	epf := pt.geo.RootEntriesPerFrame()
-	frame := pt.rootFrames[ridx/epf]
-	return arch.FrameAddr(frame) + arch.PhysAddr((ridx%epf)*pt.geo.EntryBytes)
+	off := pt.geo.RootIndex(idx) * pt.geo.EntryBytes
+	return arch.FrameAddr(pt.rootFrames[off>>arch.PageShift]) + arch.PhysAddr(off&arch.PageMask)
 }
 
 // midEntryPhysAddr returns the physical address of the mid-level entry

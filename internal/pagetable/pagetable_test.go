@@ -442,6 +442,26 @@ func TestRootEntryPhysAddrsDistinct(t *testing.T) {
 	}
 }
 
+// TestRootEntryPhysAddrMatchesFrameDivision pins the shift-and-mask
+// address against the frame-and-index division it replaces, for every
+// slot of both formats.
+func TestRootEntryPhysAddrMatchesFrameDivision(t *testing.T) {
+	for _, geo := range []arch.Geometry{geoARM, geoSv39} {
+		pt, err := New(mem.New(64), geo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		epf := geo.RootEntriesPerFrame()
+		for idx := 0; idx < pt.NumSlots(); idx++ {
+			ridx := geo.RootIndex(idx)
+			want := arch.FrameAddr(pt.rootFrames[ridx/epf]) + arch.PhysAddr((ridx%epf)*geo.EntryBytes)
+			if got := pt.RootEntryPhysAddr(idx); got != want {
+				t.Fatalf("%d-level slot %d: root entry at %#x, want %#x", geo.Levels, idx, got, want)
+			}
+		}
+	}
+}
+
 func TestSv39SlotsShareRootEntry(t *testing.T) {
 	// Two slots under the same mid table share their root entry address
 	// but have distinct mid-level entry addresses.

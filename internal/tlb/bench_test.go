@@ -16,8 +16,7 @@ func benchFill(tb *TLB, n int) {
 }
 
 // BenchmarkTLBLookupHit measures the resident-entry probe path of a full
-// 128-entry main TLB, cycling through the whole working set so the
-// one-entry MRU register never short-circuits the index.
+// 128-entry main TLB, cycling through the whole working set.
 func BenchmarkTLBLookupHit(b *testing.B) {
 	tb := New("bench", 128, armv7.PagesPerLargePage)
 	benchFill(tb, 128)
@@ -26,22 +25,6 @@ func BenchmarkTLBLookupHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, r := tb.Lookup(arch.VirtAddr(i&127)<<arch.PageShift, 1, dacr, arch.AccessFetch); r != Hit {
-			b.Fatal("unexpected miss")
-		}
-	}
-}
-
-// BenchmarkTLBLookupHitMRU measures the repeated-page probe path: the
-// same translation is looked up back to back, as happens for every
-// instruction of a straight-line basic block.
-func BenchmarkTLBLookupHitMRU(b *testing.B) {
-	tb := New("bench", 128, armv7.PagesPerLargePage)
-	benchFill(tb, 128)
-	dacr := armv7.StockDACR()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, r := tb.Lookup(0x1000, 1, dacr, arch.AccessFetch); r != Hit {
 			b.Fatal("unexpected miss")
 		}
 	}
@@ -150,19 +133,6 @@ func BenchmarkReferenceTLBLookupHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, r := tb.Lookup(arch.VirtAddr(i&127)<<arch.PageShift, 1, dacr, arch.AccessFetch); r != Hit {
-			b.Fatal("unexpected miss")
-		}
-	}
-}
-
-func BenchmarkReferenceTLBLookupHitMRU(b *testing.B) {
-	tb := newLinear(128, armv7.PagesPerLargePage)
-	refBenchFill(tb, 128)
-	dacr := armv7.StockDACR()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, r := tb.Lookup(0x1000, 1, dacr, arch.AccessFetch); r != Hit {
 			b.Fatal("unexpected miss")
 		}
 	}

@@ -32,7 +32,7 @@ func TestCloneCopiesStateAndDetaches(t *testing.T) {
 	}
 	// The original still finds every entry through its own index.
 	for i := 0; i < 40; i++ {
-		if _, _, r := a.Peek(arch.VirtAddr(i*arch.PageSize), 1, 0, arch.AccessRead); r == Miss {
+		if _, _, r := a.Lookup(arch.VirtAddr(i*arch.PageSize), 1, 0, arch.AccessRead); r == Miss {
 			t.Fatalf("flushing the clone unlinked page %d from the original's index", i)
 		}
 	}

@@ -13,7 +13,7 @@ import (
 
 // The differential property test: the indexed TLB and the reference
 // linear implementation are driven through identical randomized
-// Lookup/Peek/run/Insert/Flush sequences and must agree on every
+// Lookup/CommitHit/Insert/Flush sequences and must agree on every
 // operation's result, every counter, and the entire entry array after
 // every step.
 // This is the proof obligation for the hot-path index (see the package
@@ -39,7 +39,7 @@ func diffDACRs() []arch.DACR {
 }
 
 // entryVal is the value an entry result stands for: the entry a
-// Lookup, Peek or LookupRun pointer points at, and Entry{} for nil, the
+// Lookup pointer points at, and Entry{} for nil, the
 // reference's Miss value. Comparing by value keeps the tests checking
 // entry contents rather than pointer identity.
 func entryVal(e *Entry) Entry {
@@ -50,8 +50,9 @@ func entryVal(e *Entry) Entry {
 }
 
 // diffLookup applies one Lookup to both implementations and fails the
-// test unless entry, slot and result agree.
-func diffLookup(t *testing.T, indexed *TLB, ref *linearTLB, va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) {
+// test unless entry, slot and result agree. It returns the slot and the
+// result.
+func diffLookup(t *testing.T, indexed *TLB, ref *linearTLB, va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (int32, Result) {
 	t.Helper()
 	gp, gs, gr := indexed.Lookup(va, asid, dacr, kind)
 	ge := entryVal(gp)
@@ -60,20 +61,21 @@ func diffLookup(t *testing.T, indexed *TLB, ref *linearTLB, va arch.VirtAddr, as
 		t.Fatalf("Lookup(%#x, asid %d, dacr %#x, %v) diverged:\n  indexed (%+v, %d, %v)\n  reference (%+v, %d, %v)",
 			va, asid, dacr, kind, ge, gs, gr, we, ws, wr)
 	}
+	return gs, gr
 }
 
-// diffPeek applies Peek to the indexed TLB and fails the test unless it
-// reports what a reference Lookup would, without mutating anything.
-func diffPeek(t *testing.T, indexed *TLB, ref *linearTLB, va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (int32, Result) {
+// diffLookupCommit applies one Lookup to both implementations and, on a
+// Hit, commits the same translation's next hit on the indexed TLB with
+// CommitHit, which the reference's second Lookup must confirm: a hit at
+// the same slot.
+func diffLookupCommit(t *testing.T, indexed *TLB, ref *linearTLB, va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) {
 	t.Helper()
-	gp, gs, gr := indexed.Peek(va, asid, dacr, kind)
-	ge := entryVal(gp)
-	we, ws, wr := ref.peek(va, asid, dacr, kind)
-	if ge != we || gs != ws || gr != wr {
-		t.Fatalf("Peek(%#x, asid %d, dacr %#x, %v) diverged:\n  indexed (%+v, %d, %v)\n  reference (%+v, %d, %v)",
-			va, asid, dacr, kind, ge, gs, gr, we, ws, wr)
+	if slot, r := diffLookup(t, indexed, ref, va, asid, dacr, kind); r == Hit {
+		indexed.CommitHit(slot)
+		if _, ws, wr := ref.Lookup(va, asid, dacr, kind); ws != slot || wr != Hit {
+			t.Fatalf("CommitHit(%d) after Lookup(%#x): reference second Lookup (%d, %v)", slot, va, ws, wr)
+		}
 	}
-	return gs, gr
 }
 
 // diffInsert applies one Insert to both implementations and fails the
@@ -99,35 +101,8 @@ func diffOp(t *testing.T, rng *rand.Rand, indexed *TLB, ref *linearTLB, dacrs []
 	switch r := rng.Intn(100); {
 	case r < 45: // Lookup
 		diffLookup(t, indexed, ref, va, asid, dacr, kind)
-	case r < 49: // Peek
-		diffPeek(t, indexed, ref, va, asid, dacr, kind)
-	case r < 53: // Peek, then n hits committed at once: n scalar Lookups
-		slot, res := diffPeek(t, indexed, ref, va, asid, dacr, kind)
-		if res != Hit {
-			break
-		}
-		n := 1 + rng.Intn(4)
-		indexed.CommitRunHits(slot, uint64(n), va, asid, dacr)
-		for i := 0; i < n; i++ {
-			if _, ws, wr := ref.Lookup(va, asid, dacr, kind); ws != slot || wr != Hit {
-				t.Fatalf("committed hit %d/%d at %#x: reference (%d, %v), want (%d, hit)", i, n, va, ws, wr, slot)
-			}
-		}
-	case r < 57: // LookupRun: its committed iterations are scalar hits
-		page := arch.VirtAddr(arch.PageSize)
-		stride := []arch.VirtAddr{0, 4, page, -page, 16 * page}[rng.Intn(5)]
-		_, _, want := ref.peek(va, asid, dacr, kind)
-		n, ep := indexed.LookupRun(va, stride, 1+rng.Intn(32), asid, dacr, kind)
-		if (n > 0) != (want == Hit) || (n > 0) != (ep != nil) {
-			t.Fatalf("LookupRun(%#x) committed %d with entry %v, reference first lookup %v", va, n, ep, want)
-		}
-		e := entryVal(ep)
-		for i := 0; i < n; i++ {
-			wva := va + arch.VirtAddr(i)*stride
-			if we, _, wr := ref.Lookup(wva, asid, dacr, kind); wr != Hit || we.frame != e.frame {
-				t.Fatalf("LookupRun(%#x, stride %#x) iteration %d: reference (%+v, %v), run entry %+v", va, stride, i, we, wr, e)
-			}
-		}
+	case r < 57: // Lookup, then a second hit committed without a probe
+		diffLookupCommit(t, indexed, ref, va, asid, dacr, kind)
 	case r < 82: // Insert
 		flags := arch.PTEValid
 		if rng.Intn(100) < 80 {
@@ -313,7 +288,7 @@ func TestDifferentialIndexedVsLinear(t *testing.T) {
 
 // TestDifferentialHWToggle flips DomainMatchInHW mid-sequence (as the
 // DomainMatchStudy boots different configs, a single TLB never toggles —
-// but the MRU register must not carry stale assumptions across a toggle).
+// but no index state may carry stale assumptions across a toggle).
 func TestDifferentialHWToggle(t *testing.T) {
 	dacrs := diffDACRs()
 	rng := rand.New(rand.NewSource(99))
@@ -350,7 +325,7 @@ func TestDifferentialLargePageHeavy(t *testing.T) {
 		case r < 4:
 			diffLookup(t, indexed, ref, va, asid, dacr, arch.AccessFetch)
 		case r < 5:
-			diffPeek(t, indexed, ref, va, asid, dacr, arch.AccessFetch)
+			diffLookupCommit(t, indexed, ref, va, asid, dacr, arch.AccessFetch)
 		case r < 9:
 			flags := arch.PTEValid | arch.PTEUser | arch.PTEExec
 			if rng.Intn(2) == 0 {

@@ -74,18 +74,6 @@ func (t *linearTLB) Lookup(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kin
 	return Entry{}, -1, Miss
 }
 
-// peek is what a Lookup at this moment would return, leaving the
-// reference untouched: the Lookup runs on a throwaway copy.
-func (t *linearTLB) peek(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (Entry, int32, Result) {
-	cp := *t
-	cp.entries = append([]Entry(nil), t.entries...)
-	e, slot, r := cp.Lookup(va, asid, dacr, kind)
-	if r == Hit {
-		e = t.entries[slot] // a real Lookup would refresh lastUse; Peek does not
-	}
-	return e, slot, r
-}
-
 func (t *linearTLB) Insert(va arch.VirtAddr, asid arch.ASID, frame arch.FrameNum, flags arch.PTEFlags, domain uint8) int32 {
 	t.clock++
 	vpn := arch.VPN(va)

@@ -1,10 +1,8 @@
 // Persistent-image support: serializable snapshots (internal/imagestore).
 // Only the architectural state — the entry array, the clock, and the
 // counters — is stored; the derived index structures (bucket chains,
-// validBits, LRU list, MRU register) are rebuilt at restore, in the same
-// way New plus a replay of inserts would build them. The MRU register
-// restores cleared, which is behaviour-neutral: it is a pure cache of the
-// last hit and every miss path falls back to the index.
+// validBits, LRU list) are rebuilt at restore, in the same way New plus
+// a replay of inserts would build them.
 
 package tlb
 

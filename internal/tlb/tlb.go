@@ -31,9 +31,6 @@
 //     keys share a bucket: the reference linear scan restricted to a
 //     superset of the entries that can match, so aliasing cases stay
 //     exact.
-//   - a one-entry MRU register short-circuits repeated probes of the same
-//     page under the same ASID and DACR, the common case for straight-line
-//     code. Any mutation of the entry array invalidates it.
 //   - a free-slot bitmap and a doubly-linked LRU list (exact, since
 //     lastUse values are unique) make Insert's victim choice O(1), and
 //     let flushes visit only the valid entries.
@@ -127,22 +124,6 @@ type Stats struct {
 	FlushedEntries uint64
 }
 
-// mruReg is the one-entry most-recently-used register: the slot of the
-// last Hit, valid only for a probe with the identical (vpn, asid, dacr)
-// and DomainMatchInHW setting, and only while the entry array is
-// unmutated (every Insert and flush clears ok). Under those conditions
-// the probe is guaranteed to resolve at the same slot, because the scan
-// prefix that was skipped could only contain entries that do not match or
-// are domain-denied under the same DACR.
-type mruReg struct {
-	ok   bool
-	hw   bool
-	slot int32
-	vpn  uint32
-	asid arch.ASID
-	dacr arch.DACR
-}
-
 // TLB is one translation buffer, fully associative with LRU replacement.
 type TLB struct {
 	// DomainMatchInHW models the hardware support the paper asks future
@@ -186,7 +167,6 @@ type TLB struct {
 	lruNext  []int32
 	lruHead  int32
 	lruTail  int32
-	mru      mruReg
 }
 
 // Compile-time check: every TLB is an obs.Source.
@@ -435,8 +415,7 @@ func (t *TLB) lruRemove(s int32) {
 }
 
 // removeEntry invalidates the entry at slot, maintaining every auxiliary
-// structure. The MRU register must be cleared by the caller (all callers
-// are mutations).
+// structure.
 func (t *TLB) removeEntry(slot int32) {
 	t.idxRemove(slot)
 	t.lruRemove(slot)
@@ -444,19 +423,15 @@ func (t *TLB) removeEntry(slot int32) {
 	t.entries[slot] = Entry{}
 }
 
-// hitAt applies the bookkeeping of n consecutive Hits on the entry at
-// slot, the last at the current clock, and records the last query in
-// the MRU register.
-func (t *TLB) hitAt(slot int32, n uint64, vpn uint32, asid arch.ASID, dacr arch.DACR) {
+// hitAt applies the bookkeeping of a Hit on the entry at slot at the
+// current clock: it becomes the most recently used entry.
+func (t *TLB) hitAt(slot int32) {
 	t.entries[slot].lastUse = t.clock
 	if t.lruTail != slot {
 		t.lruRemove(slot)
 		t.lruPushBack(slot)
 	}
-	t.stats.Hits += n
-	m := &t.mru
-	m.ok, m.hw, m.slot = true, t.DomainMatchInHW, slot
-	m.vpn, m.asid, m.dacr = vpn, asid, dacr
+	t.stats.Hits++
 }
 
 // probe applies the lookup logic of one scan step to the entry at slot,
@@ -483,62 +458,44 @@ func (t *TLB) probe(slot int32, vpn uint32, asid arch.ASID, dacr arch.DACR, kind
 	}
 }
 
-// Peek resolves va under (asid, dacr, kind) without mutating any TLB
-// state: no clock advance, no counters, no LRU movement, no MRU update.
-// It returns exactly what a Lookup at this moment would: on a Hit the
-// matching entry and its slot, the handle CommitRunHits and resolvesVPN
-// take; on a fault the matching entry and slot too; on a Miss nil and
-// -1. The entry is a pointer into the TLB's own array, valid until the
-// TLB's next mutation; callers read it at once and never keep it.
-func (t *TLB) Peek(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (*Entry, int32, Result) {
+// Lookup searches for a translation of va under the current ASID and
+// DACR, walking the probe chains in slot order. It ticks the clock; on a
+// Hit it refreshes the matching entry's LRU state, and every result is
+// counted. On a Hit or a fault it returns the matching entry and its
+// slot, the handle CommitHit takes; on a Miss nil and -1. The entry is a
+// pointer into the TLB's own array, valid until the TLB's next mutation;
+// callers read it at once and never keep it.
+func (t *TLB) Lookup(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (*Entry, int32, Result) {
+	t.clock++
 	vpn := arch.VPN(va)
-
-	// MRU register: a repeat of the last hitting probe resolves at the
-	// same slot (see mruReg), so the chain walk is skipped. The prior Hit
-	// under the same DACR rules out NoAccess; the access kind may differ,
-	// so permissions are still checked. On a NoAccess domain the walk
-	// decides.
-	if t.mru.ok && t.mru.vpn == vpn && t.mru.asid == asid && t.mru.dacr == dacr &&
-		t.mru.hw == t.DomainMatchInHW {
-		slot := t.mru.slot
-		e := &t.entries[slot]
-		if acc := dacr.Access(e.domain); acc != arch.DomainNoAccess {
-			if acc == arch.DomainManager || e.permit(kind) {
-				return e, slot, Hit
-			}
-			return e, slot, PermFault
-		}
-	}
-
 	a, b := t.chains(vpn)
 	for a >= 0 || b >= 0 {
 		slot := t.pop(&a, &b)
-		if r, done := t.probe(slot, vpn, asid, dacr, kind); done {
-			return &t.entries[slot], slot, r
+		r, done := t.probe(slot, vpn, asid, dacr, kind)
+		if !done {
+			continue
 		}
+		switch r {
+		case Hit:
+			t.hitAt(slot)
+		case DomainFault:
+			t.stats.DomainFaults++
+		case PermFault:
+			t.stats.PermFaults++
+		}
+		return &t.entries[slot], slot, r
 	}
+	t.stats.Misses++
 	return nil, -1, Miss
 }
 
-// Lookup searches for a translation of va under the current ASID and
-// DACR: a Peek plus the bookkeeping of its result. It ticks the clock;
-// on a Hit it refreshes the matching entry's LRU state and records the
-// query in the MRU register, and every result is counted. It returns
-// what Peek returns; the slot is the handle CommitRunHits takes.
-func (t *TLB) Lookup(va arch.VirtAddr, asid arch.ASID, dacr arch.DACR, kind arch.AccessKind) (*Entry, int32, Result) {
+// CommitHit applies the bookkeeping of one more Lookup that hits the
+// entry at slot, without the probe. The caller must know that such a
+// Lookup would hit there: the slot is the one its own last Lookup hit
+// or Insert filled, with no mutation of the TLB in between.
+func (t *TLB) CommitHit(slot int32) {
 	t.clock++
-	e, slot, r := t.Peek(va, asid, dacr, kind)
-	switch r {
-	case Hit:
-		t.hitAt(slot, 1, arch.VPN(va), asid, dacr)
-	case Miss:
-		t.stats.Misses++
-	case DomainFault:
-		t.stats.DomainFaults++
-	case PermFault:
-		t.stats.PermFaults++
-	}
-	return e, slot, r
+	t.hitAt(slot)
 }
 
 // findMatch returns the first slot (in slot order) whose entry matches
@@ -560,7 +517,6 @@ func (t *TLB) findMatch(vpn uint32, asid arch.ASID, newGlobal bool) int32 {
 // It returns the slot the translation now occupies.
 func (t *TLB) Insert(va arch.VirtAddr, asid arch.ASID, frame arch.FrameNum, flags arch.PTEFlags, domain uint8) int32 {
 	t.clock++
-	t.mru.ok = false
 	vpn := arch.VPN(va)
 	newGlobal := flags&arch.PTEGlobal != 0
 
@@ -628,7 +584,6 @@ func (t *TLB) Insert(va arch.VirtAddr, asid arch.ASID, frame arch.FrameNum, flag
 
 // FlushAll invalidates every entry. Only the valid entries are visited.
 func (t *TLB) FlushAll() {
-	t.mru.ok = false
 	n := t.numValid
 	for s := t.lruHead; s >= 0; s = t.lruNext[s] {
 		e := &t.entries[s]
@@ -645,7 +600,6 @@ func (t *TLB) FlushAll() {
 // flush. It visits only the valid slots, in LRU order; the order of
 // removal affects no observable state.
 func (t *TLB) removeIf(cond func(e *Entry) bool) int {
-	t.mru.ok = false
 	n := 0
 	for s := t.lruHead; s >= 0; {
 		next := t.lruNext[s]
@@ -693,7 +647,6 @@ func (t *TLB) FlushGlobal() int {
 // entries are the holders of that VPN's two keys, found on their
 // buckets' chains.
 func (t *TLB) FlushVA(va arch.VirtAddr) int {
-	t.mru.ok = false
 	vpn := arch.VPN(va)
 	n := 0
 	for _, k := range [2]uint32{entryKey(vpn, false), entryKey(vpn, true)} {
