@@ -91,7 +91,7 @@ func TestDescriptors(t *testing.T) {
 	if g.Levels != 2 || g.NumSlots() != L1Entries || g.SlotSpan() != SectionSize {
 		t.Errorf("geometry mismatch: %+v", g)
 	}
-	if g.RootFrames != 4 || g.EntryBytes != 4 || g.RootEntriesPerFrame() != 1024 {
+	if g.RootFrames != 4 || g.EntryBytes != 4 || arch.PageSize/g.EntryBytes != 1024 {
 		t.Errorf("root table must be four frames of 1024 4-byte entries: %+v", g)
 	}
 	if g.PagesPerLarge() != PagesPerLargePage || g.LargePageSize() != LargePageSize {

@@ -1,5 +1,7 @@
 package arch
 
+import "math/bits"
+
 // MMU describes one concrete memory-management-unit architecture. The
 // interface is deliberately split into three orthogonal descriptor
 // structs, fetched once at kernel construction and cached by value in
@@ -44,13 +46,13 @@ type Geometry struct {
 	// (20 on ARMv7, 21 on Sv39).
 	TableShift uint
 	// LeafEntries is the number of PTEs in one leaf table (256 on
-	// ARMv7, 512 on Sv39).
+	// ARMv7, 512 on Sv39), a power of two.
 	LeafEntries int
 	// RootEntries is the number of entries in the root table across
 	// all of its frames (4096 on ARMv7, 512 on Sv39).
 	RootEntries int
-	// MidEntries is the number of entries in a mid-level table, or 0
-	// for two-level formats (0 on ARMv7, 512 on Sv39).
+	// MidEntries is the number of entries in a mid-level table, a power
+	// of two, or 0 for two-level formats (0 on ARMv7, 512 on Sv39).
 	MidEntries int
 	// RootFrames is the number of 4KB frames occupied by the root
 	// table (4 on ARMv7 — the 16KB TTBR table — and 1 on Sv39).
@@ -100,7 +102,7 @@ func (g Geometry) RootIndex(idx int) int {
 	if g.MidEntries == 0 {
 		return idx
 	}
-	return idx / g.MidEntries
+	return idx >> bits.TrailingZeros(uint(g.MidEntries))
 }
 
 // MidIndex returns the mid-table entry index for slot idx, or 0 for
@@ -109,11 +111,8 @@ func (g Geometry) MidIndex(idx int) int {
 	if g.MidEntries == 0 {
 		return 0
 	}
-	return idx % g.MidEntries
+	return idx & (g.MidEntries - 1)
 }
-
-// RootEntriesPerFrame returns how many root entries fit in one 4KB frame.
-func (g Geometry) RootEntriesPerFrame() int { return PageSize / g.EntryBytes }
 
 // Tagging describes how the TLB distinguishes address spaces.
 type Tagging struct {

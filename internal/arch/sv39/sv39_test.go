@@ -152,8 +152,8 @@ func TestDescriptors(t *testing.T) {
 	if g.Levels != 3 || g.RootFrames != 1 || g.EntryBytes != 8 || g.MidEntries != EntriesPerLevel {
 		t.Errorf("geometry mismatch: %+v", g)
 	}
-	if g.RootEntriesPerFrame() != EntriesPerLevel {
-		t.Errorf("root frame must hold %d entries, got %d", EntriesPerLevel, g.RootEntriesPerFrame())
+	if epf := arch.PageSize / g.EntryBytes; epf != EntriesPerLevel {
+		t.Errorf("root frame must hold %d entries, got %d", EntriesPerLevel, epf)
 	}
 	if bits := m.Tagging().ASIDBits; bits != 16 {
 		t.Errorf("ASIDBits = %d, want 16", bits)

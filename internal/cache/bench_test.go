@@ -10,7 +10,7 @@ import (
 // BenchmarkCacheAccess measures Cache.Access on the L1 geometry across
 // the probe outcomes that dominate simulation time.
 func BenchmarkCacheAccess(b *testing.B) {
-	b.Run("HitMRU", func(b *testing.B) {
+	b.Run("HitSameLine", func(b *testing.B) {
 		c := New(Config{Name: "L1D", Size: 32 << 10, LineSize: 32, Assoc: 4, HitLatency: 1}, nil, 50)
 		c.Access(0x1000)
 		b.ReportAllocs()
@@ -21,7 +21,8 @@ func BenchmarkCacheAccess(b *testing.B) {
 	})
 	b.Run("Hit", func(b *testing.B) {
 		c := New(Config{Name: "L1D", Size: 32 << 10, LineSize: 32, Assoc: 4, HitLatency: 1}, nil, 50)
-		// Four resident lines in one set, cycled so the MRU way never hits.
+		// Four resident lines in one set, cycled so no access repeats
+		// the previous line.
 		setStride := arch.PhysAddr(32 * (32 << 10) / (32 * 4)) // one full set wrap
 		for w := 0; w < 4; w++ {
 			c.Access(0x1000 + arch.PhysAddr(w)*setStride)

@@ -10,6 +10,12 @@
 // with shared page-table pages all processes walk the same physical PTE
 // words and the duplicates disappear. The simulator exposes physical
 // addresses for PTE words precisely so this effect is reproduced.
+//
+// Each level keeps one 64-byte record per set. An access is one
+// fingerprint probe of its set's record, and a miss replaces the set's
+// LRU way, read from the record's age matrix. AccessRun issues runs of
+// consecutive lines, and memoizes repeats of a run that wraps the set
+// index space.
 package cache
 
 import (
@@ -53,27 +59,16 @@ const tagInvalid = ^uint32(0)
 // zero-byte search in the victim pick.
 const colOnes = uint64(0x0101010101010101)
 
-// mruPair is one set's two-entry MRU register: the last two tags that hit
-// or filled, with the ways they reside in.
-type mruPair struct {
-	tag  uint32
-	tag2 uint32
-	way  uint8
-	way2 uint8
-}
-
 // cset is one set's complete state, laid out to fill one 64-byte host
-// cache line so a probe, a fill and a register hit each touch exactly
-// one line of host memory.
+// cache line so a probe and a fill each touch exactly one line of host
+// memory.
 type cset struct {
 	// tags holds the resident tags, tagInvalid for empty ways. Ways at
 	// and beyond assoc stay tagInvalid.
 	tags [8]uint32
 	// age is the set's LRU age matrix: bit j of byte i set means way i
 	// was used more recently than way j. Rows and columns beyond assoc
-	// stay zero. First-slot MRU hits deliberately skip the update — the
-	// MRU way's row is already full — so the word is only touched when
-	// recency actually changes.
+	// stay zero.
 	age uint64
 	// fp packs one 8-bit fingerprint per way (byte w for way w), derived
 	// from the tag bits above the set index (see fingerprint). A probe
@@ -81,75 +76,33 @@ type cset struct {
 	// against their full tags. Bytes of empty ways are zero; their
 	// tagInvalid tags reject any candidate there.
 	fp uint64
-	// mru holds the set's two most-recent tags and the ways they live in.
-	// Sequential kernel-text fetch alternates exactly two tags per set
-	// (text twice the L1I's per-way capacity), so a single MRU register
-	// misses every time; the two-entry register catches that pattern
-	// without probing the set. Unlike a first-slot hit, a second-slot hit
-	// must refresh its way's age row — hence the way indices. Invariant:
-	// a valid tag in either slot is resident in its set at the recorded
-	// way, so a match is a hit with no probe; the first slot's way is
-	// additionally the set's most recent, which is what lets a
-	// first-slot hit skip the age update entirely.
-	mru mruPair
-	// skip counts the set's consecutive MRU-register misses modulo
-	// mruSkipThreshold+mruRetryPeriod; at mruSkipThreshold the register
-	// goes dead (see the const and promote).
-	// Like the register it is acceleration state that no counter or
-	// victim depends on, but it decides what the register holds, so
-	// snapshots store it with the register.
-	skip uint8
 	// used counts the valid ways, which always form the prefix
 	// [0, used): a fill takes the first empty way, and the only
 	// invalidation (FlushAll) empties every way at once. A fill into a
 	// set that is not full therefore needs no search.
 	used uint8
+	// The padding makes the record exactly one 64-byte host line.
+	_ [15]byte
 }
 
 // emptySet is the state of a set with no valid line.
 var emptySet = cset{
 	tags: [8]uint32{tagInvalid, tagInvalid, tagInvalid, tagInvalid, tagInvalid, tagInvalid, tagInvalid, tagInvalid},
-	mru:  mruPair{tag: tagInvalid, tag2: tagInvalid},
 }
-
-// Adaptive MRU promotion. A cycle over three or more tags in one set
-// defeats both register slots, and every access then pays a pointless
-// rotate on top of the probe; after mruSkipThreshold consecutive
-// register misses the register is invalidated and probe hits stop
-// rotating into it. Deadness must not be permanent, though: a set whose
-// reference pattern turns register-friendly again (the two-tag
-// alternation of resident kernel text, most importantly) would otherwise
-// probe forever, since only a fill — which resident lines never cause —
-// also revives the register. So a dead register retries promotion every
-// mruRetryPeriod probe hits; one retried rotate re-enters the steady
-// register-hit path within a couple of visits when the pattern fits,
-// and costs one rotate per period when it does not. Register hits and
-// fills reset the streak. The register and the streak counter are pure
-// acceleration state — recency, victims, and counters never depend on
-// them — so none of this changes any observable behaviour.
-const (
-	mruSkipThreshold = 8
-	mruRetryPeriod   = 8
-)
 
 // Cache is one level of a physically indexed, physically tagged cache
 // with LRU replacement within each set.
 //
 // Each set is one 64-byte record (cset) holding its tags, its age
-// matrix, its tag fingerprints, its two-entry MRU register, its
-// register-miss streak and its valid-way count, so every path through
-// one set touches one host cache line. Three hot-path refinements over
-// the obvious probe (behaviour-identical, since a tag is resident in at
-// most one way of its set): the last two tags that hit in the set (mru)
-// are compared first, catching both consecutive same-line references
-// and the two-tags-per-set alternation of sequential kernel-text fetch;
-// a first-slot MRU hit skips the recency update, because that way
-// already is its set's most recent and re-recording it cannot change
-// any within-set order; and the probe compares the query's 8-bit
-// fingerprint against all ways' fingerprints in one word operation,
-// confirming only the candidate ways against their full tags, so a miss
-// usually reads no tag at all. Victim selection (the first empty way,
-// which is way used, else the LRU way) is deferred to a miss.
+// matrix, its tag fingerprints and its valid-way count, so every path
+// through one set touches one host cache line. A probe compares the
+// query's 8-bit fingerprint against all ways' fingerprints in one word
+// operation and confirms only the candidate ways against their full
+// tags, so a miss usually reads no tag at all. Victim selection (the
+// first empty way, which is way used, else the LRU way) is deferred to
+// a miss. The probe (find), the fill (victim, install) and the
+// next-level access (below) are small enough to inline, so Access and
+// the run loop share one copy of each and neither pays a call per line.
 //
 // Within-set recency is the hardware age-matrix LRU scheme: one 64-bit
 // word per set holds an 8x8 bit matrix where bit j of byte i means "way
@@ -172,13 +125,12 @@ type Cache struct {
 	// dirty is the fused-run memo bitmap: while runN != 0, a clear bit si
 	// asserts that set si is at the fixed point of the run described by
 	// (runTag0, runN) — re-running its lines would mutate nothing (see
-	// accessRunFused). Every mutation of per-set state funnels through
-	// probe or hit2 (a first-slot register hit touches nothing), each of
-	// which sets the bit; the fused engine re-verifies dirty sets and
-	// clears the bits that check out. It stays outside the set records
-	// so the fused engine skips 64 clean sets per bitmap word. It is not
-	// serialized: a restored level starts with no memo, and re-verifying
-	// a set already at a run's fixed point mutates nothing.
+	// accessRunFused). Every access to a set sets its bit (markDirty);
+	// the fused engine re-verifies dirty sets and clears the bits that
+	// check out. It stays outside the set records so the fused engine
+	// skips 64 clean sets per bitmap word. It is not serialized: a
+	// restored level starts with no memo, and re-verifying a set already
+	// at a run's fixed point mutates nothing.
 	dirty   []uint64
 	runTag0 uint32
 	runN    uint32
@@ -287,151 +239,115 @@ func (c *Cache) Reset() { c.stats = Stats{} }
 
 // Access references the line containing pa, filling it on a miss, and
 // returns the total latency in cycles including any lower-level accesses.
-//
-// Both register-hit paths live in this frame, so the hits that dominate
-// real streams cost exactly one call from the fetch loops; the
-// fingerprint match and the miss path live in probe and fill.
 func (c *Cache) Access(pa arch.PhysAddr) int {
 	c.stats.Accesses++
 	tag := uint32(pa) >> c.setShift
 	si := tag & c.setMask
+	c.markDirty(si)
 	s := &c.sets[si]
-	if s.mru.tag == tag {
+	f := c.fingerprint(tag)
+	if w, ok := c.find(s, tag, f); ok {
+		s.age = touched(s.age, w)
 		c.stats.Hits++
 		return c.hitLat
 	}
-	if s.mru.tag2 == tag {
-		return c.hit2(tag, si, s)
+	c.stats.Misses++
+	lat := c.hitLat + c.below(pa)
+	w, evicted := c.victim(s)
+	install(s, w, tag, f)
+	if evicted {
+		c.stats.Evictions++
 	}
-	return c.probe(pa, tag, si, s)
+	if c.observed() {
+		c.announce(pa, evicted)
+	}
+	return lat
 }
 
-// probe resolves a reference to set si after both register slots have
-// missed: the fingerprint match names the candidate ways and each is
-// confirmed against its full tag. A hit touches the way's age row and —
-// while the set's register-miss streak is below mruSkipThreshold —
-// rotates the register, a miss falls through to fill. Callers have
-// already counted the access.
-func (c *Cache) probe(pa arch.PhysAddr, tag, si uint32, s *cset) int {
-	// Invalidate the fused-run memo for this set. While runN == 0 no memo
-	// exists to protect — the first AccessRun rebuilds the bitmap all-dirty
-	// — so pure-scalar paths skip the bookkeeping entirely.
+// markDirty records that set si may have left the fixed point of the
+// memoized run. While runN == 0 no memo exists to protect — the first
+// AccessRun rebuilds the bitmap all-dirty — so pure-scalar paths skip
+// the bookkeeping.
+func (c *Cache) markDirty(si uint32) {
 	if c.runN != 0 {
 		c.dirty[si>>6] |= 1 << (si & 63)
 	}
-	f := c.fingerprint(tag)
+}
+
+// find returns the way of set s that holds tag, whose replicated
+// fingerprint is f: the fingerprint match names the candidate ways and
+// each is confirmed against its full tag.
+func (c *Cache) find(s *cset, tag uint32, f uint64) (uint, bool) {
 	for cand := c.candidates(s, f); cand != 0; cand &= cand - 1 {
-		w := uint(bits.TrailingZeros64(cand)) >> 3
-		if s.tags[w&7] == tag {
-			c.touch(s, w)
-			c.stats.Hits++
-			c.promote(s, tag, uint8(w))
-			return c.hitLat
+		w := uint(bits.TrailingZeros64(cand)) >> 3 & 7
+		if s.tags[w] == tag {
+			return w, true
 		}
 	}
-	return c.fill(pa, tag, f, s)
+	return 0, false
 }
 
-// promote applies the adaptive MRU-promotion policy to a probe hit. The
-// streak steps modulo mruSkipThreshold+mruRetryPeriod: below the
-// threshold the register is live and the hit rotates into it, reaching
-// the threshold invalidates it (an access cycle wider than two tags is
-// defeating both slots), above it the rotate is skipped, and the wrap to
-// zero retries promotion with this hit so a pattern that turns
-// register-friendly again recovers the fast paths.
-func (c *Cache) promote(s *cset, tag uint32, way uint8) {
-	s.skip = (s.skip + 1) % (mruSkipThreshold + mruRetryPeriod)
-	if s.skip < mruSkipThreshold {
-		s.mru.rotate(tag, way)
-	} else if s.skip == mruSkipThreshold {
-		s.mru.tag, s.mru.tag2 = tagInvalid, tagInvalid
-	}
-}
-
-// rotate makes (tag, way) the register's first slot and demotes the
-// previous first slot to the second.
-func (m *mruPair) rotate(tag uint32, way uint8) {
-	m.tag2, m.way2 = m.tag, m.way
-	m.tag, m.way = tag, way
-}
-
-// touch records a use of way w in set s's age matrix: way w becomes
-// more recent than every other way (set row w), and no way remains more
+// touched returns age with a use of way w recorded: way w becomes more
+// recent than every other way (set row w), and no way remains more
 // recent than w (clear column w). Setting the row also sets bit [w][w];
 // clearing the column clears it again, keeping the diagonal zero.
-func (c *Cache) touch(s *cset, w uint) {
+func touched(age uint64, w uint) uint64 {
 	w &= 7 // proves both shifts < 64, so no oversized-shift guards
-	s.age = (s.age | 0xFF<<(8*w)) &^ (colOnes << w)
+	return (age | 0xFF<<(8*w)) &^ (colOnes << w)
 }
 
-// hit2 completes a second-slot MRU hit: the resident way is known, so
-// this is a probe hit minus the match. It is small enough to inline into
-// AccessRun's per-line loop, which matters because two-tag alternation
-// is the dominant pattern of sequential fetch over loops of code.
-func (c *Cache) hit2(tag, si uint32, s *cset) int {
-	if c.runN != 0 { // see probe: no memo to protect before the first run
-		c.dirty[si>>6] |= 1 << (si & 63)
+// victim returns the way a miss on set s fills, and whether the fill
+// evicts the line there. The first empty way wins — the valid ways are
+// the prefix [0, used) — otherwise the set is full and the victim is
+// the LRU way: the unique valid way whose age-matrix row is all zero.
+// The zero-byte trick marks the high bit of the lowest zero byte; any
+// parked all-zero rows above assoc sit in higher bytes, so
+// TrailingZeros lands on the real victim.
+func (c *Cache) victim(s *cset) (uint, bool) {
+	if w := uint(s.used); w < uint(c.assoc) {
+		return w, false
 	}
-	m := &s.mru
-	c.touch(s, uint(m.way2))
-	c.stats.Hits++
-	// tag is the second slot's: the rotate is a swap of the slots.
-	m.tag, m.tag2 = tag, m.tag
-	m.way, m.way2 = m.way2, m.way
-	s.skip = 0 // same host line as the register: no store to avoid
-	return c.hitLat
+	y := s.age & c.colsAll
+	return uint(bits.TrailingZeros64((y-colOnes)&^y&0x8080808080808080)) >> 3, true
 }
 
-// fill handles a miss on set s: pick the victim, fetch the line from the
-// next level, and install tag with its replicated fingerprint f.
-func (c *Cache) fill(pa arch.PhysAddr, tag uint32, f uint64, s *cset) int {
-	// The first empty way wins — the valid ways are the prefix [0, used)
-	// — otherwise the set is full and the victim is the way at the back
-	// of the recency order.
-	victim := uint(s.used)
-	full := victim >= uint(c.assoc)
-	if full {
-		// Full set: the LRU way is the unique valid way whose age-matrix
-		// row is all zero. The zero-byte trick marks the high bit of the
-		// lowest zero byte of y; any parked all-zero rows above assoc sit
-		// in higher bytes, so TrailingZeros lands on the real victim.
-		y := s.age & c.colsAll
-		victim = uint(bits.TrailingZeros64((y-colOnes)&^y&0x8080808080808080)) >> 3
-	}
-	victim &= 7
-	c.stats.Misses++
-	latency := c.hitLat
-	if c.next != nil {
-		latency += c.next.Access(pa)
-	} else {
-		latency += c.memLatency
-	}
-	evicted := s.tags[victim]
-	if full {
-		c.stats.Evictions++
-		if c.bus.Wants(obs.EvCacheEvict) {
-			c.bus.Publish(obs.Event{Kind: obs.EvCacheEvict, Source: c.cfg.Name, Addr: uint64(pa)})
-		}
-	} else {
+// install puts tag, with replicated fingerprint f, in way w of set s —
+// the way victim named — and records its use.
+func install(s *cset, w uint, tag uint32, f uint64) {
+	w &= 7
+	if s.tags[w] == tagInvalid { // the first empty way joins the valid prefix
 		s.used++
 	}
-	s.tags[victim] = tag
-	s.fp = s.fp&^(0xFF<<(8*victim)) | f&(0xFF<<(8*victim))
-	c.touch(s, victim)
-	// A fill always revives the register — the just-installed line is the
-	// best possible first slot — and resets the adaptive miss streak.
-	s.skip = 0
-	s.mru.rotate(tag, uint8(victim))
-	// The eviction may have displaced the tag now sitting in the second
-	// MRU slot (the old MRU itself when assoc is 1); drop it so the
-	// register never claims residency for an evicted line.
-	if full && s.mru.tag2 == evicted {
-		s.mru.tag2 = tagInvalid
+	s.tags[w] = tag
+	m := uint64(0xFF) << (8 * w)
+	s.fp = s.fp&^m | f&m
+	s.age = touched(s.age, w)
+}
+
+// below returns the latency of fetching pa's line into this level after
+// a miss: an access to the next level, or main memory's latency.
+func (c *Cache) below(pa arch.PhysAddr) int {
+	if c.next != nil {
+		return c.next.Access(pa)
+	}
+	return c.memLatency
+}
+
+// observed reports whether the attached bus wants a miss's events, so
+// an unobserved miss makes no call to announce them.
+func (c *Cache) observed() bool {
+	return c.bus.Wants(obs.EvCacheFill) || c.bus.Wants(obs.EvCacheEvict)
+}
+
+// announce publishes the events of a miss at pa to the attached bus:
+// the eviction, when the fill evicted a line, then the fill.
+func (c *Cache) announce(pa arch.PhysAddr, evicted bool) {
+	if evicted && c.bus.Wants(obs.EvCacheEvict) {
+		c.bus.Publish(obs.Event{Kind: obs.EvCacheEvict, Source: c.cfg.Name, Addr: uint64(pa)})
 	}
 	if c.bus.Wants(obs.EvCacheFill) {
 		c.bus.Publish(obs.Event{Kind: obs.EvCacheFill, Source: c.cfg.Name, Addr: uint64(pa)})
 	}
-	return latency
 }
 
 // AccessRun references n consecutive lines starting with the one holding
@@ -445,7 +361,7 @@ func (c *Cache) fill(pa arch.PhysAddr, tag uint32, f uint64, s *cset) int {
 // Runs that wrap the set index space go through accessRunFused, which
 // proves whole sets are already in their post-run state and skips them
 // without a single store, issuing the remaining lines in stream order
-// (see its comment); short runs take the plain in-order row loop. Both
+// (see its comment); short runs take the plain in-order loop. Both
 // are exact with or without event subscribers at either level.
 func (c *Cache) AccessRun(pa arch.PhysAddr, n int) int {
 	if n <= 0 {
@@ -454,39 +370,50 @@ func (c *Cache) AccessRun(pa arch.PhysAddr, n int) int {
 	// The fused engine's per-set fast path needs sets to see two lines of
 	// the run — it only pays off when the run wraps the set index space.
 	// Short runs — the overwhelmingly common straight-line block of a few
-	// lines — run the plain row loop.
+	// lines — run the plain loop.
 	if n > int(c.setMask)+1 {
 		return c.accessRunFused(pa, n)
 	}
 	return c.accessRunScalar(pa, n)
 }
 
-// accessRunScalar is the in-order reference loop: one register probe per
-// line, counters on the shared struct, events in stream order.
+// accessRunScalar is the in-order loop: Access's probe, fill and
+// next-level access inlined per line, events in stream order, and the
+// counters kept in locals and stored once at the end of the run.
 func (c *Cache) accessRunScalar(pa arch.PhysAddr, n int) int {
 	tag := uint32(pa) >> c.setShift
 	lineSize := arch.PhysAddr(1) << c.setShift
-	stall := 0
+	hitStall := max(c.hitLat-1, 0)
+	stall, misses, evictions := 0, 0, 0
 	for i := 0; i < n; i++ {
 		si := tag & c.setMask
-		var lat int
-		if s := &c.sets[si]; s.mru.tag == tag {
-			c.stats.Accesses++
-			c.stats.Hits++
-			lat = c.hitLat
-		} else if s.mru.tag2 == tag {
-			c.stats.Accesses++
-			lat = c.hit2(tag, si, s)
+		c.markDirty(si)
+		s := &c.sets[si]
+		f := c.fingerprint(tag)
+		if w, ok := c.find(s, tag, f); ok {
+			s.age = touched(s.age, w)
+			stall += hitStall
 		} else {
-			c.stats.Accesses++
-			lat = c.probe(pa, tag, si, s)
-		}
-		if lat > 1 {
-			stall += lat - 1
+			misses++
+			if lat := c.hitLat + c.below(pa); lat > 1 {
+				stall += lat - 1
+			}
+			w, evicted := c.victim(s)
+			install(s, w, tag, f)
+			if evicted {
+				evictions++
+			}
+			if c.observed() {
+				c.announce(pa, evicted)
+			}
 		}
 		tag++
 		pa += lineSize
 	}
+	c.stats.Accesses += uint64(n)
+	c.stats.Hits += uint64(n - misses)
+	c.stats.Misses += uint64(misses)
+	c.stats.Evictions += uint64(evictions)
 	return stall
 }
 
@@ -495,36 +422,33 @@ func (c *Cache) accessRunScalar(pa arch.PhysAddr, n int) int {
 // state.
 //
 // The engine exploits a fixed-point property of the run's effect on one
-// set. A set receiving lines A then B (k = 2) that both hit through the
-// MRU register ends with register {B, A}, its adaptive streak at zero,
-// and its age word equal to touch(touch(age, wayA), wayB). The touch
-// sequence is idempotent — a second application passes the untouched
-// rows through unchanged and rewrites rows/columns A and B to the same
-// values — so if the set is ALREADY in exactly that end state, re-running
-// its lines changes nothing: A hits the second register slot, B hits the
-// second slot again, both reset an already-zero streak, the age word
-// maps to itself, and the register returns to {B, A}. The register
-// residency invariant (a valid register tag is resident at its recorded
-// way) guarantees both lines still hit, so the set's whole contribution
-// reduces to counters: k accesses, k hits, k*(hitLat-1) stall cycles.
+// set. A set receiving lines A then B (k = 2) that are both resident
+// ends with its age word equal to touched(touched(age, wayA), wayB). The
+// touch sequence is idempotent — a second application passes the
+// untouched rows through unchanged and rewrites rows/columns A and B to
+// the same values — so if the set is ALREADY in exactly that end state,
+// re-running its lines changes nothing: both hit, and the age word maps
+// to itself. The set's whole contribution reduces to counters: k
+// accesses, k hits, k*(hitLat-1) stall cycles. A set receiving one line
+// (k = 1) is likewise at its fixed point when the line is resident and
+// already its most recent.
 //
-// The fixed-point check is cheap — the expected register tags are
-// derived from (pa, n), the streak must read zero, and the age fixed
-// point is recomputed in a handful of ALU ops — but the dominant caller
-// replays one identical run hundreds of thousands of times, and even
-// the check is too much work to repeat per set per run. The dirty
-// bitmap amortizes it: after a full pass has verified (or repaired,
-// via the scalar per-line path) every set, a clear bit si vouches that
-// set si is still at the run's fixed point, because every mutation of
-// per-set state — probe hits, second-slot hits, fills, whether from
-// scalar accesses or other runs — sets the bit. A repeat of the
-// memoized run therefore issues only the lines of the sets dirtied since
-// the last one, skipping clean sets 64 at a time at the bitmap word
-// level, and re-verifies each dirty set right after its last line,
-// clearing bits that check out. When no bit is set at all the run costs
-// one scan of the bitmap. Changing the run shape (a different tag0 or n)
-// discards the memo and forces a full verification pass, since a fixed
-// point of one run says nothing about another.
+// The fixed-point check is cheap — the expected tags are derived from
+// (pa, n), and the age fixed point is recomputed in a handful of ALU
+// ops — but the dominant caller replays one identical run hundreds of
+// thousands of times, and even the check is too much work to repeat per
+// set per run. The dirty bitmap amortizes it: after a full pass has
+// verified (or repaired, via the scalar per-line path) every set, a
+// clear bit si vouches that set si is still at the run's fixed point,
+// because every access to a set — from scalar accesses or other runs —
+// sets the bit. A repeat of the memoized run therefore issues only the
+// lines of the sets dirtied since the last one, skipping clean sets 64
+// at a time at the bitmap word level, and re-verifies each dirty set
+// right after its last line, clearing bits that check out. When no bit
+// is set at all the run costs one scan of the bitmap. Changing the run
+// shape (a different tag0 or n) discards the memo and forces a full
+// verification pass, since a fixed point of one run says nothing about
+// another.
 //
 // The dirty lines are issued in stream order. Line j of the run lands
 // in set (tag0+j)&mask, so the run is a sequence of passes, each one
@@ -538,11 +462,8 @@ func (c *Cache) accessRunScalar(pa arch.PhysAddr, n int) int {
 // occur in exactly the order of the in-order loop, whatever subscribes
 // to either level and however the run maps onto the next level's sets.
 //
-// A set receiving one line (k = 1) is at its fixed point when the line
-// holds the first register slot — a first-slot hit mutates nothing. A
-// set receiving three or more lines is never at a fixed point: its
-// first line cannot sit in the two-slot register at the end of a run,
-// so its bit stays set and its lines run on every repeat.
+// A set receiving three or more lines is never memoized: its bit stays
+// set and its lines run on every repeat.
 func (c *Cache) accessRunFused(pa arch.PhysAddr, n int) int {
 	tag0 := uint32(pa) >> c.setShift
 	un := uint32(n)
@@ -603,13 +524,11 @@ func (c *Cache) accessRunFused(pa arch.PhysAddr, n int) int {
 //
 // A line among the nSets from lastTag on (compared wrap-safely, like
 // every tag offset here) is its set's last line of the run, so the
-// set's state is final: the set is re-verified against the run's fixed
-// point on the spot — for k = 1 the line must hold the first register
-// slot, for k = 2 see atFixedPoint2, and k >= 3 never qualifies — and
-// its bit cleared when it checks out (the line just issued re-marked it
-// dirty) so the next identical run skips it.
+// set's state is final: a set of k <= 2 lines is re-verified against
+// the run's fixed point on the spot (see atFixedPoint), and its bit
+// cleared when it checks out (the line just issued re-marked it dirty)
+// so the next identical run skips it.
 func (c *Cache) sweepDirty(pa arch.PhysAddr, tag, lo, hi, k, lastTag uint32) (stall int, lines uint32) {
-	hitLat := c.hitLat
 	for w := lo >> 6; w<<6 < hi; w++ {
 		word := c.dirty[w]
 		if w<<6 < lo {
@@ -624,24 +543,11 @@ func (c *Cache) sweepDirty(pa arch.PhysAddr, tag, lo, hi, k, lastTag uint32) (st
 			si := w<<6 + b
 			d := si - lo
 			t := tag + d
-			s := &c.sets[si]
-			var lat int
-			if s.mru.tag == t {
-				c.stats.Accesses++
-				c.stats.Hits++
-				lat = hitLat
-			} else if s.mru.tag2 == t {
-				c.stats.Accesses++
-				lat = c.hit2(t, si, s)
-			} else {
-				c.stats.Accesses++
-				lat = c.probe(pa+arch.PhysAddr(d)<<c.setShift, t, si, s)
-			}
-			if lat > 1 {
+			if lat := c.Access(pa + arch.PhysAddr(d)<<c.setShift); lat > 1 {
 				stall += lat - 1
 			}
 			lines++
-			if t-lastTag <= c.setMask && (k == 1 && s.mru.tag == t || k == 2 && c.atFixedPoint2(t, s)) {
+			if t-lastTag <= c.setMask && k <= 2 && c.atFixedPoint(&c.sets[si], t, k) {
 				c.dirty[w] &^= 1 << b
 			}
 		}
@@ -649,32 +555,22 @@ func (c *Cache) sweepDirty(pa arch.PhysAddr, tag, lo, hi, k, lastTag uint32) (st
 	return stall, lines
 }
 
-// atFixedPoint2 reports whether set s, which has just received the
-// second and last line t of a run that gives it two lines, is at that
-// run's fixed point (see accessRunFused): register {t, t-nSets}, streak
-// zero, and an age word idempotent under the two lines' touches. Small
-// enough to inline into sweepDirty.
-func (c *Cache) atFixedPoint2(t uint32, s *cset) bool {
-	if s.mru.tag != t || s.mru.tag2 != t-(c.setMask+1) || s.skip != 0 {
-		return false
-	}
-	wA, wB := uint(s.mru.way2)&7, uint(s.mru.way)&7
-	la := s.age
-	a := (la | 0xFF<<(8*wA)) &^ (colOnes << wA)
-	return (a|0xFF<<(8*wB))&^(colOnes<<wB) == la
-}
-
-// Contains reports whether the line holding pa is resident at this level,
-// without touching LRU state or counters.
-func (c *Cache) Contains(pa arch.PhysAddr) bool {
-	tag := uint32(pa) >> c.setShift
-	s := &c.sets[tag&c.setMask]
-	for cand := c.candidates(s, c.fingerprint(tag)); cand != 0; cand &= cand - 1 {
-		if s.tags[(bits.TrailingZeros64(cand)>>3)&7] == tag {
-			return true
+// atFixedPoint reports whether set s, which has just received line t,
+// the last of the k lines a run gives it, is at that run's fixed point
+// (see accessRunFused): each of the set's lines t-(k-1)*nSets, ..., t
+// is resident, and touching their ways in run order leaves the age word
+// unchanged.
+func (c *Cache) atFixedPoint(s *cset, t, k uint32) bool {
+	age := s.age
+	for j := k; j > 0; j-- {
+		tag := t - (j-1)*(c.setMask+1)
+		w, ok := c.find(s, tag, c.fingerprint(tag))
+		if !ok {
+			return false
 		}
+		age = touched(age, w)
 	}
-	return false
+	return age == s.age
 }
 
 // FlushAll invalidates every line at this level only.

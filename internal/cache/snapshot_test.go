@@ -10,8 +10,7 @@ import (
 )
 
 // snapshotFixture returns an L1-geometry cache whose sets are in every
-// state a snapshot can meet — full, partly filled, and empty — with
-// live, rotated and dead MRU registers.
+// state a snapshot can meet — full, partly filled, and empty.
 func snapshotFixture() *Cache {
 	c := New(Config{Name: "L1D", Size: 4 << 10, LineSize: 32, Assoc: 4, HitLatency: 1}, nil, 50)
 	rng := rand.New(rand.NewSource(5))
@@ -86,41 +85,12 @@ func TestRestoreRejectsUnrepresentable(t *testing.T) {
 			},
 			want: "valid after an empty way",
 		},
-		{
-			name: "register way beyond the set",
-			mutate: func(s *Snapshot, assoc int) {
-				s.MRU[0].Way2 = int32(assoc)
-			},
-			want: "outside 4 ways",
-		},
-		{
-			name: "negative register way",
-			mutate: func(s *Snapshot, assoc int) {
-				s.MRU[0].Way = -1
-			},
-			want: "outside 4 ways",
-		},
-		{
-			// Point set 16's first slot at the way of its other tag.
-			name: "register tag not resident at its way",
-			mutate: func(s *Snapshot, assoc int) {
-				s.MRU[16].Way = 1 - s.MRU[16].Way
-			},
-			want: "not resident",
-		},
-		{
-			name: "streak beyond the promotion cycle",
-			mutate: func(s *Snapshot, assoc int) {
-				s.Skip[16] = mruSkipThreshold + mruRetryPeriod
-			},
-			want: "streak 16 outside [0, 16)",
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := snapshotFixture()
-			if c.sets[16].used != 2 || c.sets[16].mru.tag == tagInvalid {
-				t.Fatalf("fixture set 16 = %+v, want two valid ways and a live register", c.sets[16])
+			if c.sets[16].used != 2 {
+				t.Fatalf("fixture set 16 = %+v, want two valid ways", c.sets[16])
 			}
 			s := c.SnapshotState()
 			tc.mutate(&s, c.assoc)

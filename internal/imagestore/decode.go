@@ -87,32 +87,24 @@ func decodeImage(data []byte, u *workload.Universe) (*checkpoint.Image, string, 
 	if err != nil {
 		return nil, "", err
 	}
-	mrus, err := castSlice[cache.MRUSnapshot](data, dir[secCacheMRU], "cache-mru")
-	if err != nil {
-		return nil, "", err
-	}
 	ages, err := castSlice[uint64](data, dir[secCacheAge], "cache-age")
 	if err != nil {
 		return nil, "", err
 	}
-	skips := section(data, dir[secCacheSkip])
 	for _, cs := range cacheSnapshots(&snap.Kernel) {
 		if err := validCacheConfig(cs.Config); err != nil {
 			return nil, "", err
 		}
 		nSets := cs.Config.Size / (cs.Config.LineSize * cs.Config.Assoc)
 		nTags := nSets * cs.Config.Assoc
-		if nTags > len(tags) || nSets > len(mrus) || nSets > len(ages) || nSets > len(skips) {
+		if nTags > len(tags) || nSets > len(ages) {
 			return nil, "", fmt.Errorf("imagestore: cache sections exhausted at level %q", cs.Config.Name)
 		}
 		cs.Tags, tags = tags[:nTags:nTags], tags[nTags:]
-		cs.MRU, mrus = mrus[:nSets:nSets], mrus[nSets:]
 		cs.Age, ages = ages[:nSets:nSets], ages[nSets:]
-		cs.Skip, skips = skips[:nSets:nSets], skips[nSets:]
 	}
-	if len(tags) != 0 || len(mrus) != 0 || len(ages) != 0 || len(skips) != 0 {
-		return nil, "", fmt.Errorf("imagestore: %d tags, %d MRU registers, %d age words, %d streaks left over",
-			len(tags), len(mrus), len(ages), len(skips))
+	if len(tags) != 0 || len(ages) != 0 {
+		return nil, "", fmt.Errorf("imagestore: %d tags and %d age words left over", len(tags), len(ages))
 	}
 
 	// Page-table slot arrays: geo.NumSlots() per process, PID order.

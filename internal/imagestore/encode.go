@@ -93,10 +93,8 @@ func layoutImage(key string, img *checkpoint.Image) ([][]byte, error) {
 
 	for _, cs := range cacheSnapshots(&snap.Kernel) {
 		sections[secCacheTags] = append(sections[secCacheTags], bytesOf(cs.Tags))
-		sections[secCacheMRU] = append(sections[secCacheMRU], bytesOf(cs.MRU))
 		sections[secCacheAge] = append(sections[secCacheAge], bytesOf(cs.Age))
-		sections[secCacheSkip] = append(sections[secCacheSkip], cs.Skip)
-		cs.Tags, cs.MRU, cs.Age, cs.Skip = nil, nil, nil, nil
+		cs.Tags, cs.Age = nil, nil
 	}
 
 	for i := range snap.Kernel.Procs {

@@ -1,5 +1,5 @@
 // Image file format: a fixed header, a section directory, a body
-// digest, and ten 8-byte-aligned sections. The bulky machine state —
+// digest, and eight 8-byte-aligned sections. The bulky machine state —
 // frame metadata, PTE arrays, page-table slot arrays, page-cache page
 // arrays, cache line/recency arrays — is stored as flat binary images of the
 // in-memory structs, so a load is a handful of bounds checks plus
@@ -44,7 +44,6 @@ import (
 	"hash/crc32"
 	"unsafe"
 
-	"repro/internal/cache"
 	"repro/internal/mem"
 	"repro/internal/pagetable"
 	"repro/internal/vm"
@@ -52,7 +51,7 @@ import (
 
 // FormatVersion is the on-disk format generation. Bump it on any
 // incompatible change; stored images of other versions are discarded.
-const FormatVersion = 4
+const FormatVersion = 5
 
 const magic = "SATIMG01"
 
@@ -67,9 +66,7 @@ const (
 	secPTSlots          // []pagetable.SlotSnapshot, NumSlots per process, PID order
 	secFilePages        // []vm.FilePage, page-cache arrays back to back
 	secCacheTags        // []uint32: L2 then per-CPU L1I, L1D tag arrays
-	secCacheMRU         // []cache.MRUSnapshot, same order
 	secCacheAge         // []uint64, same order
-	secCacheSkip        // []uint8, MRU-register miss streaks, same order
 	numSections
 )
 
@@ -113,13 +110,11 @@ func layoutHash() uint32 {
 	var p pagetable.PTE
 	var sl pagetable.SlotSnapshot
 	var fp vm.FilePage
-	var m cache.MRUSnapshot
 	vals := []uintptr{
 		unsafe.Sizeof(f), unsafe.Offsetof(f.Num), unsafe.Offsetof(f.Kind), unsafe.Offsetof(f.MapCount),
 		unsafe.Sizeof(p), unsafe.Offsetof(p.Frame), unsafe.Offsetof(p.Flags), unsafe.Offsetof(p.Soft),
 		unsafe.Sizeof(sl), unsafe.Offsetof(sl.Table), unsafe.Offsetof(sl.Domain), unsafe.Offsetof(sl.NeedCopy),
 		unsafe.Sizeof(fp), unsafe.Offsetof(fp.Idx), unsafe.Offsetof(fp.Frame),
-		unsafe.Sizeof(m), unsafe.Offsetof(m.Tag), unsafe.Offsetof(m.Tag2), unsafe.Offsetof(m.Way), unsafe.Offsetof(m.Way2),
 	}
 	h := uint32(2166136261)
 	for _, v := range vals {
@@ -146,9 +141,6 @@ func layoutOK() error {
 	}
 	if s := unsafe.Sizeof(vm.FilePage{}); s != 8 {
 		return fmt.Errorf("imagestore: vm.FilePage is %d bytes, format wants 8", s)
-	}
-	if s := unsafe.Sizeof(cache.MRUSnapshot{}); s != 16 {
-		return fmt.Errorf("imagestore: cache.MRUSnapshot is %d bytes, format wants 16", s)
 	}
 	return nil
 }

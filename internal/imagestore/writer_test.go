@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/android"
 	"repro/internal/arch"
-	"repro/internal/cache"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/mem"
@@ -49,15 +48,11 @@ func encodeImageReference(key string, img *checkpoint.Image) ([]byte, error) {
 	snap.Kernel.Phys.FreeList = nil
 
 	var tags []uint32
-	var mrus []cache.MRUSnapshot
 	var ages []uint64
-	var skips []uint8
 	for _, cs := range cacheSnapshots(&snap.Kernel) {
 		tags = append(tags, cs.Tags...)
-		mrus = append(mrus, cs.MRU...)
 		ages = append(ages, cs.Age...)
-		skips = append(skips, cs.Skip...)
-		cs.Tags, cs.MRU, cs.Age, cs.Skip = nil, nil, nil, nil
+		cs.Tags, cs.Age = nil, nil
 	}
 
 	var slots []pagetable.SlotSnapshot
@@ -100,9 +95,7 @@ func encodeImageReference(key string, img *checkpoint.Image) ([]byte, error) {
 		secPTSlots:   bytesOf(slots),
 		secFilePages: bytesOf(filePages),
 		secCacheTags: bytesOf(tags),
-		secCacheMRU:  bytesOf(mrus),
 		secCacheAge:  bytesOf(ages),
-		secCacheSkip: skips,
 	}
 
 	var dir [numSections]sectionRange
@@ -234,7 +227,7 @@ func TestWriterMatchesReference(t *testing.T) {
 // bootDigest pins the body digest of the default armv7 shared-PTP boot
 // image. A change to the encoding, or to the booted machine, must update
 // it in a reviewed diff: a silent change would invalidate every store.
-const bootDigest = "f11b6796647fb6d0726c6ac9b64a03464bbcb39c9d14b351529c012df4831a0b"
+const bootDigest = "9f9fdec0290906525e903ac1e136ac469e49921fb66a70db909913563347ad11"
 
 func TestFingerprintDigestPinned(t *testing.T) {
 	img := checkpoint.Capture(bootSys(t, android.Options{}))

@@ -443,17 +443,26 @@ func TestRootEntryPhysAddrsDistinct(t *testing.T) {
 }
 
 // TestRootEntryPhysAddrMatchesFrameDivision pins the shift-and-mask
-// address against the frame-and-index division it replaces, for every
-// slot of both formats.
+// addresses of the root entry and, where the format has mid tables, the
+// mid entry above every slot of both formats against the frame-and-index
+// division they replace.
 func TestRootEntryPhysAddrMatchesFrameDivision(t *testing.T) {
 	for _, geo := range []arch.Geometry{geoARM, geoSv39} {
 		pt, err := New(mem.New(64), geo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		epf := geo.RootEntriesPerFrame()
+		epf := arch.PageSize / geo.EntryBytes
 		for idx := 0; idx < pt.NumSlots(); idx++ {
-			ridx := geo.RootIndex(idx)
+			ridx := idx
+			if geo.MidEntries != 0 {
+				ridx = idx / geo.MidEntries
+				mid := pt.midFrames[ridx]
+				want := arch.FrameAddr(mid) + arch.PhysAddr(idx%geo.MidEntries*geo.EntryBytes)
+				if got := pt.midEntryPhysAddr(idx); got != want {
+					t.Fatalf("%d-level slot %d: mid entry at %#x, want %#x", geo.Levels, idx, got, want)
+				}
+			}
 			want := arch.FrameAddr(pt.rootFrames[ridx/epf]) + arch.PhysAddr((ridx%epf)*geo.EntryBytes)
 			if got := pt.RootEntryPhysAddr(idx); got != want {
 				t.Fatalf("%d-level slot %d: root entry at %#x, want %#x", geo.Levels, idx, got, want)
